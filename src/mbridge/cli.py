@@ -10,7 +10,9 @@ only reproducible fields, so identical invocations give byte-identical
 files; wall-clock timing goes to stderr.
 
 Exit codes: 0 success, 1 structural problems (bad flags, malformed files),
-2 not converged or a failing law check, 3 infeasible inputs.
+2 not converged (a degenerate fiber Hessian included, once the solver's LP
+diagnosis has ruled out infeasibility) or a failing law check, 3 infeasible
+inputs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import numpy as np
 from . import __version__
 from .dynamics import FiberModel, phi_bijection_check, randomize_over_mu, \
     simulate_follmer_martingale
-from .errors import DualDivergence, InfeasibleParameters, MbridgeError, \
-    NotConverged, NotInConvexOrder, NotIrreducible, StructuralError
+from .errors import DegenerateFiber, DualDivergence, InfeasibleParameters, \
+    MbridgeError, NotConverged, NotInConvexOrder, NotIrreducible, \
+    StructuralError
 from .filtering import sigma_invariance_test, wonham_sde_crosscheck
 from .gaussian import bass_comparison_gaussian, follmer_volatility_gaussian, \
     gaussian_energy_closed_form, gaussian_msb_closed_form, \
@@ -501,7 +504,7 @@ def main(argv=None):
     except _INFEASIBLE as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except NotConverged as exc:
+    except (NotConverged, DegenerateFiber) as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         return 2
     except MbridgeError as exc:

@@ -13,10 +13,6 @@ class NotInConvexOrder(MbridgeError):
     """No martingale coupling exists between the requested marginals."""
 
 
-class InfiniteEntropy(NotInConvexOrder):
-    """The entropy functional is identically +inf for the requested pair."""
-
-
 class NotIrreducible(MbridgeError):
     """A start point lies outside the relative interior of conv(supp nu)."""
 

@@ -244,8 +244,7 @@ def restart_posterior(nu, psi, h, x, s, r, config=None):
     bary = w @ atoms
 
     cfg = config if config is not None else SolverConfig()
-    h_rec, _, w_rec = inner_dual_solve(bary, tilted, nu, cfg,
-                                       check_interior=False, h0=eta)
+    h_rec, _, w_rec = inner_dual_solve(bary, tilted, nu, cfg, h0=eta)
     return RestartReport(eta=eta, weights=w, barycenter=bary,
                          recovered_h=h_rec, recovered_weights=w_rec,
                          max_weight_dev=float(np.max(np.abs(w - w_rec))))

@@ -24,6 +24,7 @@ import json
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import StructuralError
@@ -217,13 +218,6 @@ def product_coupling(mu, nu):
     return Coupling(np.outer(mu.weights, nu.weights), mu, nu)
 
 
-def marginal_residuals(coupling):
-    """(max row-sum deviation, max column-sum deviation)."""
-    m = coupling.matrix
-    return (float(np.max(np.abs(m.sum(axis=1) - coupling.mu.weights))),
-            float(np.max(np.abs(m.sum(axis=0) - coupling.nu.weights))))
-
-
 def martingale_residual(coupling):
     """max_i |sum_j m_ij (y_j - x_i)| / mu_i, the conditional barycenter defect."""
     m = coupling.matrix
@@ -262,9 +256,28 @@ def barycenter_and_moments(p):
     return mean, m2, cov
 
 
+def coupling_constraints(x, y, columns=True, barycenters=True):
+    """Sparse equality rows on the row-major vector of an n x m matrix p:
+    the row sums, the column sums (if ``columns``) and the conditional
+    barycenter rows sum_j p_ij (y_j - x_i)[k], by i then k (if
+    ``barycenters``). CSC without stored zeros: the matrix linprog builds
+    from the same rows given densely, so HiGHS sees identical input."""
+    n, m = x.shape[0], y.shape[0]
+    blocks = [sparse.kron(sparse.eye_array(n), np.ones((1, m)))]
+    if columns:
+        blocks.append(sparse.kron(np.ones((1, n)), sparse.eye_array(m)))
+    if barycenters:  # block i is the (d, m) array of y_j - x_i
+        diff = np.swapaxes(y[None] - x[:, None], 1, 2)
+        blocks.append(sparse.block_diag(list(diff)))
+    a = sparse.vstack(blocks, format="csc")
+    a.eliminate_zeros()
+    return a
+
+
 def _polish_witness(matrix, a_eq, b_eq):
     """Project an LP witness onto the equality constraints; keep if it stays
     nonnegative up to rounding."""
+    a_eq = a_eq.toarray()
     x = matrix.ravel()
     resid = a_eq @ x - b_eq
     correction, *_ = np.linalg.lstsq(a_eq, resid, rcond=None)
@@ -279,42 +292,20 @@ def check_convex_order(mu, nu):
 
     Feasibility of {m >= 0, row sums = mu, column sums = nu, conditional
     barycenters = mu atoms} is decided by an LP; on success the feasible
-    point is returned as a witness ``Coupling``.
+    point is returned as a witness ``Coupling``. The solver never calls it
+    on a solve that certifies itself, only to diagnose one that failed.
     """
     if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
         raise StructuralError("check_convex_order expects two discrete measures")
     if mu.dim != nu.dim:
         raise StructuralError("marginals have different dimensions")
-    n, m, d = mu.n, nu.n, mu.dim
-
-    nvar = n * m
-    rows = []
-    rhs = []
-    for i in range(n):  # row sums
-        row = np.zeros(nvar)
-        row[i * m:(i + 1) * m] = 1.0
-        rows.append(row)
-        rhs.append(mu.weights[i])
-    for j in range(m):  # column sums
-        row = np.zeros(nvar)
-        row[j::m] = 1.0
-        rows.append(row)
-        rhs.append(nu.weights[j])
-    for i in range(n):  # conditional barycenters
-        diff = nu.atoms - mu.atoms[i]  # (m, d)
-        for k in range(d):
-            row = np.zeros(nvar)
-            row[i * m:(i + 1) * m] = diff[:, k]
-            rows.append(row)
-            rhs.append(0.0)
-    a_eq = np.asarray(rows)
-    b_eq = np.asarray(rhs)
-
-    res = linprog(np.zeros(nvar), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs", options=dict(_LP_OPTIONS))
+    a_eq = coupling_constraints(mu.atoms, nu.atoms)
+    b_eq = np.concatenate([mu.weights, nu.weights, np.zeros(mu.n * mu.dim)])
+    res = linprog(np.zeros(mu.n * nu.n), A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs", options=dict(_LP_OPTIONS))
     if not res.success:
         return False, None
-    matrix = _polish_witness(res.x.reshape(n, m), a_eq, b_eq)
+    matrix = _polish_witness(res.x.reshape(mu.n, nu.n), a_eq, b_eq)
     witness = Coupling(matrix, mu, nu, check=False)
     return True, witness
 
@@ -355,19 +346,14 @@ def mcov_discrete(alpha, beta, force_lp=False):
     if alpha.dim == 1 and not force_lp:
         matrix = _comonotone_pairing(alpha, beta)
     else:
-        n, m = alpha.n, beta.n
         cost = -(alpha.atoms @ beta.atoms.T)
-        a_eq = np.zeros((n + m, n * m))
+        a_eq = coupling_constraints(alpha.atoms, beta.atoms, barycenters=False)
         b_eq = np.concatenate([alpha.weights, beta.weights])
-        for i in range(n):
-            a_eq[i, i * m:(i + 1) * m] = 1.0
-        for j in range(m):
-            a_eq[n + j, j::m] = 1.0
         res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                       method="highs", options=dict(_LP_OPTIONS))
         if not res.success:
             raise StructuralError(f"transport LP failed: {res.message}")
-        matrix = _polish_witness(res.x.reshape(n, m), a_eq, b_eq)
+        matrix = _polish_witness(res.x.reshape(cost.shape), a_eq, b_eq)
     value = float(np.sum(matrix * (alpha.atoms @ beta.atoms.T)))
     return value, Coupling(matrix, alpha, beta, check=False)
 

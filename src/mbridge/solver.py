@@ -10,13 +10,21 @@ and the solver alternates two exact blocks in log domain:
 * for each mu-atom, a damped Newton solve of the strictly concave inner
   problem sup_h <h, x> - log sum_j nu_j exp(psi_j + <h, y_j>), which refreshes
   (h_i, phi_i) and makes the row mass and conditional barycenter exact;
-* a column scaling psi_j <- psj_j - log(column_j / nu_j) that restores the
+* a column scaling psi_j <- psi_j - log(column_j / nu_j) that restores the
   nu marginal exactly.
 
 The dual value of the psi iterate ascends monotonically and the duality gap
-closes at convergence. The same Newton machinery serves the classical
-(non-martingale) Schroedinger system used by the variational route, where the
-coupling on the base measure mu_bar = h # mu has kernel exp(<x_bar, y>).
+closes at convergence.
+
+The solve certifies itself, so no LP runs before it. A converged Gibbs
+coupling whose conditionals all exceed ``CONDITIONAL_FLOOR`` is strictly
+positive, hence the witness that the pair is in convex order and that every
+mu atom lies in the relative interior of conv(supp nu). By weak duality the
+dual is at most the primal, a mutual information bounded by
+min(H(mu), H(nu)); a dual iterate above that bound proves that no martingale
+coupling exists. Only a solve that does neither (an inner failure, the
+iteration cap, a conditional at the floor) is diagnosed by LP: convex order
+first, then one relative-interior LP for all mu atoms.
 """
 
 from __future__ import annotations
@@ -26,16 +34,21 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import (DegenerateFiber, DualDivergence, NotConverged,
                      NotInConvexOrder, NotIrreducible, StructuralError)
 from .measures import (Coupling, DiscreteMeasure, check_convex_order,
-                       mcov_discrete, merge_close_atoms, product_coupling,
-                       relative_entropy)
+                       coupling_constraints, mcov_discrete, merge_close_atoms,
+                       product_coupling, relative_entropy)
 
 HESSIAN_CONDITION_CAP = 1e14
-_RI_THRESHOLD = 1e-12
+# A fiber on the boundary of conv(supp nu) meets the 1e-12 inner Newton
+# tolerance only with off-face mass near 1e-12 / (distance to the face), far
+# below this floor; conditionals of pairs in strict convex order sit far above.
+CONDITIONAL_FLOOR = 1e-8
+_FAILURES = (NotIrreducible, DualDivergence, DegenerateFiber, NotConverged)
 
 
 @dataclass(frozen=True)
@@ -129,27 +142,40 @@ def gauge_normalize(triple, mu, nu):
     return PotentialTriple(phi, psi, h)
 
 
-def _in_relative_interior(x, nu):
-    """LP test: x is a strictly positive convex combination of the nu atoms."""
-    y = nu.atoms
-    m, d = y.shape
+def _in_relative_interior(points, nu):
+    """One LP: which points are positive convex combinations of the nu atoms.
+
+    Maximizes sum_i t_i s.t. sum_j lam_ij = 1, sum_j lam_ij (y_j - x_i) = 0,
+    lam_ij >= t_i. It separates over points, so x_i is interior iff t_i > 0;
+    free weights keep it feasible for points outside conv(supp nu).
+    """
+    n, m = points.shape[0], nu.n
     if m == 1:
-        return bool(np.linalg.norm(x - y[0]) <= 1e-12)
-    # maximize t  s.t.  sum_j lam_j y_j = x, sum lam = 1, lam_j >= t
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_eq = np.zeros((d + 1, m + 1))
-    a_eq[:d, :m] = y.T
-    a_eq[d, :m] = 1.0
-    b_eq = np.concatenate([np.asarray(x, float).ravel(), [1.0]])
-    a_ub = np.zeros((m, m + 1))
-    a_ub[:, :m] = -np.eye(m)
-    a_ub[:, -1] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, 1)] * m + [(-1.0, 1.0)], method="highs")
+        return np.linalg.norm(points - nu.atoms[0], axis=1) <= 1e-12
+    a_eq = coupling_constraints(points, nu.atoms, columns=False)
+    a_eq = sparse.hstack([a_eq, sparse.csc_array((a_eq.shape[0], n))])
+    b_eq = np.concatenate([np.ones(n), np.zeros(a_eq.shape[0] - n)])
+    # t_i - lam_ij <= 0
+    a_ub = sparse.hstack([-sparse.eye_array(n * m),
+                          sparse.kron(sparse.eye_array(n), np.ones((m, 1)))])
+    c = np.concatenate([np.zeros(n * m), -np.ones(n)])
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n * m), A_eq=a_eq, b_eq=b_eq,
+                  bounds=(None, None), method="highs")
     if not res.success:
-        return False
-    return float(-res.fun) > _RI_THRESHOLD
+        return np.zeros(n, dtype=bool)
+    return res.x[n * m:] > 1e-12
+
+
+def _diagnose(points, nu, mu=None):
+    """Raise NotInConvexOrder (given mu) or NotIrreducible if an LP shows
+    either; otherwise return, so the caller's answer stands."""
+    if mu is not None and not check_convex_order(mu, nu)[0]:
+        raise NotInConvexOrder("mu and nu admit no martingale coupling")
+    inside = _in_relative_interior(points, nu)
+    if not inside.all():
+        raise NotIrreducible(
+            f"{'point' if mu is None else 'mu atom'} {int(np.argmin(inside))}"
+            " lies outside the relative interior of conv(supp nu)")
 
 
 class _FiberGeometry:
@@ -275,12 +301,14 @@ def _fiber_newton(geom, x_red, psi, config, z0=None):
     return z, val, cond
 
 
-def inner_dual_solve(x, psi, nu, config=None, check_interior=True, h0=None):
+def inner_dual_solve(x, psi, nu, config=None, h0=None):
     """Solve sup_h <h, x> - log sum_j nu_j exp(psi_j + <h, y_j>).
 
     Returns (h, phi_x, conditional) where phi_x is the supremum value and the
     conditional is the tilted measure nu_j exp(psi_j + <h, y_j>) normalized,
-    whose barycenter equals x within the Newton gradient tolerance.
+    whose barycenter equals x within the Newton gradient tolerance. The
+    relative-interior LP runs only when Newton fails or leaves a conditional
+    at ``CONDITIONAL_FLOOR``.
     """
     config = config or SolverConfig()
     nu_ = nu if isinstance(nu, DiscreteMeasure) else DiscreteMeasure(*nu)
@@ -290,14 +318,17 @@ def inner_dual_solve(x, psi, nu, config=None, check_interior=True, h0=None):
     psi = np.asarray(psi, dtype=float).ravel()
     if psi.shape[0] != nu_.n:
         raise StructuralError("psi must have one value per nu atom")
-    if check_interior and not _in_relative_interior(x, nu_):
-        raise NotIrreducible(
-            "x lies outside the relative interior of conv(supp nu)")
     geom = _FiberGeometry(nu_)
     x_red = geom.reduce_points(x[None, :])
     z0 = None if h0 is None else (np.asarray(h0, float).reshape(1, -1)
                                   @ geom.basis)
-    z, phi, cond = _fiber_newton(geom, x_red, psi, config, z0=z0)
+    try:
+        z, phi, cond = _fiber_newton(geom, x_red, psi, config, z0=z0)
+    except _FAILURES:
+        _diagnose(x[None, :], nu_)
+        raise
+    if cond.min() <= CONDITIONAL_FLOOR:
+        _diagnose(x[None, :], nu_)
     return geom.embed(z)[0], float(phi[0]), cond[0]
 
 
@@ -337,22 +368,30 @@ def sinkhorn_msb(mu, nu, config=None):
     of the column sums and the martingale residual both fall below the
     configured tolerances; returns a value-bearing report with
     ``converged=False`` when the iteration cap is reached instead.
+    The module docstring says when an LP diagnosis runs; when it finds no
+    infeasibility, the report or the original exception stands.
     """
     config = config or SolverConfig()
     if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
         raise StructuralError("sinkhorn_msb expects two discrete measures")
     if mu.dim != nu.dim:
         raise StructuralError("marginals have different dimensions")
+    try:
+        report = _fixed_point(mu, nu, config)
+    except _FAILURES:
+        _diagnose(mu.atoms, nu, mu)
+        raise
+    if (not report.converged
+            or report.coupling.conditionals().min() <= CONDITIONAL_FLOOR):
+        _diagnose(mu.atoms, nu, mu)
+    return report
 
-    ok, _ = check_convex_order(mu, nu)
-    if not ok:
-        raise NotInConvexOrder("mu and nu admit no martingale coupling")
-    for i in range(mu.n):
-        if not _in_relative_interior(mu.atoms[i], nu):
-            raise NotIrreducible(
-                f"mu atom {i} lies outside the relative interior of "
-                "conv(supp nu)")
 
+def _fixed_point(mu, nu, config):
+    """The alternating iteration of ``sinkhorn_msb``, without diagnosis."""
+    # weak duality: the dual never exceeds the primal <= min(H(mu), H(nu))
+    bound = min(float(-(w @ np.log(w))) for w in (mu.weights, nu.weights))
+    ceiling = bound + 1e-9 * (1.0 + bound)
     geom = _FiberGeometry(nu)
     x_red = geom.reduce_points(mu.atoms)
     y_diff = nu.atoms[None, :, :] - mu.atoms[:, None, :]  # (n, m, d)
@@ -368,6 +407,11 @@ def sinkhorn_msb(mu, nu, config=None):
     for iterations in range(1, config.max_outer_iterations + 1):
         z, phi, cond = _fiber_newton(geom, x_red, psi, config, z0=z)
         dual_trace.append(float(nu.weights @ psi + mu.weights @ phi))
+        if dual_trace[-1] > ceiling:
+            raise NotInConvexOrder(
+                f"dual value {dual_trace[-1]!r} exceeds min(H(mu), H(nu)) = "
+                f"{bound!r} at outer iteration {iterations}: no martingale "
+                "coupling exists")
 
         cols = mu.weights @ cond
         marg = float(np.abs(cols - nu.weights).sum())

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mbridge import DiscreteMeasure, measure_to_json
+from mbridge import DegenerateFiber, DiscreteMeasure, measure_to_json
 from mbridge.cli import main
 
 
@@ -77,6 +77,19 @@ def test_infeasible_instance_exits_three(tmp_path, capsys):
                  "--out", str(tmp_path / "run")])
     assert code == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_degenerate_fiber_exits_two(tmp_path, study_files, monkeypatch,
+                                    capsys):
+    # the pair is feasible, so the diagnosis lets the solver failure stand
+    def degenerate(*args, **kwargs):
+        raise DegenerateFiber("fiber 0: conditional covariance is singular")
+    monkeypatch.setattr("mbridge.solver._fiber_newton", degenerate)
+    mu, nu = study_files
+    code = main(["solve", "--mu", mu, "--nu", nu,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "fiber 0" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_one_with_single_diagnostic(tmp_path, capsys):

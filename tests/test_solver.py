@@ -79,8 +79,7 @@ def test_inner_dual_rejects_boundary_and_off_hull_points():
     nu2 = DiscreteMeasure([[-1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
     with pytest.raises(NotIrreducible):
         # off the affine hull of supp(nu): caught even without the LP test
-        inner_dual_solve(np.array([0.0, 0.5]), psi, nu2,
-                         check_interior=False)
+        inner_dual_solve(np.array([0.0, 0.5]), psi, nu2)
 
 
 def test_inner_dual_divergence_guard_trips_near_the_boundary():
@@ -89,7 +88,7 @@ def test_inner_dual_divergence_guard_trips_near_the_boundary():
     # optimal h = atanh(0.99999) ~ 6.1 exceeds the configured bound
     with pytest.raises(DualDivergence):
         inner_dual_solve(np.array([0.99999]), np.zeros(2), nu,
-                         config=config, check_interior=False)
+                         config=config)
 
 
 def test_golden_section_oracle_matches_solver_on_the_one_parameter_family():
@@ -223,6 +222,32 @@ def test_infeasible_and_boundary_instances_raise():
     two = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
     with pytest.raises(NotIrreducible):
         sinkhorn_msb(two, two)
+
+
+def _forbid_lps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP ran")
+    monkeypatch.setattr("mbridge.solver.check_convex_order", refuse)
+    monkeypatch.setattr("mbridge.solver.linprog", refuse)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_strict_pairs_certify_themselves_without_an_lp(rng, monkeypatch, d):
+    _forbid_lps(monkeypatch)
+    for _ in range(5):
+        mu, nu, _ = random_instance(rng, d=d)
+        report = sinkhorn_msb(mu, nu)
+        assert report.converged
+        assert report.coupling.conditionals().min() > 1e-8
+
+
+def test_weak_duality_refutes_an_equal_mean_pair_without_an_lp(monkeypatch):
+    # equal means, but nu is less spread than mu: no martingale coupling
+    _forbid_lps(monkeypatch)
+    mu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
+    nu = DiscreteMeasure([[-1.5], [0.0], [1.5]], [0.1, 0.8, 0.1])
+    with pytest.raises(NotInConvexOrder, match="exceeds min"):
+        sinkhorn_msb(mu, nu)
 
 
 def test_binomial_discretization_recovers_the_linear_gaussian_field():
