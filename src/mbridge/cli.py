@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: solve (fixed point on two discrete measure files), gaussian
+Subcommands: solve (psi-dual Newton on two discrete measure files), gaussian
 (closed forms and volatility schedules), simulate (path ensemble with
 energies), filter (observation-time law checks), threepoint (the two
 optimizers of the 3x3 family), certify (primal/dual/variational value chain
@@ -179,7 +179,8 @@ def cmd_certify(args):
     report = sinkhorn_msb(mu, nu, config)
 
     base = extract_base_measure(report)
-    sp_value, _, (phibar, psi) = classical_sinkhorn_sp(base, nu)
+    sp_value, _, (phibar, psi) = classical_sinkhorn_sp(
+        base, nu, psi0=report.potentials.psi)
     ss1, ss2 = schroedinger_system_residuals(base, nu, phibar, psi)
     mcov, _ = mcov_discrete(base, mu)
     vp = sp_value + mcov

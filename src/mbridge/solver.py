@@ -3,18 +3,29 @@
 The primal problem minimizes H(m | mu x nu) over martingale couplings m of a
 pair (mu, nu) in convex order. The optimizer has a Gibbs density
 
-    m_ij = mu_i nu_j exp(phi_i + psi_j + <h_i, y_j - x_i>),
+    m_ij = mu_i nu_j exp(phi_i + psi_j + <h_i, y_j - x_i>).
 
-and the solver alternates two exact blocks in log domain:
+Eliminating the fiber potentials leaves one concave dual in psi alone,
 
-* for each mu-atom, a damped Newton solve of the strictly concave inner
-  problem sup_h <h, x> - log sum_j nu_j exp(psi_j + <h, y_j>), which refreshes
-  (h_i, phi_i) and makes the row mass and conditional barycenter exact;
-* a column scaling psi_j <- psi_j - log(column_j / nu_j) that restores the
-  nu marginal exactly.
+    D(psi) = <nu, psi> + sum_i mu_i phi_i(psi),
+    phi_i(psi) = sup_h <h, x_i> - log sum_j nu_j exp(psi_j + <h, y_j>),
 
-The dual value of the psi iterate ascends monotonically and the duality gap
-closes at convergence.
+whose gradient is nu - cols, the defect of the column sums. Each phi_i and
+its maximizer h_i come from a batched damped Newton solve per mu atom
+(``_fiber_newton``), which makes the row mass and the conditional barycenter
+exact. The psi dual is climbed by one safeguarded Newton kernel,
+``_psi_newton``: the negative Hessian is diag(cols) - sum_i mu_i c_i c_i'
+minus the curvature of the eliminated h block, made solvable by adding the
+nu-weighted affine gauge, and the step is damped by an Armijo line search
+that treats a failing fiber solve as a rejected step. When the line search
+fails, the kernel falls back to the exact column scaling
+psi_j <- psi_j - log(cols_j / nu_j), a block-ascent step, so the dual still
+rises. Once a step neither raises the dual nor lowers the marginal defect,
+the iterate sits at the floating-point floor and the kernel stops.
+
+The classical Schroedinger system of ``classical_sinkhorn_sp`` is the same
+dual without the h block: phi_i(psi) is a closed-form row log-sum-exp and
+the gauge is the constant alone.
 
 The solve certifies itself, so no LP runs before it. A converged Gibbs
 coupling whose conditionals all exceed ``CONDITIONAL_FLOOR`` is strictly
@@ -22,9 +33,9 @@ positive, hence the witness that the pair is in convex order and that every
 mu atom lies in the relative interior of conv(supp nu). By weak duality the
 dual is at most the primal, a mutual information bounded by
 min(H(mu), H(nu)); a dual iterate above that bound proves that no martingale
-coupling exists. Only a solve that does neither (an inner failure, the
-iteration cap, a conditional at the floor) is diagnosed by LP: convex order
-first, then one relative-interior LP for all mu atoms.
+coupling exists. Only a solve that does neither (an inner failure, a stall,
+the iteration cap, a conditional at the floor) is diagnosed by LP: convex
+order first, then one relative-interior LP for all mu atoms.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -53,7 +65,7 @@ _FAILURES = (NotIrreducible, DualDivergence, DegenerateFiber, NotConverged)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration caps for the fixed-point solver."""
+    """Tolerances and iteration caps for the psi-dual Newton solver."""
 
     marginal_tolerance: float = 1e-10
     martingale_tolerance: float = 1e-10
@@ -219,6 +231,14 @@ class _FiberGeometry:
         return z @ self.basis.T
 
 
+def _row_softmax(logits):
+    """Row-wise log-sum-exp of an (n, m) array and the row-normalized
+    exponentials, both shifted by the row maximum."""
+    top = logits.max(axis=1, keepdims=True)
+    lse = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
+    return lse, np.exp(logits - lse[:, None])
+
+
 def _fiber_newton(geom, x_red, psi, config, z0=None):
     """Batched damped Newton for the inner duals over one nu.
 
@@ -233,10 +253,7 @@ def _fiber_newton(geom, x_red, psi, config, z0=None):
     z = np.zeros((n, r)) if z0 is None else np.array(z0, dtype=float)
 
     def value_grad(zc, xs):
-        logits = base[None, :] + zc @ yr.T          # (n, m)
-        top = logits.max(axis=1, keepdims=True)
-        lse = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
-        cond = np.exp(logits - lse[:, None])
+        lse, cond = _row_softmax(base[None, :] + zc @ yr.T)
         val = np.einsum("nr,nr->n", zc, xs) - lse
         bary = cond @ yr
         return val, xs - bary, cond, bary
@@ -361,15 +378,16 @@ def dual_value(psi, mu, nu, config=None):
 
 
 def sinkhorn_msb(mu, nu, config=None):
-    """Fixed-point solver for the entropic martingale transport problem.
+    """Solver for the entropic martingale transport problem.
 
-    Alternates exact per-fiber inner Newton refreshes with an exact column
-    scaling of psi, all in log domain. Stops when the total-variation defect
-    of the column sums and the martingale residual both fall below the
-    configured tolerances; returns a value-bearing report with
-    ``converged=False`` when the iteration cap is reached instead.
-    The module docstring says when an LP diagnosis runs; when it finds no
-    infeasibility, the report or the original exception stands.
+    Climbs the concave psi dual with the safeguarded Newton kernel of the
+    module docstring, each fiber refreshed by an exact inner Newton solve,
+    all in log domain. Stops when the total-variation defect of the column
+    sums and the martingale residual both fall below the configured
+    tolerances; returns a value-bearing report with ``converged=False`` when
+    the iteration cap is reached or the dual stalls at the floating-point
+    floor instead. The module docstring says when an LP diagnosis runs; when
+    it finds no infeasibility, the report or the original exception stands.
     """
     config = config or SolverConfig()
     if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
@@ -387,57 +405,185 @@ def sinkhorn_msb(mu, nu, config=None):
     return report
 
 
+def _h_block_rows(mu_w, cond, y_red):
+    """Rows R with R'R = sum_i mu_i (C_i Yc_i) Cov_i^-1 (C_i Yc_i)', the
+    curvature that the eliminated h block adds to the psi dual.
+
+    C_i = diag(c_i), Yc_i holds the atoms centered at fiber i's barycenter
+    and Cov_i = Yc_i' C_i Yc_i; each fiber contributes the r rows
+    sqrt(mu_i) L_i^-1 (C_i Yc_i)' with Cov_i = L_i L_i'.
+    """
+    n, m = cond.shape
+    centered = y_red[None, :, :] - (cond @ y_red)[:, None, :]   # (n, m, r)
+    weighted = cond[:, :, None] * centered
+    cov = weighted.transpose(0, 2, 1) @ centered                 # (n, r, r)
+    rows = np.linalg.inv(np.linalg.cholesky(cov)) \
+        @ (np.sqrt(mu_w)[:, None, None] * weighted.transpose(0, 2, 1))
+    return rows.reshape(n * y_red.shape[1], m)
+
+
+def _newton_direction(mu_w, cond, cols, curvature, gauge_cols, grad):
+    """Ascent direction of the psi dual, or None if its curvature is singular.
+
+    Solves (diag(cols) - sum_i mu_i c_i c_i' - R'R + N N') s = grad, where R
+    holds the curvature rows of an eliminated block; both Gram terms come
+    from one symmetric product. N N' fills the gauge null space, so s keeps
+    the nu-weighted gauge whenever the gradient is orthogonal to it.
+    """
+    rows = cond * np.sqrt(mu_w)[:, None]
+    if curvature is not None:
+        try:
+            rows = np.concatenate([rows, curvature()])
+        except np.linalg.LinAlgError:
+            return None
+    hess = np.diag(cols) + gauge_cols @ gauge_cols.T - rows.T @ rows
+    try:
+        step = np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+    return step if np.all(np.isfinite(step)) else None
+
+
+_LINE_SEARCH_STEPS = 30
+_ARMIJO = 1e-4
+
+
+class _DualPoint(NamedTuple):
+    """One psi iterate with its fibers, column sums, dual value and L1
+    marginal defect."""
+
+    psi: np.ndarray
+    phi: np.ndarray
+    cond: np.ndarray
+    prev: object
+    curvature: object
+    cols: np.ndarray
+    value: float
+    marg: float
+
+
+def _psi_newton(fibers, mu_w, nu_w, gauge, psi, max_iterations, stop,
+                ceiling=math.inf):
+    """Safeguarded Newton ascent on D(psi) = <nu, psi> + <mu, phi(psi)>.
+
+    ``fibers(psi, prev)`` returns (phi, cond, prev, curvature): the fiber
+    values, the (n, m) conditionals, the warm start of the next call and a
+    callable giving the curvature rows of an eliminated block (None if
+    there is none; see ``_newton_direction``). ``gauge`` holds the (m, k) affine directions that leave D
+    unchanged; ``stop(cols, cond)`` says when the iterate is solved. Steps
+    are Armijo-damped, and a trial point whose fibers fail is rejected; at
+    the floating-point floor (predicted gain <= 1e-14 (1 + |D|)) the pure
+    Newton step is taken, and when the line search fails the exact column
+    scaling is. A step that neither raises D nor lowers the L1 marginal
+    defect ends the ascent unconverged. A dual above ``ceiling`` raises
+    NotInConvexOrder.
+
+    Returns the last accepted ``_DualPoint``, the dual trace (one entry per
+    outer iteration) and whether ``stop`` accepted the point.
+    """
+    gauge_cols = nu_w[:, None] * gauge
+    log_nu = np.log(nu_w)
+
+    def evaluate(psi, prev):
+        phi, cond, prev, curvature = fibers(psi, prev)
+        cols = mu_w @ cond
+        return _DualPoint(psi, phi, cond, prev, curvature, cols,
+                          float(nu_w @ psi + mu_w @ phi),
+                          float(np.abs(cols - nu_w).sum()))
+
+    def attempt(psi, prev):
+        try:
+            return evaluate(psi, prev)
+        except _FAILURES:
+            return None
+
+    point = evaluate(psi, None)
+    trace = []
+    while True:
+        trace.append(point.value)
+        if point.value > ceiling:
+            raise NotInConvexOrder(
+                f"dual value {point.value!r} exceeds min(H(mu), H(nu)) (with "
+                f"slack, {ceiling!r}) at outer iteration {len(trace)}: no "
+                "martingale coupling exists")
+        if stop(point.cols, point.cond):
+            return point, np.asarray(trace), True
+        if len(trace) >= max_iterations:
+            return point, np.asarray(trace), False
+
+        grad = nu_w - point.cols
+        step = _newton_direction(mu_w, point.cond, point.cols, point.curvature,
+                                 gauge_cols, grad)
+        trial = None
+        if step is not None:
+            gain = float(grad @ step)
+            if gain <= 1e-14 * (1.0 + abs(point.value)):
+                # Armijo cannot resolve the gain: take the pure Newton step
+                trial = attempt(point.psi + step, point.prev)
+            else:
+                alpha = 1.0
+                for _ in range(_LINE_SEARCH_STEPS):
+                    cand = attempt(point.psi + alpha * step, point.prev)
+                    if (cand is not None and cand.value
+                            >= point.value + _ARMIJO * alpha * gain):
+                        trial = cand
+                        break
+                    alpha *= 0.5
+        if trial is None:
+            # exact block ascent: psi_j -= log(cols_j / nu_j)
+            trial = evaluate(point.psi - (np.log(point.cols) - log_nu),
+                             point.prev)
+        if not (trial.value > point.value or trial.marg < point.marg):
+            # the floating-point floor: no step improves either measure
+            return point, np.asarray(trace), False
+        point = trial
+
+
 def _fixed_point(mu, nu, config):
-    """The alternating iteration of ``sinkhorn_msb``, without diagnosis."""
+    """The psi-dual Newton solve of ``sinkhorn_msb``, without diagnosis."""
     # weak duality: the dual never exceeds the primal <= min(H(mu), H(nu))
     bound = min(float(-(w @ np.log(w))) for w in (mu.weights, nu.weights))
-    ceiling = bound + 1e-9 * (1.0 + bound)
     geom = _FiberGeometry(nu)
     x_red = geom.reduce_points(mu.atoms)
     y_diff = nu.atoms[None, :, :] - mu.atoms[:, None, :]  # (n, m, d)
 
-    psi = np.zeros(nu.n)
-    z = np.zeros((mu.n, geom.rank))
-    dual_trace = []
-    iterations = 0
-    converged = False
-    marg = math.inf
-    mart = math.inf
-
-    for iterations in range(1, config.max_outer_iterations + 1):
+    def fibers(psi, z):
         z, phi, cond = _fiber_newton(geom, x_red, psi, config, z0=z)
-        dual_trace.append(float(nu.weights @ psi + mu.weights @ phi))
-        if dual_trace[-1] > ceiling:
-            raise NotInConvexOrder(
-                f"dual value {dual_trace[-1]!r} exceeds min(H(mu), H(nu)) = "
-                f"{bound!r} at outer iteration {iterations}: no martingale "
-                "coupling exists")
+        curvature = (lambda: _h_block_rows(mu.weights, cond, geom.y_red)) \
+            if geom.rank else None
+        return phi, cond, z, curvature
 
-        cols = mu.weights @ cond
-        marg = float(np.abs(cols - nu.weights).sum())
+    def residuals(cols, cond):
         drift = np.einsum("nm,nmd->nd", cond, y_diff)
-        mart = float(np.max(np.linalg.norm(drift, axis=1)))
-        if marg < config.marginal_tolerance and mart < config.martingale_tolerance:
-            converged = True
-            break
+        return (float(np.abs(cols - nu.weights).sum()),
+                float(np.max(np.linalg.norm(drift, axis=1))))
 
-        # column scaling in log domain: psi_j -= log(col_j / nu_j)
-        psi = psi - (np.log(cols) - geom.log_nu)
+    def stop(cols, cond):
+        marg, mart = residuals(cols, cond)
+        return (marg < config.marginal_tolerance
+                and mart < config.martingale_tolerance)
 
-    h = geom.embed(z)
-    matrix = mu.weights[:, None] * cond
-    triple = gauge_normalize(PotentialTriple(phi, psi, h), mu, nu)
+    gauge = np.column_stack([np.ones(nu.n), geom.y_red])
+    point, dual_trace, converged = _psi_newton(
+        fibers, mu.weights, nu.weights, gauge, np.zeros(nu.n),
+        config.max_outer_iterations, stop,
+        ceiling=bound + 1e-9 * (1.0 + bound))
+    marg, mart = residuals(point.cols, point.cond)
+
+    h = geom.embed(point.prev)
+    matrix = mu.weights[:, None] * point.cond
+    triple = gauge_normalize(PotentialTriple(point.phi, point.psi, h), mu, nu)
     coupling = Coupling(matrix, mu, nu, check=converged)
 
     p_val = primal_value(coupling, mu, nu)
-    d_val = dual_trace[-1]
+    d_val = float(dual_trace[-1])
     if converged and abs(p_val - d_val) > 1e-8 * (1.0 + abs(p_val)):
         converged = False
     return SolveReport(coupling=coupling, potentials=triple,
                        primal_value=p_val, dual_value=d_val,
-                       iterations=iterations, marginal_residual=marg,
+                       iterations=len(dual_trace), marginal_residual=marg,
                        martingale_residual=mart, converged=converged,
-                       dual_trace=np.asarray(dual_trace))
+                       dual_trace=dual_trace)
 
 
 def gibbs_coupling(triple, mu, nu):
@@ -448,16 +594,24 @@ def gibbs_coupling(triple, mu, nu):
     return mu.weights[:, None] * nu.weights[None, :] * np.exp(expo)
 
 
-def classical_sinkhorn_sp(mu_bar, nu, tolerance=1e-13, max_iterations=200_000):
+def classical_sinkhorn_sp(mu_bar, nu, tolerance=1e-13, max_iterations=200_000,
+                          psi0=None):
     """Static Schroedinger problem inf H(pi | mu_bar x nu) - int <x_bar, y> dpi.
 
-    Log-domain Sinkhorn for the system
+    Solves the system
 
         sum_j nu_j exp(phibar_i + psi_j + <x_bar_i, y_j>) = 1   for all i,
-        sum_i mubar_i exp(phibar_i + psi_j + <x_bar_i, y_j>) = 1 for all j.
+        sum_i mubar_i exp(phibar_i + psi_j + <x_bar_i, y_j>) = 1 for all j
+
+    with the psi-dual Newton kernel of ``sinkhorn_msb``, without the h block:
+    phibar is the closed-form row log-sum-exp, so the first equation holds
+    exactly, and the kernel drives the second below ``tolerance``.
+    ``psi0`` warm-starts psi; on the base measure extracted from a martingale
+    solve, that solve's psi already solves the system.
 
     Returns (value, coupling, (phibar, psi)); psi is centered so that
-    sum_j nu_j psi_j = 0. Raises NotConverged at the iteration cap.
+    sum_j nu_j psi_j = 0. Raises NotConverged at the iteration cap or when
+    the ascent stalls above the tolerance.
     """
     if mu_bar.dim != nu.dim:
         raise StructuralError("mu_bar and nu dimensions differ")
@@ -465,31 +619,27 @@ def classical_sinkhorn_sp(mu_bar, nu, tolerance=1e-13, max_iterations=200_000):
     log_mu = np.log(mu_bar.weights)
     log_nu = np.log(nu.weights)
 
-    psi = np.zeros(nu.n)
-    phibar = np.zeros(mu_bar.n)
-    for _ in range(max_iterations):
-        a = log_nu[None, :] + psi[None, :] + k
-        top = a.max(axis=1, keepdims=True)
-        phibar = -(top[:, 0] + np.log(np.exp(a - top).sum(axis=1)))
+    def fibers(psi, prev):
+        lse, cond = _row_softmax(log_nu[None, :] + psi[None, :] + k)
+        return -lse, cond, None, None
 
-        b = log_mu[:, None] + phibar[:, None] + k
-        top = b.max(axis=0)
-        psi = -(top + np.log(np.exp(b - top).sum(axis=0)))
+    def stop(cols, cond):
+        return float(np.max(np.abs(cols / nu.weights - 1.0))) < tolerance
 
-        # residual of the first equation after the psi refresh
-        a = log_nu[None, :] + psi[None, :] + phibar[:, None] + k
-        top = a.max(axis=1, keepdims=True)
-        lse = top[:, 0] + np.log(np.exp(a - top).sum(axis=1))
-        if np.max(np.abs(np.expm1(lse))) < tolerance:
-            break
-    else:
-        raise NotConverged("classical Sinkhorn hit its iteration cap")
+    psi = np.zeros(nu.n) if psi0 is None else np.array(psi0, dtype=float)
+    point, trace, converged = _psi_newton(
+        fibers, mu_bar.weights, nu.weights, np.ones((nu.n, 1)), psi,
+        max_iterations, stop)
+    if not converged:
+        raise NotConverged(
+            "classical Schroedinger Newton "
+            + ("hit its iteration cap" if len(trace) >= max_iterations
+               else f"stalled after {len(trace)} iterations"))
 
-    # re-pin the first equation exactly, then fix the additive gauge
-    phibar = phibar - lse
-    shift = float(nu.weights @ psi)
-    psi = psi - shift
-    phibar = phibar + shift
+    # fix the additive gauge
+    shift = float(nu.weights @ point.psi)
+    psi = point.psi - shift
+    phibar = point.phi + shift
 
     matrix = np.exp(log_mu[:, None] + log_nu[None, :]
                     + phibar[:, None] + psi[None, :] + k)

@@ -1,8 +1,8 @@
 """Two-parameter family of martingale couplings on three-atom marginals.
 
 The first marginal sits on (-1, 0, 1) with weights (p1, q1, r1), the second
-on (-2, 0, 2) with weights (p2, q2, r2). Every martingale coupling of the
-pair is
+on (-2, 0, 2) with weights (p2, q2, r2). When their means agree
+(r1 - p1 = 2 (r2 - p2)), every martingale coupling of the pair is
 
     pi(u, v) = [[u,  3 p1/2 - 2u,  u - p1/2 ],
                 [v,  q1   - 2v,   v         ],
@@ -186,12 +186,22 @@ def _damped_newton_2d(x0, grad_hess, objective, feasible, tol=1e-13,
             step = np.linalg.solve(hess, g)
         except np.linalg.LinAlgError:
             step = g / max(np.abs(hess).max(), 1.0)
+        decrease = float(g @ step)
+        trial = x - step
+        if decrease <= 1e-14 * (1.0 + abs(fx)) and feasible(*trial):
+            # Armijo cannot resolve the decrease: take the pure Newton step
+            if np.array_equal(trial, x):
+                raise NotConverged(
+                    f"two-dimensional Newton stalled at |grad| = {gnorm:.2e}: "
+                    "the Newton step is below the resolution of (u, v)")
+            x, fx = trial, objective(*trial)
+            continue
         alpha = 1.0
         for _ in range(80):
             trial = x - alpha * step
             if feasible(*trial):
                 ft = objective(*trial)
-                if ft <= fx - armijo * alpha * float(g @ step):
+                if ft <= fx - armijo * alpha * decrease:
                     x, fx = trial, ft
                     break
             alpha *= 0.5
@@ -226,14 +236,30 @@ def entropy_minimize(instance, tol=1e-13):
     (u, v), grad = _damped_newton_2d(
         x0, grad_hess, lambda a, b: _entropy_value(instance, a, b),
         lambda a, b: _interior(instance, a, b), tol=tol)
+    return _solution(instance, u, v, _entropy_value, entropy_system_residual)
+
+
+def _solution(instance, u, v, objective, residual, cross_check_uv=None):
+    """Package an optimizer of S, refusing a coupling that misses nu.
+
+    The parametrization fixes the rows, the martingale constraint and the
+    first column; the other two columns equal the nu weights only when mu
+    and nu have the same mean.
+    """
     matrix = parametrize_coupling(instance, u, v)
+    miss = float(np.max(np.abs(matrix.sum(axis=0) - instance.nu.weights)))
+    if miss > 1e-12:
+        raise NotConverged(
+            f"the optimal coupling misses the nu weights by {miss:.1e}: the "
+            "means of mu and nu differ, so no coupling of the family has "
+            "these marginals")
     boundary = tuple(f"pi[{i},{j}]" for i in range(3) for j in range(3)
                      if matrix[i, j] < 1e-11)
     return ThreePointSolution(u=float(u), v=float(v), matrix=matrix,
-                              value=_entropy_value(instance, u, v),
-                              system_residual=entropy_system_residual(
-                                  instance, u, v),
-                              boundary_entries=boundary)
+                              value=objective(instance, u, v),
+                              system_residual=residual(instance, u, v),
+                              boundary_entries=boundary,
+                              cross_check_uv=cross_check_uv)
 
 
 def w2_to_standard_gaussian(measure):
@@ -279,29 +305,21 @@ def _bass_objective(instance, u, v):
                      for i in range(3)))
 
 
-def bass_minimize(instance, tol=1e-12, fd_step=1e-7):
+def bass_minimize(instance, tol=1e-12):
     """Minimize the flat-volatility objective over S.
 
     Route one is a damped Newton on the objective itself, with the analytic
-    quantile gradient and a central-difference Hessian, started at the
-    Chebyshev center. Route two solves the two-equation quantile system
-    directly with an analytic Jacobian, warm-started at the entropy
-    optimizer; its result is reported in ``cross_check_uv`` and the two
-    routes agree to high accuracy on nondegenerate instances.
+    quantile gradient and Hessian, started at the Chebyshev center. Route
+    two solves the two-equation quantile system directly with the same
+    analytic Jacobian, warm-started at the entropy optimizer; its result is
+    reported in ``cross_check_uv`` and the two routes agree to high accuracy
+    on nondegenerate instances.
     """
 
-    def gradient(u, v):
-        return 4.0 * np.asarray(bass_system_residual(instance, u, v))
-
     def grad_hess(u, v):
-        g = gradient(u, v)
-        hess = np.empty((2, 2))
-        for k, (du, dv) in enumerate(((fd_step, 0.0), (0.0, fd_step))):
-            gp = gradient(u + du, v + dv)
-            gm = gradient(u - du, v - dv)
-            hess[:, k] = (gp - gm) / (2.0 * fd_step)
-        hess = 0.5 * (hess + hess.T)
-        return g, hess
+        # each residual is 1/4 of the matching partial derivative
+        return (4.0 * np.asarray(bass_system_residual(instance, u, v)),
+                4.0 * _bass_jacobian(instance, u, v))
 
     x0 = instance.chebyshev_center()
     (u, v), _ = _damped_newton_2d(
@@ -311,36 +329,32 @@ def bass_minimize(instance, tol=1e-12, fd_step=1e-7):
     warm = entropy_minimize(instance)
     u2, v2 = _bass_system_newton(instance, warm.u, warm.v)
 
-    matrix = parametrize_coupling(instance, u, v)
-    boundary = tuple(f"pi[{i},{j}]" for i in range(3) for j in range(3)
-                     if matrix[i, j] < 1e-11)
-    return ThreePointSolution(u=float(u), v=float(v), matrix=matrix,
-                              value=_bass_objective(instance, u, v),
-                              system_residual=bass_system_residual(
-                                  instance, u, v),
-                              boundary_entries=boundary,
-                              cross_check_uv=(float(u2), float(v2)))
+    return _solution(instance, u, v, _bass_objective, bass_system_residual,
+                     cross_check_uv=(float(u2), float(v2)))
 
 
-def _bass_system_newton(instance, u, v, tol=1e-14, max_steps=80):
-    """Newton iteration on the quantile system with its analytic Jacobian."""
+def _bass_jacobian(instance, u, v):
+    """Analytic Jacobian of ``bass_system_residual`` in (u, v)."""
     p1, q1, r1 = instance.p1, instance.q1, instance.r1
 
     def dq(level, scale):
         return 1.0 / (norm_pdf(norm_ppf(level)) * scale)
 
+    w = instance.p2 - u - v
+    a_p = dq(u / p1, p1) + dq(1.5 - u / p1, p1)
+    b_p = dq(v / q1, q1) + dq(1.0 - v / q1, q1)
+    c_p = dq(w / r1, r1) + dq(0.5 - w / r1, r1)
+    return np.array([[a_p + c_p, c_p], [c_p, b_p + c_p]])
+
+
+def _bass_system_newton(instance, u, v, tol=1e-14, max_steps=80):
+    """Newton iteration on the quantile system with its analytic Jacobian."""
     x = np.array([u, v], dtype=float)
     res = np.asarray(bass_system_residual(instance, *x))
     for _ in range(max_steps):
         if np.max(np.abs(res)) < tol:
             return x
-        u, v = x
-        w = instance.p2 - u - v
-        a_p = dq(u / p1, p1) + dq(1.5 - u / p1, p1)
-        b_p = dq(v / q1, q1) + dq(1.0 - v / q1, q1)
-        c_p = dq(w / r1, r1) + dq(0.5 - w / r1, r1)
-        jac = np.array([[a_p + c_p, c_p], [c_p, b_p + c_p]])
-        step = np.linalg.solve(jac, res)
+        step = np.linalg.solve(_bass_jacobian(instance, *x), res)
         alpha = 1.0
         norm0 = np.linalg.norm(res)
         for _ in range(60):

@@ -1,5 +1,6 @@
-"""Fixed-point solver, inner duals, and the value chain on small instances."""
+"""Psi-dual Newton solver, inner duals, and the value chain on small instances."""
 
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from mbridge import (
     Coupling,
+    DegenerateFiber,
     DiscreteMeasure,
     DualDivergence,
+    NotConverged,
     NotInConvexOrder,
     NotIrreducible,
     SolverConfig,
@@ -23,9 +26,11 @@ from mbridge import (
     product_coupling,
     relative_entropy,
     schroedinger_system_residuals,
+    measure_to_json,
     sinkhorn_msb,
     vp_value,
 )
+from mbridge.cli import main
 from conftest import golden_section, study_instance, random_instance, two_by_three_family
 
 
@@ -281,3 +286,74 @@ def test_primal_value_rejects_nothing_but_cross_checks(rng):
     coupling = Coupling(matrix, mu, nu, check=False)
     direct = relative_entropy(coupling, product_coupling(mu, nu))
     assert abs(primal_value(coupling) - direct) < 1e-12
+
+
+def peacock(n, a):
+    """mu uniform on n points of [-1, 1]; nu puts half of each atom at +-a."""
+    x = np.linspace(-1.0, 1.0, n)
+    y = np.concatenate([x - a, x + a])
+    return (DiscreteMeasure(x[:, None], np.full(n, 1.0 / n)),
+            DiscreteMeasure(y[:, None], np.full(2 * n, 0.5 / n)))
+
+
+def reducible_pair():
+    # a unique coupling with two forced zeros: row -1 never reaches +2
+    return (DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5]),
+            DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.25, 0.5, 0.25]))
+
+
+def test_reducible_pair_converges_and_certifies(tmp_path):
+    mu, nu = reducible_pair()
+    report = sinkhorn_msb(mu, nu)
+    assert report.converged
+    assert report.iterations < 100
+    paths = []
+    for name, measure in (("mu", mu), ("nu", nu)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(measure_to_json(measure)), encoding="utf-8")
+        paths.append(str(path))
+    code = main(["certify", "--mu", paths[0], "--nu", paths[1],
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+
+
+def test_peacock_converges_in_few_newton_iterations():
+    mu, nu = peacock(10, 0.3)
+    report = sinkhorn_msb(mu, nu)
+    assert report.converged
+    assert report.iterations <= 20
+
+
+@pytest.mark.parametrize("a", [0.1, 0.05])
+def test_small_peacocks_stop_well_before_the_cap(a):
+    # the optimizers have zeros, so the dual sup need not be attained; the
+    # solve must still return or raise long before the iteration cap
+    mu, nu = peacock(10, a)
+    config = SolverConfig(max_outer_iterations=200)
+    try:
+        report = sinkhorn_msb(mu, nu, config)
+    except (DegenerateFiber, DualDivergence, NotConverged):
+        return
+    assert report.iterations < config.max_outer_iterations
+
+
+def test_classical_warm_start_matches_the_cold_solve(rng):
+    for d in (1, 2, 1, 2):
+        mu, nu, _ = random_instance(rng, d=d)
+        report = sinkhorn_msb(mu, nu)
+        mu_bar = extract_base_measure(report)
+        cold = classical_sinkhorn_sp(mu_bar, nu)
+        warm = classical_sinkhorn_sp(mu_bar, nu, psi0=report.potentials.psi)
+        assert abs(cold[0] - warm[0]) < 1e-10
+        assert np.max(np.abs(cold[1].matrix - warm[1].matrix)) < 1e-10
+        for a, b in zip(cold[2], warm[2]):
+            assert np.max(np.abs(a - b)) < 1e-10
+
+
+def test_classical_solve_raises_when_it_stalls_at_the_floor():
+    mu_bar = DiscreteMeasure([[-0.7], [0.2], [1.1]], [0.3, 0.5, 0.2])
+    nu = DiscreteMeasure([[-2.0], [-0.5], [0.4], [2.0]], [0.2, 0.3, 0.3, 0.2])
+    # no float iterate meets this tolerance; the stall rule stops the ascent
+    # long before the 200k iteration cap
+    with pytest.raises(NotConverged, match="stalled"):
+        classical_sinkhorn_sp(mu_bar, nu, tolerance=1e-30)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from mbridge import (
     DiscreteMeasure,
     InfeasibleParameters,
+    NotConverged,
     NotInConvexOrder,
     ThreePointInstance,
     bass_minimize,
@@ -20,6 +21,8 @@ from mbridge import (
     parametrize_coupling,
     w2_to_standard_gaussian,
 )
+from mbridge.cli import main
+from mbridge.threepoint import _bass_jacobian
 
 # reference optimizers for p1=0.40, q1=0.46, p2=0.43, q2=0.27, reported
 # to five decimals; the uv pins below were frozen from two independent
@@ -140,3 +143,51 @@ def test_w2_matches_direct_quantile_quadrature(rng):
 def test_empty_polygon_raises_not_in_convex_order():
     with pytest.raises(NotInConvexOrder):
         ThreePointInstance(p1=0.10, q1=0.10, p2=0.01, q2=0.50)
+
+
+# an interior instance on which the 2-D Newton used to stall at |grad| ~ 1e-13,
+# where Armijo cannot resolve a predicted decrease of about 1e-28
+STALL_REPRODUCER = (0.488, 0.128, 0.359, 0.334)
+# stalled the same way, but its marginals have unequal means (0.037 vs 0.036),
+# so the family's coupling misses the nu weights by 5e-4
+UNEQUAL_MEANS = (0.318, 0.327, 0.385, 0.212)
+
+
+def test_newton_reaches_tolerance_at_the_floating_point_floor():
+    inst = ThreePointInstance(*STALL_REPRODUCER)
+    e = entropy_minimize(inst)
+    b = bass_minimize(inst)
+    assert max(abs(r) for r in e.system_residual) < 1e-12
+    assert max(abs(r) for r in b.system_residual) < 1e-10
+    assert abs(b.cross_check_uv[0] - b.u) < 1e-10
+    assert abs(b.cross_check_uv[1] - b.v) < 1e-10
+
+
+def test_optimizers_refuse_a_coupling_that_misses_nu():
+    inst = ThreePointInstance(*UNEQUAL_MEANS)
+    with pytest.raises(NotConverged, match="means of mu and nu differ"):
+        entropy_minimize(inst)
+    with pytest.raises(NotConverged, match="means of mu and nu differ"):
+        bass_minimize(inst)
+
+
+@pytest.mark.parametrize("weights, code", [(STALL_REPRODUCER, 0),
+                                           (UNEQUAL_MEANS, 2)])
+def test_threepoint_command_on_the_stall_reproducers(tmp_path, weights, code):
+    p1, q1, p2, q2 = weights
+    assert main(["threepoint", "--p1", str(p1), "--q1", str(q1),
+                 "--p2", str(p2), "--q2", str(q2),
+                 "--out", str(tmp_path)]) == code
+
+
+def test_bass_jacobian_matches_central_differences():
+    inst = reference_instance()
+    u, v = inst.chebyshev_center()
+    eps = 1e-6
+    fd = np.empty((2, 2))
+    for k, (du, dv) in enumerate(((eps, 0.0), (0.0, eps))):
+        plus = np.asarray(bass_system_residual(inst, u + du, v + dv))
+        minus = np.asarray(bass_system_residual(inst, u - du, v - dv))
+        fd[:, k] = (plus - minus) / (2.0 * eps)
+    jac = _bass_jacobian(inst, u, v)
+    assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(jac))
