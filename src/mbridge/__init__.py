@@ -4,9 +4,9 @@ comparison family."""
 
 __version__ = "0.1.0"
 
-from .dynamics import (BijectionReport, FiberModel, PathEnsemble,
-                       backward_posterior, fiber_coefficients,
-                       phi_bijection_check, randomize_over_mu,
+from .dynamics import (BijectionReport, FiberModel, LawCheckReport,
+                       PathEnsemble, backward_posterior, fiber_coefficients,
+                       law_checks, phi_bijection_check, randomize_over_mu,
                        simulate_follmer_martingale)
 from .errors import (DegenerateFiber, DualDivergence, InfeasibleParameters,
                      MbridgeError, NotConverged, NotInConvexOrder,
@@ -38,8 +38,9 @@ from .threepoint import (ThreePointInstance, ThreePointSolution, bass_minimize,
                          w2_to_standard_gaussian)
 
 __all__ = [
-    "BijectionReport", "FiberModel", "PathEnsemble", "backward_posterior",
-    "fiber_coefficients", "phi_bijection_check", "randomize_over_mu",
+    "BijectionReport", "FiberModel", "LawCheckReport", "PathEnsemble",
+    "backward_posterior", "fiber_coefficients", "law_checks",
+    "phi_bijection_check", "randomize_over_mu",
     "simulate_follmer_martingale", "DegenerateFiber", "DualDivergence",
     "InfeasibleParameters", "MbridgeError", "NotConverged", "NotInConvexOrder",
     "NotIrreducible", "StructuralError", "TerminalAmbiguity", "RestartReport",

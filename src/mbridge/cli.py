@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import FiberModel, phi_bijection_check, randomize_over_mu, \
-    simulate_follmer_martingale
+from .dynamics import FiberModel, law_checks, phi_bijection_check, \
+    randomize_over_mu, simulate_follmer_martingale
 from .errors import DegenerateFiber, DualDivergence, InfeasibleParameters, \
     MbridgeError, NotConverged, NotInConvexOrder, NotIrreducible, \
     StructuralError
@@ -298,14 +298,15 @@ def cmd_simulate(args):
         inputs = {"mu": args.mu, "nu": args.nu}
 
     bij = phi_bijection_check(ensemble)
+    law = law_checks(ensemble)
     out = _outdir(args)
     ensemble.to_csv(out / "ensemble.csv", max_paths=args.csv_paths)
 
     # the two costs agree in the limit only when both are finite; discrete
-    # fibers have log-divergent energies near t = 1, so for them the passing
-    # criterion is the pathwise drift identity alone
+    # fibers have log-divergent energies near t = 1, so for them the cost
+    # comparison is left out and the law checks carry the verdict
     gaussian_fibers = all(f.kind == "gaussian" for f in ensemble.fibers)
-    passing = bij.pathwise_max_dev < 1e-8 and (
+    passing = bij.pathwise_max_dev < 1e-8 and law.passing and (
         bij.rel_discrepancy < 1e-2 if gaussian_fibers else True)
     term = ensemble.terminal
     doc = {"schema": SCHEMA,
@@ -320,6 +321,8 @@ def cmd_simulate(args):
            "cost_mart": bij.cost_mart,
            "rel_discrepancy": bij.rel_discrepancy,
            "pathwise_max_dev": bij.pathwise_max_dev,
+           "terminal_binom_min_p": law.terminal_binom_min_p,
+           "max_mean_dev_se": law.max_mean_dev_se,
            "terminal_mean": term.mean(axis=0),
            "terminal_second_moment": float(np.mean(np.sum(term ** 2, axis=1))),
            "all_pass": passing,

@@ -65,18 +65,13 @@ def posterior_estimator(fiber, s, r):
     s = float(s)
     if s < 0.0:
         raise StructuralError("s must be nonnegative")
-    rel = fiber.measure.atoms - fiber.x
-    sq = np.sum(rel ** 2, axis=1)
-    r2 = np.atleast_2d(np.asarray(r, dtype=float))
-    logits = (np.log(fiber.measure.weights)[None, :]
-              + r2 @ rel.T - 0.5 * s * sq[None, :])
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    z = w @ fiber.measure.atoms
-    if np.asarray(r, dtype=float).ndim == 1:
-        return w[0], z[0]
-    return w, z
+    r = np.asarray(r, dtype=float)
+    # the bridge posterior at time s, displacement r and scale one
+    w = _posterior_weights(fiber, s, fiber.x + np.atleast_2d(r), scale=1.0)
+    z = (fiber.measure.atoms.T @ w).T
+    if r.ndim == 1:
+        return w[:, 0], z[0]
+    return w.T, z
 
 
 def info_time_change(s, sigma_ref=1.0):
@@ -136,7 +131,7 @@ def sigma_invariance_test(fiber, s=1.0, sigmas=(0.5, 1.0, 2.0),
                  + sig * math.sqrt(tau * (1.0 - tau)) * noise)
         fib_sig = FiberModel.discrete(fiber.x, fiber.measure, sigma_ref=sig)
         w = _posterior_weights(fib_sig, tau, x_tau)
-        samples[float(sig)] = (w @ atoms).ravel()
+        samples[float(sig)] = (atoms.T @ w).ravel()
     keys = [float(sg) for sg in sigmas]
     ks = np.zeros((len(keys), len(keys)))
     for a in range(len(keys)):
@@ -185,15 +180,23 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     ds = s_max / n_steps
     sqrt_ds = math.sqrt(ds)
     z = np.full(n_paths, 0.5)
+    inc = np.empty(n_paths)
+    noise = np.empty(n_paths)
     z_euler = {}
     violations = 0
     s_cur = 0.0
     remaining = sorted(checkpoints)
     for _ in range(n_steps):
-        z = z + z * (1.0 - z) * sqrt_ds * rng.standard_normal(n_paths)
-        out = (z < 0.0) | (z > 1.0)
-        violations += int(np.count_nonzero(out))
-        np.clip(z, 0.0, 1.0, out=z)
+        # the draws dominate this loop; the step itself runs in place
+        rng.standard_normal(out=noise)
+        np.subtract(1.0, z, out=inc)
+        inc *= z
+        inc *= sqrt_ds
+        inc *= noise
+        z += inc
+        if z.min() < 0.0 or z.max() > 1.0:
+            violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))
+            np.clip(z, 0.0, 1.0, out=z)
         s_cur += ds
         while remaining and s_cur >= remaining[0] - 1e-12:
             z_euler[remaining.pop(0)] = z.copy()

@@ -594,7 +594,7 @@ def gibbs_coupling(triple, mu, nu):
     return mu.weights[:, None] * nu.weights[None, :] * np.exp(expo)
 
 
-def classical_sinkhorn_sp(mu_bar, nu, tolerance=1e-13, max_iterations=200_000,
+def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, max_iterations=200_000,
                           psi0=None):
     """Static Schroedinger problem inf H(pi | mu_bar x nu) - int <x_bar, y> dpi.
 
@@ -605,7 +605,10 @@ def classical_sinkhorn_sp(mu_bar, nu, tolerance=1e-13, max_iterations=200_000,
 
     with the psi-dual Newton kernel of ``sinkhorn_msb``, without the h block:
     phibar is the closed-form row log-sum-exp, so the first equation holds
-    exactly, and the kernel drives the second below ``tolerance``.
+    exactly, and the kernel drives the second below ``tolerance``. The
+    default, max(1e-13, 4 eps max(1, max_ij |<x_bar_i, y_j>|)), sits above
+    the floating-point floor of the exponents; a given tolerance is used as
+    is.
     ``psi0`` warm-starts psi; on the base measure extracted from a martingale
     solve, that solve's psi already solves the system.
 
@@ -616,6 +619,9 @@ def classical_sinkhorn_sp(mu_bar, nu, tolerance=1e-13, max_iterations=200_000,
     if mu_bar.dim != nu.dim:
         raise StructuralError("mu_bar and nu dimensions differ")
     k = mu_bar.atoms @ nu.atoms.T                      # (n, m)
+    if tolerance is None:
+        tolerance = max(1e-13, 4.0 * np.finfo(float).eps
+                        * max(1.0, float(np.abs(k).max())))
     log_mu = np.log(mu_bar.weights)
     log_nu = np.log(nu.weights)
 
@@ -673,7 +679,7 @@ def extract_base_measure(report, mu=None):
     return DiscreteMeasure(atoms, weights)
 
 
-def vp_value(mu_bar, mu, nu, tolerance=1e-13):
+def vp_value(mu_bar, mu, nu, tolerance=None):
     """Variational value SP(mu_bar, nu) + MCov(mu_bar, mu) for a base measure."""
     sp, _, _ = classical_sinkhorn_sp(mu_bar, nu, tolerance=tolerance)
     mc, _ = mcov_discrete(mu_bar, mu)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,35 @@ def test_simulate_discrete_mixture(tmp_path):
     assert report["pathwise_max_dev"] < 1e-8
     assert abs(report["terminal_second_moment"]
                - (0.3 * 4 + 0.4 * 0 + 0.3 * 4)) < 0.15
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--paths", "60", "--grid-points", "11"]],
+    ids=["defaults", "warm-up-size"])
+def test_simulate_study_instance_passes_the_law_checks(tmp_path, study_files,
+                                                       extra):
+    mu, nu = study_files
+    out = tmp_path / "run"
+    code = main(["simulate", "--mu", mu, "--nu", nu, *extra,
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "simulate_report.json").read_text())
+    assert report["all_pass"] is True
+    assert report["terminal_binom_min_p"] >= 1e-7
+    assert report["max_mean_dev_se"] <= 5.0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.6 s to import; the law checks use
+    # scipy.special only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mbridge.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_simulate_flag_conflicts(tmp_path, study_files, capsys):

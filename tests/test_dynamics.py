@@ -1,5 +1,6 @@
 """Path simulation: exact bridge mixtures, energies, and the cost bijection."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from mbridge import (
     DiscreteMeasure,
     FiberModel,
+    law_checks,
     StructuralError,
     TerminalAmbiguity,
     backward_posterior,
@@ -20,6 +22,9 @@ from mbridge import (
     simulate_follmer_martingale,
     sinkhorn_msb,
 )
+from mbridge.dynamics import (TIME_CLIP, _gaussian_drift_matrix,
+                              _gaussian_vol_energy_increments)
+from mbridge.filtering import wonham_sde_crosscheck
 from conftest import two_by_three_family
 
 
@@ -282,3 +287,212 @@ def test_grid_validation():
         simulate_follmer_martingale(fib, grid=np.array([0.0, 0.5, 1.1]))
     with pytest.raises(StructuralError):
         simulate_follmer_martingale(fib, method="heun", n_paths=4)
+
+
+# --- reference kernels: the row-major step, one path per row, written out
+# --- plainly; the simulator must reproduce it
+
+
+def _reference_posterior(fiber, t, z):
+    rel = fiber.measure.atoms - fiber.x
+    sq = np.sum(rel ** 2, axis=1)
+    scale = fiber.sigma_ref ** 2 * (1.0 - t)
+    logits = (np.log(fiber.measure.weights)[None, :]
+              + ((z - fiber.x) @ rel.T - 0.5 * t * sq[None, :]) / scale)
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _reference_simulate(fiber, grid, n_paths, seed, method, store_every):
+    d = fiber.dim
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    stored = list(range(0, grid.size, store_every))
+    if stored[-1] != grid.size - 1:
+        stored.append(grid.size - 1)
+    eye = np.eye(d)
+    gaussian = fiber.kind == "gaussian"
+    if gaussian:
+        y = fiber.x + (rng.standard_normal((n_paths, d))
+                       @ np.linalg.cholesky(fiber.delta).T)
+        vol_incs = _gaussian_vol_energy_increments(fiber.delta, grid)
+    else:
+        atoms = fiber.measure.atoms
+        cum = np.cumsum(fiber.measure.weights)
+        y = atoms[np.searchsorted(cum, rng.random(n_paths),
+                                  side="right").clip(max=len(cum) - 1)]
+    x = np.broadcast_to(fiber.x, (n_paths, d)).copy()
+    M, X = [], []
+    drift = np.zeros(n_paths)
+    vol = np.zeros(n_paths)
+    for k, t in enumerate(grid):
+        t_eff = min(t, TIME_CLIP)
+        if method == "bridge" and t >= 1.0:
+            x = y.copy()
+            m = y
+        elif gaussian:
+            u = (x - fiber.x) @ _gaussian_drift_matrix(fiber, t_eff).T
+            m = x + (1.0 - t_eff) * u
+        else:
+            q = _reference_posterior(fiber, t_eff, x)
+            m = q @ atoms
+            u = (m - x) / (1.0 - t_eff)
+        if k in stored:
+            M.append(m.copy())
+            X.append(x.copy())
+        if k == grid.size - 1:
+            break
+        dt = grid[k + 1] - grid[k]
+        if t <= TIME_CLIP:
+            drift += 0.5 * dt * np.sum(u ** 2, axis=1)
+            if not gaussian:
+                second = np.einsum("pk,ki,kj->pij", q, atoms, atoms)
+                cov = second - np.einsum("pi,pj->pij", m, m)
+                vol += (dt / (2.0 * (1.0 - t))
+                        * np.sum((cov / (1.0 - t) - eye) ** 2, axis=(1, 2)))
+        if gaussian:
+            vol += vol_incs[k]
+        noise = rng.standard_normal((n_paths, d))
+        if method == "bridge":
+            rem = 1.0 - t
+            x = (x + (y - x) * (dt / rem)
+                 + math.sqrt(dt * (1.0 - grid[k + 1]) / rem) * noise)
+        else:
+            x = x + u * dt + math.sqrt(dt) * noise
+    return {"M": np.stack(M, axis=1), "X": np.stack(X, axis=1),
+            "terminal": y, "drift_energy": drift, "vol_energy": vol}
+
+
+def _four_atom_plane_fiber():
+    atoms = np.array([[-1.0, 0.3], [0.7, 1.1], [1.3, -0.6], [0.2, -1.4]])
+    w = np.array([0.3, 0.2, 0.25, 0.25])
+    return FiberModel.discrete(w @ atoms, DiscreteMeasure(atoms, w))
+
+
+def _kernel_pair(fiber, method):
+    grid = np.linspace(0.0, 1.0, 201)
+    ens = simulate_follmer_martingale(fiber, grid=grid, n_paths=500, seed=13,
+                                      method=method, store_every=20)
+    ref = _reference_simulate(fiber, grid, 500, 13, method, 20)
+    return ens, ref
+
+
+@pytest.mark.parametrize("method", ["bridge", "euler"])
+@pytest.mark.parametrize("fiber", [
+    # dyadic atoms make every atom product exact, as in the study instance,
+    # so only the order of the sums could differ, and it does not
+    FiberModel.discrete([-0.26], DiscreteMeasure([[-2.0], [0.0], [2.0]],
+                                                 [0.43, 0.27, 0.30])),
+    FiberModel.gaussian([0.4, -0.3], [[2.0, 0.3], [0.3, 1.5]]),
+], ids=["discrete-3-d1", "gaussian-d2"])
+def test_kernel_reproduces_the_row_major_reference_exactly(fiber, method):
+    ens, ref = _kernel_pair(fiber, method)
+    for name, value in ref.items():
+        assert np.array_equal(getattr(ens, name), value), name
+
+
+@pytest.mark.parametrize("method", ["bridge", "euler"])
+@pytest.mark.parametrize("fiber", [
+    _four_atom_plane_fiber(),
+    FiberModel.discrete([0.4 * -1.3 + 0.4 * 0.7 + 0.2 * 2.1],
+                        DiscreteMeasure([[-1.3], [0.7], [2.1]],
+                                        [0.4, 0.4, 0.2])),
+], ids=["discrete-4-d2", "discrete-3-d1-generic"])
+def test_kernel_matches_the_row_major_reference_to_rounding(fiber, method):
+    # the GEMMs and reductions run in another order; the last bits move
+    ens, ref = _kernel_pair(fiber, method)
+    assert np.array_equal(ens.terminal, ref["terminal"])
+    for name in ("M", "X", "drift_energy", "vol_energy"):
+        value = getattr(ens, name)
+        scale = max(1.0, float(np.max(np.abs(ref[name]))))
+        assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, name
+
+
+def _reference_wonham(n_paths, n_steps, s_max, checkpoints, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    yp = np.where(rng.random(n_paths) < 0.5, -0.5, 0.5)
+    z_exact = {}
+    for c in checkpoints:
+        r = c * yp + math.sqrt(c) * rng.standard_normal(n_paths)
+        z_exact[c] = 1.0 / (1.0 + np.exp(-r))
+    ds = s_max / n_steps
+    z = np.full(n_paths, 0.5)
+    z_euler = {}
+    violations = 0
+    for step in range(1, n_steps + 1):
+        z = z + z * (1.0 - z) * math.sqrt(ds) * rng.standard_normal(n_paths)
+        violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))
+        z = np.clip(z, 0.0, 1.0)
+        for c in checkpoints:
+            if c not in z_euler and step * ds >= c - 1e-12:
+                z_euler[c] = z.copy()
+    ks = {c: ks_distance(z_exact[c], z_euler[c]) for c in checkpoints}
+    return ks, violations, float(np.mean(z_euler[max(checkpoints)] > 0.5))
+
+
+@pytest.mark.parametrize("n_paths, n_steps", [(3000, 800), (3000, 40),
+                                               (50, 10)])
+def test_wonham_euler_reproduces_the_reference_loop(n_paths, n_steps):
+    # coarse steps push paths out of [0, 1] (clamped and counted); with 50
+    # paths some steps lose paths through the top only
+    report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=n_steps,
+                                   checkpoints=(1.0, 4.0), seed=8)
+    ks, violations, freq = _reference_wonham(n_paths, n_steps, 4.0,
+                                             (1.0, 4.0), 8)
+    assert report.ks_by_checkpoint == ks
+    assert report.clamp_violations == violations
+    assert report.terminal_freq_euler == freq
+    assert (violations > 0) == (n_steps < 800)
+
+
+# --- law checks that can fail
+
+
+def _study_mixture(n_paths, grid_points):
+    mu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.40, 0.46, 0.14])
+    nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.43, 0.27, 0.30])
+    cond = sinkhorn_msb(mu, nu).coupling.conditionals()
+    fibers = [FiberModel.discrete(mu.atoms[i],
+                                  DiscreteMeasure(nu.atoms, cond[i]))
+              for i in range(mu.n)]
+    return randomize_over_mu(mu, fibers,
+                             grid=np.linspace(0, 1, grid_points),
+                             n_paths=n_paths, seed=42, nu=nu, store_every=50)
+
+
+@pytest.mark.parametrize("n_paths, grid_points", [(10_000, 1001), (60, 11)])
+def test_law_checks_pass_on_the_study_instance(n_paths, grid_points):
+    report = law_checks(_study_mixture(n_paths, grid_points))
+    assert report.passing
+    assert report.terminal_binom_min_p >= 1e-7
+    assert report.max_mean_dev_se <= 5.0
+
+
+def test_law_checks_fail_on_tampered_ensembles():
+    ens = _study_mixture(3000, 101)
+    assert law_checks(ens).passing
+    # every terminal reassigned to one atom
+    moved = copy.copy(ens)
+    moved.terminal = np.full_like(ens.terminal, ens.fibers[0].measure.atoms[0])
+    report = law_checks(moved)
+    assert not report.passing and report.terminal_binom_min_p < 1e-7
+    # a terminal off every atom
+    stray = copy.copy(ens)
+    stray.terminal = ens.terminal.copy()
+    stray.terminal[0] += 0.5
+    assert law_checks(stray).terminal_binom_min_p == 0.0
+    # a martingale that drifts
+    drifted = copy.copy(ens)
+    drifted.M = ens.M + ens.stored_times[None, :, None]
+    report = law_checks(drifted)
+    assert not report.passing and report.max_mean_dev_se > 5.0
+
+
+def test_law_checks_on_a_gaussian_fiber():
+    fib = FiberModel.gaussian([0.5, -0.5], [[2.0, 0.3], [0.3, 1.5]])
+    ens = simulate_follmer_martingale(fib, grid=np.linspace(0, 1, 101),
+                                      n_paths=2000, seed=4, store_every=10)
+    report = law_checks(ens)
+    assert report.passing and report.terminal_binom_min_p is None
+    ens.M[:, 1:-1] += 0.3
+    assert not law_checks(ens).passing

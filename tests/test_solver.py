@@ -357,3 +357,21 @@ def test_classical_solve_raises_when_it_stalls_at_the_floor():
     # long before the 200k iteration cap
     with pytest.raises(NotConverged, match="stalled"):
         classical_sinkhorn_sp(mu_bar, nu, tolerance=1e-30)
+
+
+def test_certify_passes_where_the_classical_floor_lies_above_1e13(tmp_path):
+    # peacock n=10 a=0.05 translated by the benchmark's seed-101 shift: the
+    # base atoms reach |<x_bar, y>| ~ 2e3, where a 1e-13 column residual lies
+    # below the floating-point floor, so that tolerance stalls the classical
+    # solve
+    shift = float(np.random.default_rng([101, 7]).uniform(-0.5, 0.5))
+    mu, nu = peacock(10, 0.05)
+    paths = []
+    for name, measure in (("mu", mu), ("nu", nu)):
+        moved = DiscreteMeasure(measure.atoms + shift, measure.weights)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(measure_to_json(moved)), encoding="utf-8")
+        paths.append(str(path))
+    code = main(["certify", "--mu", paths[0], "--nu", paths[1],
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
