@@ -125,8 +125,7 @@ def _parse_matrix(text, flag):
 
 
 def _solver_config(args):
-    return SolverConfig(marginal_tolerance=args.tol,
-                        martingale_tolerance=args.tol,
+    return SolverConfig(tolerance=args.tol,
                         max_outer_iterations=args.max_outer)
 
 
@@ -413,8 +412,7 @@ def cmd_threepoint(args):
                     "matrix": bass.matrix,
                     "value": bass.value,
                     "system_residual": list(bass.system_residual),
-                    "boundary_entries": list(bass.boundary_entries),
-                    "cross_check_uv": list(bass.cross_check_uv)},
+                    "boundary_entries": list(bass.boundary_entries)},
            "optimizer_gap": list(gap),
            "matrices_txt": "threepoint_matrices.txt"}
     _write_json(out, "threepoint_report.json", doc)

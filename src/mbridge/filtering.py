@@ -184,9 +184,8 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     noise = np.empty(n_paths)
     z_euler = {}
     violations = 0
-    s_cur = 0.0
     remaining = sorted(checkpoints)
-    for _ in range(n_steps):
+    for i in range(n_steps):
         # the draws dominate this loop; the step itself runs in place
         rng.standard_normal(out=noise)
         np.subtract(1.0, z, out=inc)
@@ -197,8 +196,8 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
         if z.min() < 0.0 or z.max() > 1.0:
             violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))
             np.clip(z, 0.0, 1.0, out=z)
-        s_cur += ds
-        while remaining and s_cur >= remaining[0] - 1e-12:
+        # (i + 1) ds, not a running sum, which can end short of s_max
+        while remaining and (i + 1) * ds >= remaining[0] - 1e-12:
             z_euler[remaining.pop(0)] = z.copy()
 
     ks = {c: float(ks_distance(z_exact[c], z_euler[c])) for c in checkpoints}

@@ -179,7 +179,8 @@ class Coupling:
     __slots__ = ("matrix", "mu", "nu")
 
     def __init__(self, matrix, mu, nu, check=True, atol=MARGINAL_ATOL):
-        matrix = np.asarray(matrix, dtype=float)
+        # a copy: freezing the caller's own array would mutate the input
+        matrix = np.array(matrix, dtype=float)
         if matrix.shape != (mu.n, nu.n):
             raise StructuralError(
                 f"matrix shape {matrix.shape} does not match marginals "
@@ -197,7 +198,7 @@ class Coupling:
             if row_err > atol or col_err > atol:
                 raise StructuralError(
                     f"marginal mismatch: rows {row_err:.3e}, cols {col_err:.3e}")
-        self.matrix = matrix if matrix.flags.owndata else matrix.copy()
+        self.matrix = matrix
         self.mu = mu
         self.nu = nu
         self.matrix.flags.writeable = False

@@ -60,28 +60,30 @@ HESSIAN_CONDITION_CAP = 1e14
 # tolerance only with off-face mass near 1e-12 / (distance to the face), far
 # below this floor; conditionals of pairs in strict convex order sit far above.
 CONDITIONAL_FLOOR = 1e-8
+# The fiber Newton: step cap and gradient tolerance per fiber. Both Newton
+# kernels use the Armijo constant and halve the step on a rejection.
+_NEWTON_MAX_STEPS = 50
+_NEWTON_GRADIENT_TOLERANCE = 1e-12
+_ARMIJO = 1e-4
+_LINE_SEARCH_STEPS = 30
 _FAILURES = (NotIrreducible, DualDivergence, DegenerateFiber, NotConverged)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration caps for the psi-dual Newton solver."""
+    """Stopping rule and safeguards of the psi-dual Newton solver.
 
-    marginal_tolerance: float = 1e-10
-    martingale_tolerance: float = 1e-10
+    A solve converges once both the L1 marginal defect and the largest
+    conditional drift fall below ``tolerance``.
+    """
+
+    tolerance: float = 1e-10
     max_outer_iterations: int = 10_000
-    newton_max_steps: int = 50
-    newton_gradient_tolerance: float = 1e-12
     h_divergence_bound: float = 1e6
-    damping_factor: float = 0.5
-    armijo_constant: float = 1e-4
 
     def __post_init__(self):
-        if min(self.marginal_tolerance, self.martingale_tolerance,
-               self.newton_gradient_tolerance) <= 0.0:
-            raise StructuralError("tolerances must be positive")
-        if not (0.0 < self.damping_factor < 1.0):
-            raise StructuralError("damping factor must lie in (0, 1)")
+        if self.tolerance <= 0.0:
+            raise StructuralError("tolerance must be positive")
         if self.h_divergence_bound <= 1.0:
             raise StructuralError("divergence bound must exceed 1")
 
@@ -260,9 +262,9 @@ def _fiber_newton(geom, x_red, psi, config, z0=None):
 
     val, grad, cond, bary = value_grad(z, x_red)
     grad_norm = np.linalg.norm(grad, axis=1) if r else np.zeros(n)
-    active = grad_norm > config.newton_gradient_tolerance
+    active = grad_norm > _NEWTON_GRADIENT_TOLERANCE
 
-    for _ in range(config.newton_max_steps):
+    for _ in range(_NEWTON_MAX_STEPS):
         if not np.any(active):
             break
         idx = np.nonzero(active)[0]
@@ -289,13 +291,13 @@ def _fiber_newton(geom, x_red, psi, config, z0=None):
         for _ in range(60):
             trial = z[idx] + alpha[:, None] * step
             tv, _, _, _ = value_grad(trial, x_red[idx])
-            ok = tv >= val[idx] + config.armijo_constant * alpha * descent
+            ok = tv >= val[idx] + _ARMIJO * alpha * descent
             newly = ok & ~accepted
             z_new[newly] = trial[newly]
             accepted |= ok
             if np.all(accepted):
                 break
-            alpha[~accepted] *= config.damping_factor
+            alpha[~accepted] *= 0.5
         if not np.all(accepted):
             raise NotConverged("inner Newton line search stalled")
         z[idx] = z_new
@@ -309,12 +311,12 @@ def _fiber_newton(geom, x_red, psi, config, z0=None):
 
         val, grad, cond, bary = value_grad(z, x_red)
         grad_norm = np.linalg.norm(grad, axis=1)
-        active = grad_norm > config.newton_gradient_tolerance
+        active = grad_norm > _NEWTON_GRADIENT_TOLERANCE
 
     if np.any(active):
         raise NotConverged(
             f"inner Newton did not reach gradient tolerance within "
-            f"{config.newton_max_steps} steps")
+            f"{_NEWTON_MAX_STEPS} steps")
     return z, val, cond
 
 
@@ -444,10 +446,6 @@ def _newton_direction(mu_w, cond, cols, curvature, gauge_cols, grad):
     return step if np.all(np.isfinite(step)) else None
 
 
-_LINE_SEARCH_STEPS = 30
-_ARMIJO = 1e-4
-
-
 class _DualPoint(NamedTuple):
     """One psi iterate with its fibers, column sums, dual value and L1
     marginal defect."""
@@ -560,8 +558,7 @@ def _fixed_point(mu, nu, config):
 
     def stop(cols, cond):
         marg, mart = residuals(cols, cond)
-        return (marg < config.marginal_tolerance
-                and mart < config.martingale_tolerance)
+        return marg < config.tolerance and mart < config.tolerance
 
     gauge = np.column_stack([np.ones(nu.n), geom.y_red])
     point, dual_trace, converged = _psi_newton(

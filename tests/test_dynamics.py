@@ -431,10 +431,11 @@ def _reference_wonham(n_paths, n_steps, s_max, checkpoints, seed):
 
 
 @pytest.mark.parametrize("n_paths, n_steps", [(3000, 800), (3000, 40),
-                                               (50, 10)])
+                                               (50, 10), (50, 9361)])
 def test_wonham_euler_reproduces_the_reference_loop(n_paths, n_steps):
     # coarse steps push paths out of [0, 1] (clamped and counted); with 50
-    # paths some steps lose paths through the top only
+    # paths some steps lose paths through the top only; at 9361 steps a
+    # running sum of ds ends more than 1e-12 short of s_max
     report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=n_steps,
                                    checkpoints=(1.0, 4.0), seed=8)
     ks, violations, freq = _reference_wonham(n_paths, n_steps, 4.0,

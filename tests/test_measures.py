@@ -54,6 +54,18 @@ def test_measures_are_immutable():
         m.weights[0] = 0.7
 
 
+def test_coupling_leaves_the_callers_matrix_writable():
+    mu = DiscreteMeasure([[0.0]], [1.0])
+    nu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
+    m = np.array([[0.5, 0.5]])
+    coupling = Coupling(m, mu, nu)
+    assert m.flags.writeable
+    m[0, 0] = 0.25
+    assert coupling.matrix[0, 0] == 0.5
+    with pytest.raises(ValueError):
+        coupling.matrix[0, 0] = 0.25
+
+
 def test_coupling_marginal_check():
     mu = DiscreteMeasure([[0.0]], [1.0])
     nu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])

@@ -274,9 +274,7 @@ def test_binomial_discretization_recovers_the_linear_gaussian_field():
 
 def test_solver_config_validation():
     with pytest.raises(StructuralError):
-        SolverConfig(marginal_tolerance=0.0)
-    with pytest.raises(StructuralError):
-        SolverConfig(damping_factor=1.0)
+        SolverConfig(tolerance=0.0)
     with pytest.raises(StructuralError):
         SolverConfig(h_divergence_bound=0.5)
 
