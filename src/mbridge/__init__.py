@@ -29,8 +29,8 @@ from .measures import (Coupling, DiscreteMeasure, GaussianSpec,
 from .solver import (PotentialTriple, SolveReport, SolverConfig,
                      classical_sinkhorn_sp, dual_value, extract_base_measure,
                      gauge_normalize, gibbs_coupling, inner_dual_solve,
-                     primal_value, schroedinger_system_residuals, sinkhorn_msb,
-                     vp_value)
+                     mcov_bounds, primal_value, schroedinger_system_residuals,
+                     sinkhorn_msb, vp_value)
 from .stats import ks_distance, norm_cdf, norm_pdf, norm_ppf
 from .threepoint import (ThreePointInstance, ThreePointSolution, bass_minimize,
                          bass_system_residual, entropy_minimize,
@@ -57,8 +57,8 @@ __all__ = [
     "relative_entropy", "save_measure", "PotentialTriple", "SolveReport",
     "SolverConfig", "classical_sinkhorn_sp", "dual_value",
     "extract_base_measure", "gauge_normalize", "gibbs_coupling",
-    "inner_dual_solve", "primal_value", "schroedinger_system_residuals",
-    "sinkhorn_msb", "vp_value", "ks_distance", "norm_cdf", "norm_pdf",
+    "inner_dual_solve", "mcov_bounds", "primal_value",
+    "schroedinger_system_residuals", "sinkhorn_msb", "vp_value", "ks_distance", "norm_cdf", "norm_pdf",
     "norm_ppf", "ThreePointInstance", "ThreePointSolution", "bass_minimize",
     "bass_system_residual", "entropy_minimize", "entropy_system_residual",
     "parametrize_coupling", "w2_to_standard_gaussian",

@@ -36,8 +36,16 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-9}
 
 
+def _float_array(value, what):
+    """``value`` as a new float array; StructuralError if it is not numeric."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"{what} must be numeric: {exc}") from exc
+
+
 def _as_atoms(atoms):
-    arr = np.asarray(atoms, dtype=float)
+    arr = _float_array(atoms, "atoms")
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -50,42 +58,36 @@ def _as_atoms(atoms):
 def merge_close_atoms(atoms, weights, tol=ATOM_MERGE_TOL):
     """Merge atoms closer than ``tol``, summing weights.
 
-    Returns (atoms, weights, merged_any). Clusters keep the first occurrence
-    as representative and the output preserves first-occurrence order.
+    Returns (atoms, weights, merged_any). Atoms are taken in input order; each
+    joins the nearest earlier representative within ``tol`` or becomes one,
+    so the representatives are pairwise more than ``tol`` apart and the
+    output preserves first-occurrence order.
     """
     atoms = np.asarray(atoms, dtype=float)
     weights = np.asarray(weights, dtype=float)
     n = atoms.shape[0]
-    if n <= 1:
+    # sorted by first coordinate, atoms on either side of a gap wider than
+    # tol are more than tol apart, so only the runs between gaps can merge
+    order = np.argsort(atoms[:, 0], kind="stable")
+    bounds = np.concatenate(
+        [[0], np.flatnonzero(np.diff(atoms[order, 0]) > tol) + 1, [n]])
+    rep_of = np.arange(n)
+    for k in np.flatnonzero(np.diff(bounds) > 1):
+        run = np.sort(order[bounds[k]:bounds[k + 1]])
+        reps = [run[0]]
+        for cur in run[1:]:
+            dist = np.linalg.norm(atoms[reps] - atoms[cur], axis=1)
+            best = int(np.argmin(dist))
+            if dist[best] <= tol:
+                rep_of[cur] = reps[best]
+            else:
+                reps.append(cur)
+    keep = np.flatnonzero(rep_of == np.arange(n))
+    if len(keep) == n:
         return atoms.copy(), weights.copy(), False
-
-    order = np.lexsort(atoms.T[::-1])
-    cluster_of = np.empty(n, dtype=int)
-    reps = [order[0]]
-    cluster_of[order[0]] = 0
-    for prev, cur in zip(order[:-1], order[1:]):
-        if np.linalg.norm(atoms[cur] - atoms[reps[-1]]) <= tol:
-            cluster_of[cur] = len(reps) - 1
-        else:
-            reps.append(cur)
-            cluster_of[cur] = len(reps) - 1
-    if len(reps) == n:
-        return atoms.copy(), weights.copy(), False
-
-    # reorder clusters by first appearance in the original indexing
-    first_seen = np.full(len(reps), n, dtype=int)
-    for i in range(n):
-        c = cluster_of[i]
-        first_seen[c] = min(first_seen[c], i)
-    new_order = np.argsort(first_seen)
-    rank = np.empty(len(reps), dtype=int)
-    rank[new_order] = np.arange(len(reps))
-
-    out_atoms = atoms[np.asarray(reps)[new_order]]
-    out_w = np.zeros(len(reps))
-    for i in range(n):
-        out_w[rank[cluster_of[i]]] += weights[i]
-    return out_atoms, out_w, True
+    out_w = np.zeros(len(keep))
+    np.add.at(out_w, np.searchsorted(keep, rep_of), weights)
+    return atoms[keep], out_w, True
 
 
 class DiscreteMeasure:
@@ -101,7 +103,7 @@ class DiscreteMeasure:
 
     def __init__(self, atoms, weights, weight_sum_tol=1e-12):
         atoms = _as_atoms(atoms)
-        weights = np.asarray(weights, dtype=float).ravel()
+        weights = _float_array(weights, "weights").ravel()
         if weights.shape[0] != atoms.shape[0]:
             raise StructuralError(
                 f"got {atoms.shape[0]} atoms but {weights.shape[0]} weights")
@@ -138,8 +140,8 @@ class GaussianSpec:
     __slots__ = ("mean", "covariance")
 
     def __init__(self, mean, covariance):
-        mean = np.array(mean, dtype=float).ravel()
-        cov = np.asarray(covariance, dtype=float)
+        mean = _float_array(mean, "mean").ravel()
+        cov = _float_array(covariance, "covariance")
         if cov.ndim == 0:
             cov = cov.reshape(1, 1)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -275,26 +277,14 @@ def coupling_constraints(x, y, columns=True, barycenters=True):
     return a
 
 
-def _polish_witness(matrix, a_eq, b_eq):
-    """Project an LP witness onto the equality constraints; keep if it stays
-    nonnegative up to rounding."""
-    a_eq = a_eq.toarray()
-    x = matrix.ravel()
-    resid = a_eq @ x - b_eq
-    correction, *_ = np.linalg.lstsq(a_eq, resid, rcond=None)
-    xp = x - correction
-    if xp.min() >= -1e-11:
-        return np.maximum(xp, 0.0).reshape(matrix.shape)
-    return matrix
-
-
 def check_convex_order(mu, nu):
     """Decide whether a martingale coupling of (mu, nu) exists.
 
     Feasibility of {m >= 0, row sums = mu, column sums = nu, conditional
-    barycenters = mu atoms} is decided by an LP; on success the feasible
-    point is returned as a witness ``Coupling``. The solver never calls it
-    on a solve that certifies itself, only to diagnose one that failed.
+    barycenters = mu atoms} is decided by an LP; on success the raw HiGHS
+    vertex, which meets the equality rows to rounding, is returned as a
+    witness ``Coupling``. The solver never calls it on a solve that
+    certifies itself, only to diagnose one that failed.
     """
     if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
         raise StructuralError("check_convex_order expects two discrete measures")
@@ -306,8 +296,7 @@ def check_convex_order(mu, nu):
                   bounds=(0, None), method="highs", options=dict(_LP_OPTIONS))
     if not res.success:
         return False, None
-    matrix = _polish_witness(res.x.reshape(mu.n, nu.n), a_eq, b_eq)
-    witness = Coupling(matrix, mu, nu, check=False)
+    witness = Coupling(res.x.reshape(mu.n, nu.n), mu, nu, check=False)
     return True, witness
 
 
@@ -354,7 +343,7 @@ def mcov_discrete(alpha, beta, force_lp=False):
                       method="highs", options=dict(_LP_OPTIONS))
         if not res.success:
             raise StructuralError(f"transport LP failed: {res.message}")
-        matrix = _polish_witness(res.x.reshape(cost.shape), a_eq, b_eq)
+        matrix = res.x.reshape(cost.shape)
     value = float(np.sum(matrix * (alpha.atoms @ beta.atoms.T)))
     return value, Coupling(matrix, alpha, beta, check=False)
 
@@ -433,7 +422,12 @@ def measure_from_json(doc):
         if key not in doc:
             raise StructuralError(f"measure document is missing field '{key}'")
     atoms = _as_atoms(doc["atoms"])
-    if atoms.shape[1] != int(doc["dimension"]):
+    try:
+        dimension = int(doc["dimension"])
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"field 'dimension' must be an integer: {exc}") \
+            from exc
+    if atoms.shape[1] != dimension:
         raise StructuralError("field 'dimension' does not match the atoms")
     return DiscreteMeasure(atoms, doc["weights"], weight_sum_tol=1e-6)
 

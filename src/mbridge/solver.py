@@ -36,6 +36,13 @@ min(H(mu), H(nu)); a dual iterate above that bound proves that no martingale
 coupling exists. Only a solve that does neither (an inner failure, a stall,
 the iteration cap, a conditional at the floor) is diagnosed by LP: convex
 order first, then one relative-interior LP for all mu atoms.
+
+The variational identity P = SP(mubar, nu) + MCov(mubar, mu), with the base
+measure mubar = h#mu, is checked from the same potentials. The classical
+solve is warm-started at the martingale psi, and ``mcov_bounds`` brackets
+MCov between the value of the pairing (h_i, x_i) and the dual bound of
+F(h) = log sum_j nu_j exp(psi_j + <h, y_j>) and its c-transform, which meet
+at the optimum. No transport LP runs; ``vp_value`` keeps one for library use.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ _NEWTON_MAX_STEPS = 50
 _NEWTON_GRADIENT_TOLERANCE = 1e-12
 _ARMIJO = 1e-4
 _LINE_SEARCH_STEPS = 30
+_SP_MAX_ITERATIONS = 200_000
 _FAILURES = (NotIrreducible, DualDivergence, DegenerateFiber, NotConverged)
 
 
@@ -591,8 +599,7 @@ def gibbs_coupling(triple, mu, nu):
     return mu.weights[:, None] * nu.weights[None, :] * np.exp(expo)
 
 
-def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, max_iterations=200_000,
-                          psi0=None):
+def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, psi0=None):
     """Static Schroedinger problem inf H(pi | mu_bar x nu) - int <x_bar, y> dpi.
 
     Solves the system
@@ -632,11 +639,11 @@ def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, max_iterations=200_000,
     psi = np.zeros(nu.n) if psi0 is None else np.array(psi0, dtype=float)
     point, trace, converged = _psi_newton(
         fibers, mu_bar.weights, nu.weights, np.ones((nu.n, 1)), psi,
-        max_iterations, stop)
+        _SP_MAX_ITERATIONS, stop)
     if not converged:
         raise NotConverged(
             "classical Schroedinger Newton "
-            + ("hit its iteration cap" if len(trace) >= max_iterations
+            + ("hit its iteration cap" if len(trace) >= _SP_MAX_ITERATIONS
                else f"stalled after {len(trace)} iterations"))
 
     # fix the additive gauge
@@ -676,8 +683,27 @@ def extract_base_measure(report, mu=None):
     return DiscreteMeasure(atoms, weights)
 
 
-def vp_value(mu_bar, mu, nu, tolerance=None):
+def vp_value(mu_bar, mu, nu):
     """Variational value SP(mu_bar, nu) + MCov(mu_bar, mu) for a base measure."""
-    sp, _, _ = classical_sinkhorn_sp(mu_bar, nu, tolerance=tolerance)
+    sp, _, _ = classical_sinkhorn_sp(mu_bar, nu)
     mc, _ = mcov_discrete(mu_bar, mu)
     return sp + mc
+
+
+def mcov_bounds(report, base):
+    """Bounds (L, U) with L <= MCov(base, mu) <= U from a solve's potentials.
+
+    ``base`` is ``extract_base_measure(report)``. The pairing (h_i, x_i) is a
+    coupling of base and mu, so L = sum_i mu_i <h_i, x_i>. With the convex
+    F(h) = log sum_j nu_j exp(psi_j + <h, y_j>) on the base atoms and its
+    c-transform F^c(x) = max_k <hbar_k, x> - F(hbar_k), the pair (F, F^c)
+    is dual feasible, so U = <mubar, F> + <mu, F^c>. At the optimum
+    x_i = grad F(h_i), the pairing is cyclically monotone and U = L.
+    """
+    mu, nu = report.coupling.mu, report.coupling.nu
+    lower = float(mu.weights @ np.einsum("id,id->i", report.potentials.h,
+                                         mu.atoms))
+    f, _ = _row_softmax(np.log(nu.weights) + report.potentials.psi
+                        + base.atoms @ nu.atoms.T)
+    transform = (mu.atoms @ base.atoms.T - f).max(axis=1)
+    return lower, float(base.weights @ f + mu.weights @ transform)

@@ -12,6 +12,7 @@ import pytest
 
 from mbridge import DegenerateFiber, DiscreteMeasure, measure_to_json
 from mbridge.cli import main
+from conftest import random_instance
 
 
 def write_measure(path, atoms, weights):
@@ -107,6 +108,58 @@ def test_malformed_json_exits_one_with_single_diagnostic(tmp_path, capsys):
                  if line and "wall-clock" not in line]
     assert len(err_lines) == 1
     assert "mu.json" in err_lines[0]
+
+
+NOT_NUMERIC_FLAGS = {
+    "sigma0-object": ["gaussian", "--sigma0", '{"a":1}', "--sigma1", "2"],
+    "mean0-letters": ["gaussian", "--sigma0", "1", "--sigma1", "2",
+                      "--mean0", "a,b"],
+    "sigmas-letter": ["filter", "--sigmas", "0.5,x"],
+    "delta-string": ["simulate", "--delta", '[[1,"a"]]'],
+}
+NOT_NUMERIC_FILES = {
+    "atoms-string": {"dimension": 1, "atoms": [[0.0], ["a"]],
+                     "weights": [0.5, 0.5]},
+    "dimension-string": {"dimension": "x", "atoms": [[0.0], [1.0]],
+                         "weights": [0.5, 0.5]},
+    "weights-string": {"dimension": 1, "atoms": [[0.0], [1.0]],
+                       "weights": [0.5, "b"]},
+}
+
+
+@pytest.mark.parametrize("case", [*NOT_NUMERIC_FLAGS, *NOT_NUMERIC_FILES])
+def test_non_numeric_input_exits_one_with_single_diagnostic(tmp_path, case,
+                                                            capsys):
+    if case in NOT_NUMERIC_FLAGS:
+        argv = NOT_NUMERIC_FLAGS[case]
+    else:
+        bad = tmp_path / "mu.json"
+        bad.write_text(json.dumps(NOT_NUMERIC_FILES[case]), encoding="utf-8")
+        nu = write_measure(tmp_path / "nu.json", [[-1.0], [1.0]], [0.5, 0.5])
+        argv = ["solve", "--mu", str(bad), "--nu", nu]
+    code = main([*argv, "--out", str(tmp_path / "run")])
+    assert code == 1
+    err_lines = [line for line in capsys.readouterr().err.split("\n")
+                 if line and "wall-clock" not in line]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error:")
+
+
+def test_certify_runs_no_linear_program(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify called linprog")
+    monkeypatch.setattr("mbridge.measures.linprog", refuse)
+    monkeypatch.setattr("mbridge.solver.linprog", refuse)
+    mu, nu, _ = random_instance(np.random.default_rng(7), n=6, m=8, d=2)
+    paths = [write_measure(tmp_path / f"{name}.json", m.atoms, m.weights)
+             for name, m in (("mu", mu), ("nu", nu))]
+    out = tmp_path / "run"
+    code = main(["certify", "--mu", paths[0], "--nu", paths[1],
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "certify_report.json").read_text())
+    assert report["all_pass"] is True and report["converged"] is True
+    assert len(report["base_measure"]["atoms"][0]) == 2
 
 
 def test_unknown_flag_exits_one(study_files, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mbridge as mb
 from mbridge import (
@@ -35,6 +36,39 @@ def test_merge_keeps_first_occurrence_order():
     assert merged
     assert out_atoms.ravel().tolist() == [2.0, 0.0, 1.0]
     assert np.allclose(out_w, [0.4, 0.2, 0.4])
+
+
+def test_merge_finds_a_close_pair_with_an_atom_sorted_between():
+    # (0, 0) and (9e-13, 0) are within 1e-12, but (5e-13, 10) sorts between
+    # them by first coordinate
+    atoms = np.array([[0.0, 0.0], [5e-13, 10.0], [9e-13, 0.0]])
+    out_atoms, out_w, merged = merge_close_atoms(atoms, [0.2, 0.3, 0.5])
+    assert merged
+    assert out_atoms.tolist() == [[0.0, 0.0], [5e-13, 10.0]]
+    assert out_w.tolist() == [0.7, 0.3]
+    assert DiscreteMeasure(atoms, [0.2, 0.3, 0.5]).n == 2
+
+
+# coordinates on a grid of spacing 4e-13 or 7e-13 next to 1e-12 give chains
+# and clusters of near atoms; spacing 1 gives exact duplicates only
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), spacing=st.sampled_from([4e-13, 7e-13, 1.0]),
+       data=st.data())
+def test_merge_leaves_separated_atoms_that_cover_the_input(d, spacing, data):
+    n = data.draw(st.integers(1, 12))
+    cells = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=d,
+                                        max_size=d),
+                               min_size=n, max_size=n))
+    atoms = spacing * np.array(cells, dtype=float)
+    weights = np.arange(1.0, n + 1.0)
+    out_atoms, out_w, merged = merge_close_atoms(atoms, weights)
+    tol = mb.measures.ATOM_MERGE_TOL
+    gaps = np.linalg.norm(out_atoms[:, None] - out_atoms[None, :], axis=2)
+    assert np.all(gaps[~np.eye(len(out_atoms), dtype=bool)] > tol)
+    reach = np.linalg.norm(atoms[:, None] - out_atoms[None, :], axis=2)
+    assert np.all(reach.min(axis=1) <= tol)
+    assert math.isclose(out_w.sum(), weights.sum(), rel_tol=1e-15)
+    assert merged == (len(out_atoms) < n)
 
 
 def test_weight_validation():

@@ -1,5 +1,6 @@
 """Psi-dual Newton solver, inner duals, and the value chain on small instances."""
 
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ from mbridge import (
     NotConverged,
     NotInConvexOrder,
     NotIrreducible,
+    PotentialTriple,
     SolverConfig,
     StructuralError,
     classical_sinkhorn_sp,
@@ -22,6 +24,8 @@ from mbridge import (
     gauge_normalize,
     gibbs_coupling,
     inner_dual_solve,
+    mcov_bounds,
+    mcov_discrete,
     primal_value,
     product_coupling,
     relative_entropy,
@@ -126,6 +130,30 @@ def test_value_chain_on_random_instances(rng):
         mu_bar = extract_base_measure(report)
         vp = vp_value(mu_bar, mu, nu)
         assert abs(report.primal_value - vp) < 1e-7
+
+
+def test_mcov_bounds_pin_the_transport_lp(rng):
+    # the pairing (h_i, x_i) is the optimal MCov coupling: both bounds meet
+    # the LP value, on the study instance and on random pairs in d = 1, 2
+    pairs = [study_instance()]
+    pairs += [random_instance(rng, d=d)[:2] for d in (1, 2) for _ in range(12)]
+    for mu, nu in pairs:
+        report = sinkhorn_msb(mu, nu)
+        base = extract_base_measure(report)
+        lower, upper = mcov_bounds(report, base)
+        exact, _ = mcov_discrete(base, mu, force_lp=True)
+        assert abs(lower - exact) < 1e-12 and abs(upper - exact) < 1e-12
+        assert upper - lower <= 1e-12
+
+
+def test_mcov_bounds_separate_on_a_pairing_that_is_not_optimal():
+    mu, nu = study_instance()
+    report = sinkhorn_msb(mu, nu)
+    pot = report.potentials
+    swapped = dataclasses.replace(report, potentials=PotentialTriple(
+        pot.phi, pot.psi, pot.h[[1, 0, 2]]))
+    lower, upper = mcov_bounds(swapped, extract_base_measure(swapped))
+    assert upper - lower > 1e-7
 
 
 def test_translation_invariance(rng):
