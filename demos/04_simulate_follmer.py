@@ -37,7 +37,6 @@ def gaussian_fiber_run():
     closed = 0.5 * (1.0 - np.log(2.0))
     print(f"closed form          {closed:.9f}")
     print(f"relative discrepancy {report.rel_discrepancy:.2e}")
-    print(f"pathwise max deviation {report.pathwise_max_dev:.2e}")
 
 
 def discrete_fiber_run():

@@ -480,7 +480,6 @@ class BijectionReport:
     cost_drift: float
     cost_mart: float
     rel_discrepancy: float
-    pathwise_max_dev: float
 
 
 def phi_bijection_check(ensemble):
@@ -488,30 +487,12 @@ def phi_bijection_check(ensemble):
 
     The pinned construction and its drift representation carry the same
     cost, so the ensemble's mean drift energy and mean weighted volatility
-    energy must agree up to Monte Carlo and discretization error. Also
-    recomputes u at the stored points and reports the maximal deviation of
-    M - X - (1 - t) u, which vanishes by construction.
+    energy must agree up to Monte Carlo and discretization error.
     """
     cost_drift, cost_mart = ensemble.aggregate_energies()
-    dev = 0.0
-    for pos, g in enumerate(ensemble.stored_idx):
-        t = float(ensemble.grid[g])
-        if t > TIME_CLIP:
-            continue
-        for i, fib in enumerate(ensemble.fibers):
-            sel = ensemble.fiber_index == i if len(ensemble.fibers) > 1 \
-                else slice(None)
-            xs = ensemble.X[sel, pos]
-            if fib.kind == "gaussian":
-                u = (xs - fib.x) @ _gaussian_drift_matrix(fib, t).T
-            else:
-                q = _posterior_weights(fib, t, xs)
-                u = ((fib.measure.atoms.T @ q).T - xs) / (1.0 - t)
-            resid = ensemble.M[sel, pos] - xs - (1.0 - t) * u
-            dev = max(dev, float(np.max(np.abs(resid))))
     rel = abs(cost_drift - cost_mart) / max(1.0, abs(cost_mart))
     return BijectionReport(cost_drift=cost_drift, cost_mart=cost_mart,
-                           rel_discrepancy=rel, pathwise_max_dev=dev)
+                           rel_discrepancy=rel)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import FiberModel, _posterior_weights
 from .errors import StructuralError
-from .solver import SolverConfig, inner_dual_solve
+from .solver import SolverConfig, _row_softmax, inner_dual_solve
 from .stats import ks_distance
 
 
@@ -239,10 +239,8 @@ def restart_posterior(nu, psi, h, x, s, r, config=None):
     atoms = nu.atoms
     eta = h + r + s * x
     tilted = psi - 0.5 * s * np.sum(atoms ** 2, axis=1)
-    logits = np.log(nu.weights) + tilted + atoms @ eta
-    logits -= logits.max()
-    w = np.exp(logits)
-    w /= w.sum()
+    _, w = _row_softmax((np.log(nu.weights) + tilted + atoms @ eta)[None, :])
+    w = w[0]
     bary = w @ atoms
 
     cfg = config if config is not None else SolverConfig()

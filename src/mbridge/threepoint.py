@@ -12,14 +12,16 @@ subject to the polygon S: p1/2 <= u <= 3 p1/4, 0 <= v <= q1/2,
 p2 - r1/4 <= u + v <= p2. Two optimizers over S are provided:
 
 * ``entropy_minimize``: the coupling of minimal relative entropy with
-  respect to the product of the marginals;
+  respect to the product of the marginals, which is the martingale
+  Schroedinger bridge of the pair; ``sinkhorn_msb`` solves it and the
+  solve is read back as (u, v) = (pi[0,0], pi[1,0]);
 * ``bass_minimize``: the coupling whose conditional laws are closest to a
   standard Gaussian in averaged squared Wasserstein distance, the discrete
   analogue of a flat-volatility martingale fit.
 
-Both optimizers return interior critical points characterized by explicit
+Both optimizers are interior critical points characterized by explicit
 two-equation systems; the systems' residuals are reported for verification.
-The marginals and the Chebyshev center of S, the start of both optimizers,
+The marginals and the entropy solve, which also starts the Bass Newton,
 are computed once per instance.
 """
 
@@ -29,15 +31,23 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (InfeasibleParameters, NotConverged, NotInConvexOrder,
                      StructuralError)
 from .measures import DiscreteMeasure
+from .solver import SolverConfig, sinkhorn_msb
 from .stats import norm_pdf, norm_ppf
 
 MU_ATOMS = (-1.0, 0.0, 1.0)
 NU_ATOMS = (-2.0, 0.0, 2.0)
+
+# at the default 1e-10 the entropy system residual reaches 1.4e-12; at 1e-13
+# some solves stall at the floating-point floor
+ENTROPY_CONFIG = SolverConfig(tolerance=1e-12)
+# the Bass Newton: gradient tolerance, step cap, Armijo constant
+BASS_TOLERANCE = 1e-12
+NEWTON_MAX_STEPS = 100
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -61,9 +71,11 @@ class ThreePointInstance:
                 raise StructuralError(f"{name} must lie strictly in (0, 1)")
         if self.r1 <= 0.0 or self.r2 <= 0.0:
             raise StructuralError("marginal weights must be strictly positive")
+        # the u-range, the v-range and the u+v strip all have positive width,
+        # so S has an interior exactly when the two u+v intervals overlap
         lo_s, hi_s = self.p2 - self.r1 / 4.0, self.p2
         lo_box, hi_box = self.p1 / 2.0, 3.0 * self.p1 / 4.0 + self.q1 / 2.0
-        if max(lo_s, lo_box) > min(hi_s, hi_box) + 1e-15:
+        if max(lo_s, lo_box) >= min(hi_s, hi_box):
             raise NotInConvexOrder("feasible polygon of (u, v) is empty")
 
     @property
@@ -84,6 +96,31 @@ class ThreePointInstance:
         return DiscreteMeasure(np.array(NU_ATOMS),
                                [self.p2, self.q2, self.r2])
 
+    @cached_property
+    def entropy_uv(self):
+        """(pi[0,0], pi[1,0]) of the martingale Schroedinger bridge.
+
+        The parametrization fixes the rows, the martingale constraint and the
+        first column; its middle column 3 p1/2 + q1 + r1/2 - 2 p2 does not
+        depend on (u, v) and equals q2 only when mu and nu have the same
+        mean, so that is refused before the solve.
+        """
+        miss = abs(1.5 * self.p1 + self.q1 + 0.5 * self.r1 - 2.0 * self.p2
+                   - self.q2)
+        if miss > 1e-12:
+            raise NotConverged(
+                f"the family's couplings miss the nu weights by {miss:.1e}: "
+                "the means of mu and nu differ, so no coupling of the family "
+                "has these marginals")
+        report = sinkhorn_msb(self.mu, self.nu, ENTROPY_CONFIG)
+        if not report.converged:
+            raise NotConverged(
+                f"martingale Schroedinger bridge did not converge (marginal "
+                f"residual {report.marginal_residual:.1e}, martingale "
+                f"residual {report.martingale_residual:.1e})")
+        matrix = report.coupling.matrix
+        return float(matrix[0, 0]), float(matrix[1, 0])
+
     def constraints(self):
         """Half-planes a.(u,v) <= b with entry labels, describing S."""
         return [
@@ -96,24 +133,6 @@ class ThreePointInstance:
              "pi[2,1] = r1/2 - 2w >= 0"),
             (np.array([1.0, 1.0]), self.p2, "pi[2,0] = w >= 0"),
         ]
-
-    def chebyshev_center(self):
-        """Deepest interior point of S, via a small LP solved once."""
-        return self._center
-
-    @cached_property
-    def _center(self):
-        cons = self.constraints()
-        a = np.array([c[0] for c in cons])
-        b = np.array([c[1] for c in cons])
-        norms = np.linalg.norm(a, axis=1)
-        res = linprog(c=[0.0, 0.0, -1.0],
-                      A_ub=np.column_stack([a, norms]), b_ub=b,
-                      bounds=[(None, None), (None, None), (0, None)],
-                      method="highs")
-        if not res.success or res.x[2] <= 0.0:
-            raise NotInConvexOrder("feasible polygon of (u, v) is empty")
-        return float(res.x[0]), float(res.x[1])
 
 
 def parametrize_coupling(instance, u, v):
@@ -171,8 +190,8 @@ class ThreePointSolution:
     boundary_entries: tuple
 
 
-def _interior(instance, u, v, margin=0.0):
-    return all(normal[0] * u + normal[1] * v < bound - margin
+def _interior(instance, u, v):
+    return all(normal[0] * u + normal[1] * v < bound
                for normal, bound, _ in instance.constraints())
 
 
@@ -184,16 +203,20 @@ def _entropy_value(instance, u, v):
     return float(np.sum(m[mask] * np.log(m[mask] / ref[mask])))
 
 
-def _damped_newton_2d(x0, grad_hess, objective, feasible, tol=1e-13,
-                      max_steps=100, armijo=1e-4):
-    """Minimize a smooth strictly convex function of two variables."""
-    x = np.asarray(x0, dtype=float)
+def _damped_newton_2d(x0, grad_hess, objective, feasible):
+    """Minimize a smooth strictly convex function of two variables.
+
+    Converged when the gradient norm falls below ``BASS_TOLERANCE``, or at
+    the floating-point floor: when Armijo cannot resolve the predicted
+    decrease and the pure Newton step returns x itself or the iterate
+    before x.
+    """
+    x = prev = np.asarray(x0, dtype=float)
     fx = objective(*x)
-    for _ in range(max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         g, hess = grad_hess(*x)
-        gnorm = np.linalg.norm(g)
-        if gnorm < tol:
-            return x, g
+        if np.linalg.norm(g) < BASS_TOLERANCE:
+            return x
         try:
             step = np.linalg.solve(hess, g)
         except np.linalg.LinAlgError:
@@ -202,19 +225,17 @@ def _damped_newton_2d(x0, grad_hess, objective, feasible, tol=1e-13,
         trial = x - step
         if decrease <= 1e-14 * (1.0 + abs(fx)) and feasible(*trial):
             # Armijo cannot resolve the decrease: take the pure Newton step
-            if np.array_equal(trial, x):
-                raise NotConverged(
-                    f"two-dimensional Newton stalled at |grad| = {gnorm:.2e}: "
-                    "the Newton step is below the resolution of (u, v)")
-            x, fx = trial, objective(*trial)
+            if np.array_equal(trial, x) or np.array_equal(trial, prev):
+                return x
+            prev, x, fx = x, trial, objective(*trial)
             continue
         alpha = 1.0
         for _ in range(80):
             trial = x - alpha * step
             if feasible(*trial):
                 ft = objective(*trial)
-                if ft <= fx - armijo * alpha * decrease:
-                    x, fx = trial, ft
+                if ft <= fx - ARMIJO * alpha * decrease:
+                    prev, x, fx = x, trial, ft
                     break
             alpha *= 0.5
         else:
@@ -222,49 +243,22 @@ def _damped_newton_2d(x0, grad_hess, objective, feasible, tol=1e-13,
     raise NotConverged("two-dimensional Newton hit its step cap")
 
 
-def entropy_minimize(instance, tol=1e-13):
+def entropy_minimize(instance):
     """Minimize H(pi(u, v) | mu x nu) over the polygon S.
 
-    Damped Newton with the analytic gradient and Hessian, started at the
-    Chebyshev center of S. The entropy gradient blows up toward the boundary,
-    so the optimizer is interior whenever S has interior; entries below
-    1e-11 are still reported as boundary contacts for degenerate polygons.
+    The minimizer is the martingale Schroedinger bridge of (mu, nu), solved
+    once per instance by ``sinkhorn_msb`` (``ENTROPY_CONFIG``); its Gibbs
+    density is positive, so the optimizer is interior. Raises
+    ``NotConverged`` when the means of mu and nu differ or the solve does
+    not converge.
     """
-    p1, q1, r1 = instance.p1, instance.q1, instance.r1
-
-    def grad_hess(u, v):
-        w = instance.p2 - u - v
-        wt = 1.0 / w + 4.0 / (r1 / 2.0 - 2.0 * w) + 1.0 / (w + r1 / 2.0)
-        gu = (np.log(u) - 2.0 * np.log(1.5 * p1 - 2.0 * u)
-              + np.log(u - 0.5 * p1) - np.log(w)
-              + 2.0 * np.log(r1 / 2.0 - 2.0 * w) - np.log(w + r1 / 2.0))
-        gv = (2.0 * np.log(v) - 2.0 * np.log(q1 - 2.0 * v) - np.log(w)
-              + 2.0 * np.log(r1 / 2.0 - 2.0 * w) - np.log(w + r1 / 2.0))
-        huu = 1.0 / u + 4.0 / (1.5 * p1 - 2.0 * u) + 1.0 / (u - 0.5 * p1) + wt
-        hvv = 2.0 / v + 4.0 / (q1 - 2.0 * v) + wt
-        return np.array([gu, gv]), np.array([[huu, wt], [wt, hvv]])
-
-    x0 = instance.chebyshev_center()
-    (u, v), grad = _damped_newton_2d(
-        x0, grad_hess, lambda a, b: _entropy_value(instance, a, b),
-        lambda a, b: _interior(instance, a, b), tol=tol)
+    u, v = instance.entropy_uv
     return _solution(instance, u, v, _entropy_value, entropy_system_residual)
 
 
 def _solution(instance, u, v, objective, residual):
-    """Package an optimizer of S, refusing a coupling that misses nu.
-
-    The parametrization fixes the rows, the martingale constraint and the
-    first column; the other two columns equal the nu weights only when mu
-    and nu have the same mean.
-    """
+    """Package an optimizer of S with its value and system residual."""
     matrix = parametrize_coupling(instance, u, v)
-    miss = float(np.max(np.abs(matrix.sum(axis=0) - instance.nu.weights)))
-    if miss > 1e-12:
-        raise NotConverged(
-            f"the optimal coupling misses the nu weights by {miss:.1e}: the "
-            "means of mu and nu differ, so no coupling of the family has "
-            "these marginals")
     boundary = tuple(f"pi[{i},{j}]" for i in range(3) for j in range(3)
                      if matrix[i, j] < 1e-11)
     return ThreePointSolution(u=float(u), v=float(v), matrix=matrix,
@@ -316,12 +310,13 @@ def _bass_objective(instance, u, v):
                      for i in range(3)))
 
 
-def bass_minimize(instance, tol=1e-12):
+def bass_minimize(instance):
     """Minimize the flat-volatility objective over S.
 
-    Damped Newton on the objective itself, started at the Chebyshev center,
-    with the analytic quantile gradient (four times ``bass_system_residual``)
-    and Hessian (four times ``_bass_jacobian``).
+    Damped Newton on the objective itself (``_damped_newton_2d``), started
+    at the entropy optimizer, which is strictly interior, with the analytic
+    quantile gradient (four times ``bass_system_residual``) and Hessian
+    (four times ``_bass_jacobian``).
     """
 
     def grad_hess(u, v):
@@ -329,10 +324,10 @@ def bass_minimize(instance, tol=1e-12):
         return (4.0 * np.asarray(bass_system_residual(instance, u, v)),
                 4.0 * _bass_jacobian(instance, u, v))
 
-    x0 = instance.chebyshev_center()
-    (u, v), _ = _damped_newton_2d(
-        x0, grad_hess, lambda a, b: _bass_objective(instance, a, b),
-        lambda a, b: _interior(instance, a, b), tol=tol)
+    u, v = _damped_newton_2d(
+        instance.entropy_uv, grad_hess,
+        lambda a, b: _bass_objective(instance, a, b),
+        lambda a, b: _interior(instance, a, b))
     return _solution(instance, u, v, _bass_objective, bass_system_residual)
 
 

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from mbridge import (
     DiscreteMeasure,
     InfeasibleParameters,
+    MbridgeError,
     NotConverged,
     NotInConvexOrder,
     ThreePointInstance,
@@ -41,6 +42,8 @@ M_BASS = np.array([
 ])
 UV_ENTROPY = (0.2512257681244703, 0.16084521303196514)
 UV_BASS = (0.25228533942371645, 0.15941479177798282)
+# a fixed point strictly inside the reference polygon, away from both optima
+INTERIOR_POINT = (0.28, 0.13)
 
 
 def reference_instance():
@@ -49,7 +52,7 @@ def reference_instance():
 
 def test_parametrization_has_the_right_marginals_and_drift():
     inst = reference_instance()
-    u, v = inst.chebyshev_center()
+    u, v = INTERIOR_POINT
     pi = parametrize_coupling(inst, u, v)
     assert np.min(pi) > 0.0
     assert np.max(np.abs(pi.sum(axis=1) - inst.mu.weights)) < 1e-14
@@ -105,16 +108,18 @@ def test_optimizer_gap_matches_the_reference():
 
 def test_residual_functions_vanish_only_at_their_optimizers():
     inst = reference_instance()
-    u0, v0 = inst.chebyshev_center()
+    u0, v0 = INTERIOR_POINT
     assert max(abs(r) for r in entropy_system_residual(inst, *UV_ENTROPY)) < 1e-12
     assert max(abs(r) for r in bass_system_residual(inst, *UV_BASS)) < 1e-10
     assert max(abs(r) for r in entropy_system_residual(inst, u0, v0)) > 1e-6
     assert max(abs(r) for r in bass_system_residual(inst, u0, v0)) > 1e-3
 
 
-def test_chebyshev_center_is_strictly_interior():
+def test_bass_start_is_strictly_interior():
+    # the Bass Newton starts at the entropy optimizer, whose Gibbs density
+    # is positive
     inst = reference_instance()
-    u, v = inst.chebyshev_center()
+    u, v = inst.entropy_uv
     for normal, bound, _ in inst.constraints():
         assert normal[0] * u + normal[1] * v < bound - 1e-4
 
@@ -168,18 +173,9 @@ def test_optimizers_refuse_a_coupling_that_misses_nu():
         bass_minimize(inst)
 
 
-@pytest.mark.parametrize("weights, code", [(STALL_REPRODUCER, 0),
-                                           (UNEQUAL_MEANS, 2)])
-def test_threepoint_command_on_the_stall_reproducers(tmp_path, weights, code):
-    p1, q1, p2, q2 = weights
-    assert main(["threepoint", "--p1", str(p1), "--q1", str(q1),
-                 "--p2", str(p2), "--q2", str(q2),
-                 "--out", str(tmp_path)]) == code
-
-
 def test_bass_jacobian_matches_central_differences():
     inst = reference_instance()
-    u, v = inst.chebyshev_center()
+    u, v = INTERIOR_POINT
     eps = 1e-6
     fd = np.empty((2, 2))
     for k, (du, dv) in enumerate(((eps, 0.0), (0.0, eps))):
@@ -211,12 +207,16 @@ def test_threepoint_command_solves_where_the_system_route_stalled(tmp_path):
 
 def test_threepoint_command_builds_the_polygon_and_marginals_once(
         tmp_path, monkeypatch):
-    calls = {"linprog": 0, "measure": 0}
-    linprog = threepoint.linprog
+    calls = {"linprog": 0, "sinkhorn_msb": 0, "measure": 0}
+    sinkhorn_msb = threepoint.sinkhorn_msb
 
-    def counting_linprog(*args, **kwargs):
+    def refuse_linprog(*args, **kwargs):
         calls["linprog"] += 1
-        return linprog(*args, **kwargs)
+        raise AssertionError("threepoint called linprog")
+
+    def counting_sinkhorn_msb(*args, **kwargs):
+        calls["sinkhorn_msb"] += 1
+        return sinkhorn_msb(*args, **kwargs)
 
     class CountingMeasure(DiscreteMeasure):
         __slots__ = ()
@@ -225,11 +225,97 @@ def test_threepoint_command_builds_the_polygon_and_marginals_once(
             calls["measure"] += 1
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(threepoint, "linprog", counting_linprog)
+    monkeypatch.setattr("mbridge.measures.linprog", refuse_linprog)
+    monkeypatch.setattr("mbridge.solver.linprog", refuse_linprog)
+    monkeypatch.setattr(threepoint, "sinkhorn_msb", counting_sinkhorn_msb)
     monkeypatch.setattr(threepoint, "DiscreteMeasure", CountingMeasure)
     assert main(["threepoint", "--p1", "0.40", "--q1", "0.46",
                  "--p2", "0.43", "--q2", "0.27",
                  "--out", str(tmp_path)]) == 0
-    # one Chebyshev LP shared by the report and both optimizers; mu and nu
-    # built once, not on every objective evaluation
-    assert calls == {"linprog": 1, "measure": 2}
+    # one entropy solve shared by both optimizers, no LP; mu and nu built
+    # once, not on every objective evaluation
+    assert calls == {"linprog": 0, "sinkhorn_msb": 1, "measure": 2}
+
+
+def scan_instances(count=150):
+    """Equal-mean interior instances: p1, q1 from Dirichlet(2, 2, 2), p2
+    uniform on (0.01, 0.99), q2 from the equal-mean condition; draws whose
+    instance is refused are redrawn."""
+    rng = np.random.default_rng(1)
+    instances = []
+    while len(instances) < count:
+        p1, q1, r1 = rng.dirichlet((2.0, 2.0, 2.0))
+        p2 = rng.uniform(0.01, 0.99)
+        q2 = 1.5 * p1 + q1 + 0.5 * r1 - 2.0 * p2
+        weights = (float(p1), float(q1), float(p2), float(q2))
+        try:
+            ThreePointInstance(*weights)
+        except MbridgeError:
+            continue
+        instances.append(weights)
+    return instances
+
+
+# scan instances on which a 2-D Newton on the entropy objective stalled at
+# the floating-point floor; the Bass Newton stalled on 116, 123 and 132
+NEWTON_STALLS = {
+    43: (0.4618938977031345, 0.44553744087359154, 0.24810149475569637,
+         0.6884596286285375),
+    116: (0.11064577655068555, 0.5397132929265046, 0.057461434938492255,
+          0.7655795531369533),
+    123: (0.47624509403574744, 0.42046582463815235, 0.24944356872953316,
+          0.6875908688957574),
+    132: (0.2509247845962095, 0.2163628545556685, 0.12689789385949823,
+          0.6053104241550473),
+    139: (0.4386594255466871, 0.30226208755941314, 0.5443257748388044,
+          0.0011389196487847641),
+    140: (0.7557868251829597, 0.23513499768549437, 0.6664885966844739,
+          0.040377130656759075),
+}
+
+
+@pytest.mark.parametrize("weights, code", [
+    (STALL_REPRODUCER, 0), (UNEQUAL_MEANS, 2),
+    *((weights, 0) for weights in NEWTON_STALLS.values())])
+def test_threepoint_command_on_the_stall_reproducers(tmp_path, weights, code):
+    p1, q1, p2, q2 = weights
+    assert main(["threepoint", "--p1", repr(p1), "--q1", repr(q1),
+                 "--p2", repr(p2), "--q2", repr(q2),
+                 "--out", str(tmp_path)]) == code
+
+
+def check_threepoint_command(out, weights):
+    """Run ``threepoint`` on one instance and check both couplings."""
+    p1, q1, p2, q2 = weights
+    assert main(["threepoint", "--p1", repr(p1), "--q1", repr(q1),
+                 "--p2", repr(p2), "--q2", repr(q2),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "threepoint_report.json").read_text())
+    inst = ThreePointInstance(*weights)
+    mu_w, nu_w = inst.mu.weights, inst.nu.weights
+    x, y = inst.mu.atoms[:, 0], inst.nu.atoms[:, 0]
+    entropy = {}
+    for key in ("entropy", "bass"):
+        m = np.asarray(report[key]["matrix"])
+        assert np.max(np.abs(m.sum(axis=1) - mu_w)) <= 1e-12
+        assert np.max(np.abs(m.sum(axis=0) - nu_w)) <= 1e-12
+        assert np.max(np.abs(m @ y - mu_w * x)) <= 1e-12
+        pos = m > 0.0
+        prod = np.outer(mu_w, nu_w)
+        entropy[key] = float(np.sum(m[pos] * np.log(m[pos] / prod[pos])))
+    assert max(abs(r) for r in report["entropy"]["system_residual"]) < 1e-12
+    assert entropy["entropy"] <= entropy["bass"] + 1e-12
+    # one ulp of (u, v) moves the Bass residual by about eps |J| |(u, v)|
+    u, v = report["bass"]["u"], report["bass"]["v"]
+    floor = np.finfo(float).eps * np.max(np.abs(_bass_jacobian(inst, u, v))) \
+        * max(abs(u), abs(v))
+    assert max(abs(r) for r in report["bass"]["system_residual"]) \
+        <= max(1e-12, floor)
+
+
+def test_threepoint_command_solves_every_scan_instance(tmp_path):
+    instances = scan_instances()
+    for index, weights in NEWTON_STALLS.items():
+        assert instances[index] == weights
+    for weights in instances:
+        check_threepoint_command(tmp_path, weights)
