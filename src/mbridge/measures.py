@@ -283,8 +283,9 @@ def check_convex_order(mu, nu):
     Feasibility of {m >= 0, row sums = mu, column sums = nu, conditional
     barycenters = mu atoms} is decided by an LP; on success the raw HiGHS
     vertex, which meets the equality rows to rounding, is returned as a
-    witness ``Coupling``. The solver never calls it on a solve that
-    certifies itself, only to diagnose one that failed.
+    witness ``Coupling``. The solver calls it only to diagnose a failed
+    solve in dimension two or more; on the line it reads the potential
+    functions instead, and this LP is their reference in the tests.
     """
     if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
         raise StructuralError("check_convex_order expects two discrete measures")

@@ -34,8 +34,12 @@ mu atom lies in the relative interior of conv(supp nu). By weak duality the
 dual is at most the primal, a mutual information bounded by
 min(H(mu), H(nu)); a dual iterate above that bound proves that no martingale
 coupling exists. Only a solve that does neither (an inner failure, a stall,
-the iteration cap, a conditional at the floor) is diagnosed by LP: convex
-order first, then one relative-interior LP for all mu atoms.
+the iteration cap, a conditional at the floor) is diagnosed: convex order
+first, then the relative interior for all mu atoms. On the line both are
+read off the potential functions u(t) = E|X - t| with no LP: convex order
+is equal means and u_mu <= u_nu, and an atom is interior when it lies
+strictly between the extreme nu atoms. In dimension two or more each is
+one LP.
 
 The variational identity P = SP(mubar, nu) + MCov(mubar, mu), with the base
 measure mubar = h#mu, is checked from the same potentials. The classical
@@ -67,6 +71,11 @@ HESSIAN_CONDITION_CAP = 1e14
 # tolerance only with off-face mass near 1e-12 / (distance to the face), far
 # below this floor; conditionals of pairs in strict convex order sit far above.
 CONDITIONAL_FLOOR = 1e-8
+# The diagnosis: a point is interior when the relative-interior LP's smallest
+# weight exceeds the cut; on the line, convex order holds up to the
+# convex-order LP's feasibility tolerance, relative to the atom scale.
+_INTERIOR_CUT = 1e-12
+_ORDER_SLACK = 1e-10
 # The fiber Newton: step cap and gradient tolerance per fiber. Both Newton
 # kernels use the Armijo constant and halve the step on a rejection.
 _NEWTON_MAX_STEPS = 50
@@ -168,8 +177,9 @@ def _in_relative_interior(points, nu):
     """One LP: which points are positive convex combinations of the nu atoms.
 
     Maximizes sum_i t_i s.t. sum_j lam_ij = 1, sum_j lam_ij (y_j - x_i) = 0,
-    lam_ij >= t_i. It separates over points, so x_i is interior iff t_i > 0;
-    free weights keep it feasible for points outside conv(supp nu).
+    lam_ij >= t_i. It separates over points, so x_i is interior iff t_i > 0
+    (above ``_INTERIOR_CUT``); free weights keep it feasible for points
+    outside conv(supp nu).
     """
     n, m = points.shape[0], nu.n
     if m == 1:
@@ -185,15 +195,71 @@ def _in_relative_interior(points, nu):
                   bounds=(None, None), method="highs")
     if not res.success:
         return np.zeros(n, dtype=bool)
-    return res.x[n * m:] > 1e-12
+    return res.x[n * m:] > _INTERIOR_CUT
+
+
+def _potential(atoms, weights, points):
+    """u(t) = sum_k w_k |a_k - t| of a measure on the line, at ``points``.
+
+    With F and G the cumulative weight and first moment of the sorted atoms
+    up to t, u(t) = t (2 F(t) - 1) - 2 G(t) + abar: one sort and one
+    ``searchsorted``, no (points, atoms) distance array.
+    """
+    order = np.argsort(atoms, kind="stable")
+    a = atoms[order]
+    w = weights[order]
+    cum_w = np.concatenate([[0.0], np.cumsum(w)])
+    cum_m = np.concatenate([[0.0], np.cumsum(w * a)])
+    k = np.searchsorted(a, points, side="right")
+    return points * (2.0 * cum_w[k] - 1.0) - 2.0 * cum_m[k] + cum_m[-1]
+
+
+def _convex_order_1d(mu, nu):
+    """Convex order on the line, decided from the potential functions.
+
+    A martingale coupling exists iff the means agree and u_mu <= u_nu. The
+    difference u_nu - u_mu is piecewise linear with kinks only at the atoms
+    and equals the mean difference beyond them, so the atoms of both
+    measures are the only points to test. Both tests allow the LP's
+    feasibility slack ``_ORDER_SLACK`` times the atom scale, which also
+    absorbs the rounding where u_mu = u_nu holds exactly.
+    """
+    x, y = mu.atoms[:, 0], nu.atoms[:, 0]
+    slack = _ORDER_SLACK * max(1.0, float(np.abs(x).max()),
+                               float(np.abs(y).max()))
+    if abs(float(mu.weights @ x - nu.weights @ y)) > slack:
+        return False
+    t = np.concatenate([x, y])
+    return bool(np.all(_potential(x, mu.weights, t)
+                       <= _potential(y, nu.weights, t) + slack))
+
+
+def _inside_hull_1d(points, nu):
+    """The relative-interior test of ``_in_relative_interior`` on the line.
+
+    There the LP's optimal smallest weight is min(1/m, (x - y_min) / sum_j
+    (y_j - y_min), (y_max - x) / sum_j (y_max - y_j)), so a point is
+    interior iff both distances exceed ``_INTERIOR_CUT`` times those sums.
+    A single atom is its own relative interior.
+    """
+    x = points[:, 0]
+    y = nu.atoms[:, 0]
+    if nu.n == 1:
+        return np.abs(x - y[0]) <= 1e-12
+    lo, hi = y.min(), y.max()
+    return ((x - lo > _INTERIOR_CUT * float(np.sum(y - lo)))
+            & (hi - x > _INTERIOR_CUT * float(np.sum(hi - y))))
 
 
 def _diagnose(points, nu, mu=None):
-    """Raise NotInConvexOrder (given mu) or NotIrreducible if an LP shows
-    either; otherwise return, so the caller's answer stands."""
-    if mu is not None and not check_convex_order(mu, nu)[0]:
+    """Raise NotInConvexOrder (given mu) or NotIrreducible if the pair shows
+    either; otherwise return, so the caller's answer stands. On the line the
+    potential functions decide, elsewhere one LP for each question."""
+    line = nu.dim == 1
+    if mu is not None and not (_convex_order_1d(mu, nu) if line
+                               else check_convex_order(mu, nu)[0]):
         raise NotInConvexOrder("mu and nu admit no martingale coupling")
-    inside = _in_relative_interior(points, nu)
+    inside = (_inside_hull_1d if line else _in_relative_interior)(points, nu)
     if not inside.all():
         raise NotIrreducible(
             f"{'point' if mu is None else 'mu atom'} {int(np.argmin(inside))}"
@@ -334,8 +400,9 @@ def inner_dual_solve(x, psi, nu, config=None, h0=None):
     Returns (h, phi_x, conditional) where phi_x is the supremum value and the
     conditional is the tilted measure nu_j exp(psi_j + <h, y_j>) normalized,
     whose barycenter equals x within the Newton gradient tolerance. The
-    relative-interior LP runs only when Newton fails or leaves a conditional
-    at ``CONDITIONAL_FLOOR``.
+    relative-interior test (closed form on the line, an LP in dimension two
+    or more) runs only when Newton fails or leaves a conditional at
+    ``CONDITIONAL_FLOOR``.
     """
     config = config or SolverConfig()
     nu_ = nu if isinstance(nu, DiscreteMeasure) else DiscreteMeasure(*nu)
@@ -396,7 +463,7 @@ def sinkhorn_msb(mu, nu, config=None):
     sums and the martingale residual both fall below the configured
     tolerances; returns a value-bearing report with ``converged=False`` when
     the iteration cap is reached or the dual stalls at the floating-point
-    floor instead. The module docstring says when an LP diagnosis runs; when
+    floor instead. The module docstring says when the diagnosis runs; when
     it finds no infeasibility, the report or the original exception stands.
     """
     config = config or SolverConfig()

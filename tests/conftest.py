@@ -37,6 +37,15 @@ def random_instance(rng, n=None, m=None, d=None, spread=2.0):
     return mu, nu, matrix
 
 
+def peacock(n, a, shift=0.0):
+    """mu uniform on n points of [-1, 1]; nu puts half of each atom at +-a;
+    both translated by ``shift``."""
+    x = np.linspace(-1.0, 1.0, n) + shift
+    y = np.concatenate([x - a, x + a])
+    return (DiscreteMeasure(x[:, None], np.full(n, 1.0 / n)),
+            DiscreteMeasure(y[:, None], np.full(2 * n, 0.5 / n)))
+
+
 def study_instance():
     mu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.40, 0.46, 0.14])
     nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.43, 0.27, 0.30])

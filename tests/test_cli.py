@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mbridge import DegenerateFiber, DiscreteMeasure, measure_to_json
-from mbridge.cli import main
+from mbridge.cli import build_parser, main
 from conftest import random_instance
 
 
@@ -168,6 +168,17 @@ def test_unknown_flag_exits_one(study_files, capsys):
         main(["solve", "--mu", mu, "--nu", nu, "--frobnicate"])
     assert exc.value.code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_the_cached_parser_serves_a_request_after_a_rejected_one(
+        tmp_path, study_files):
+    mu, nu = study_files
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--mu", mu, "--nu", nu, "--frobnicate"])
+    assert exc.value.code == 1
+    assert main(["solve", "--mu", mu, "--nu", nu,
+                 "--out", str(tmp_path / "run")]) == 0
 
 
 def test_missing_required_flag_exits_one(capsys):

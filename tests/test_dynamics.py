@@ -171,6 +171,20 @@ def test_bridge_and_euler_agree_in_law():
     assert ks_distance(a.X[:, mid, 0], b.X[:, mid, 0]) < 0.04
 
 
+@pytest.mark.parametrize("fiber", [FiberModel.gaussian([0.5], [[2.0]]),
+                                   bernoulli_fiber()],
+                         ids=["gaussian", "bernoulli"])
+def test_euler_terminal_is_the_euler_endpoint(fiber):
+    # the Euler paths never read the bridge's terminal draw
+    ens = simulate_follmer_martingale(fiber, grid=np.linspace(0, 1, 201),
+                                      n_paths=2_000, seed=3, method="euler",
+                                      store_every=50)
+    assert np.array_equal(ens.terminal, ens.X[:, -1])
+    # the endpoints miss the atoms, so only the mean test gates
+    report = law_checks(ens)
+    assert report.passing and report.terminal_binom_min_p is None
+
+
 def test_discrete_volatility_energy_diverges_under_refinement():
     fib = bernoulli_fiber()
     vols = []
@@ -358,7 +372,8 @@ def _reference_simulate(fiber, grid, n_paths, seed, method, store_every):
         else:
             x = x + u * dt + math.sqrt(dt) * noise
     return {"M": np.stack(M, axis=1), "X": np.stack(X, axis=1),
-            "terminal": y, "drift_energy": drift, "vol_energy": vol}
+            "terminal": y if method == "bridge" else x,
+            "drift_energy": drift, "vol_energy": vol}
 
 
 def _four_atom_plane_fiber():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from mbridge import (
     vp_value,
 )
 from mbridge.cli import main
-from conftest import golden_section, study_instance, random_instance, two_by_three_family
+from mbridge.solver import _diagnose
+from conftest import (golden_section, peacock, random_instance,
+                      study_instance, two_by_three_family)
 
 
 def entropy_of(matrix, mu, nu):
@@ -283,6 +286,43 @@ def test_weak_duality_refutes_an_equal_mean_pair_without_an_lp(monkeypatch):
         sinkhorn_msb(mu, nu)
 
 
+def test_peacock_certify_runs_no_lp(tmp_path, monkeypatch):
+    # the solve converges with conditionals at the floor, so it is
+    # diagnosed; on the line the diagnosis reads the potential functions
+    _forbid_lps(monkeypatch)
+    paths = []
+    for name, measure in zip(("mu", "nu"), peacock(50, 0.3)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(measure_to_json(measure)), encoding="utf-8")
+        paths.append(str(path))
+    code = main(["certify", "--mu", paths[0], "--nu", paths[1],
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+
+
+def test_line_diagnosis_scales_to_twenty_thousand_atoms(monkeypatch):
+    # mu atom i splits between nu atoms i and i + 1 (the last wraps to 0),
+    # so the pair is in strict convex order; O(n) to build, no dense array
+    _forbid_lps(monkeypatch)
+    n = 20_000
+    rng = np.random.default_rng(11)
+    y = np.sort(rng.uniform(-2.0, 2.0, n))
+    left, right = rng.uniform(0.1, 1.0, (2, n)) / n
+    nxt = np.roll(np.arange(n), -1)
+    mu_w = left + right
+    x = (left * y + right * y[nxt]) / mu_w
+    nu_w = left + np.roll(right, 1)
+    mu = DiscreteMeasure(x, mu_w / mu_w.sum())
+    nu = DiscreteMeasure(y, nu_w / nu_w.sum())
+    assert mu.n == nu.n == n
+    moved = DiscreteMeasure(x + 0.01, mu.weights)
+    start = time.perf_counter()
+    _diagnose(mu.atoms, nu, mu)
+    with pytest.raises(NotInConvexOrder):
+        _diagnose(moved.atoms, nu, moved)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_binomial_discretization_recovers_the_linear_gaussian_field():
     # binomial approximations of N(0,1) and N(0,3); the fitted field
     # should track the Gaussian closed form h(x) = (var1 - var0)^-1 x
@@ -312,14 +352,6 @@ def test_primal_value_rejects_nothing_but_cross_checks(rng):
     coupling = Coupling(matrix, mu, nu, check=False)
     direct = relative_entropy(coupling, product_coupling(mu, nu))
     assert abs(primal_value(coupling) - direct) < 1e-12
-
-
-def peacock(n, a):
-    """mu uniform on n points of [-1, 1]; nu puts half of each atom at +-a."""
-    x = np.linspace(-1.0, 1.0, n)
-    y = np.concatenate([x - a, x + a])
-    return (DiscreteMeasure(x[:, None], np.full(n, 1.0 / n)),
-            DiscreteMeasure(y[:, None], np.full(2 * n, 0.5 / n)))
 
 
 def reducible_pair():
