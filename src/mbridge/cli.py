@@ -56,26 +56,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """JSON form of the numpy values that ``json`` does not encode itself."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _manifest(args, command, inputs, parameters):
     return {"command": command,
-            "inputs": _jsonable(inputs),
-            "parameters": _jsonable(parameters),
+            "inputs": inputs,
+            "parameters": parameters,
             "seed": getattr(args, "seed", None),
             "version": __version__}
 
@@ -83,7 +76,7 @@ def _manifest(args, command, inputs, parameters):
 def _write_json(outdir, name, doc):
     path = Path(outdir) / name
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(doc), fh, indent=2)
+        json.dump(doc, fh, indent=2, default=_json_default)
         fh.write("\n")
     return path
 
@@ -192,7 +185,7 @@ def cmd_certify(args):
     sp_value, _, (phibar, psi) = classical_sinkhorn_sp(
         base, nu, psi0=report.potentials.psi)
     ss1, ss2 = schroedinger_system_residuals(base, nu, phibar, psi)
-    identity = gaussian_reference_identity_check(report.coupling)
+    payload = _solve_payload(report)
 
     primal, dual = report.primal_value, report.dual_value
     # MCov(base, mu) lies in [mcov, upper], so |P - SP - MCov| is at most
@@ -205,14 +198,14 @@ def cmd_certify(args):
         "duality_gap": abs(primal - dual) <= 1e-8 * (1.0 + abs(primal)),
         "variational_gap": gap <= 1e-7,
         "schroedinger_system": max(ss1, ss2) < 1e-10,
-        "reference_identity": identity < 1e-10,
+        "reference_identity": payload["identity_residual"] < 1e-10,
     }
     doc = {"schema": SCHEMA,
            "manifest": _manifest(args, "certify",
                                  {"mu": args.mu, "nu": args.nu},
                                  {"tol": args.tol, "max_outer": args.max_outer,
                                   "iterations": report.iterations}),
-           **_solve_payload(report),
+           **payload,
            "base_measure": measure_to_json(base),
            "sp_value": sp_value,
            "mcov_value": mcov,

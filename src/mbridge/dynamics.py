@@ -103,6 +103,14 @@ class FiberModel:
         return FiberModel(x=x, delta=delta, sigma_ref=sigma_ref)
 
 
+def _sample_atoms(rng, measure, n):
+    """``n`` atoms of a discrete measure drawn by inverse CDF, one uniform
+    each."""
+    cum = np.cumsum(measure.weights)
+    idx = np.searchsorted(cum, rng.random(n), side="right")
+    return measure.atoms[idx.clip(max=len(cum) - 1)]
+
+
 def _posterior_weights(fiber, t, z, scale=None):
     """Terminal posterior of a discrete fiber, atom-major: shape (k, paths).
 
@@ -319,7 +327,6 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
         prec_inv = np.linalg.inv(fiber.delta)
     else:
         atoms = fiber.measure.atoms
-        cum = np.cumsum(fiber.measure.weights)
         # per-atom outer products a_k a_k', one row per atom
         outer = (atoms[:, :, None] * atoms[:, None, :]).reshape(-1, d * d)
 
@@ -342,7 +349,7 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
             if sig == 1.0:
                 vol_energy[lo:hi] = gauss_vol
         else:
-            y = atoms[np.searchsorted(cum, rng.random(nc), side="right").clip(max=len(cum) - 1)]
+            y = _sample_atoms(rng, fiber.measure, nc)
         # Euler never reads y but draws it all the same, so both methods
         # share one random stream; it reports its own endpoint instead
         if method == "bridge":

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FiberModel, _posterior_weights
+from .dynamics import FiberModel, _posterior_weights, _sample_atoms
 from .errors import StructuralError
-from .solver import SolverConfig, _row_softmax, inner_dual_solve
+from .solver import _row_softmax, inner_dual_solve
 from .stats import ks_distance
 
 
@@ -40,11 +40,8 @@ def simulate_observations(fiber, s_grid, n_paths=1000, seed=42):
     if s_grid.size > 1 and np.any(np.diff(s_grid) <= 0.0):
         raise StructuralError("s_grid must be strictly increasing")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    atoms = fiber.measure.atoms
-    cum = np.cumsum(fiber.measure.weights)
     d = fiber.dim
-    y = atoms[np.searchsorted(cum, rng.random(n_paths),
-                              side="right").clip(max=len(cum) - 1)]
+    y = _sample_atoms(rng, fiber.measure, n_paths)
     r = np.zeros((n_paths, s_grid.size, d))
     prev_s = 0.0
     prev_r = np.zeros((n_paths, d))
@@ -119,13 +116,11 @@ def sigma_invariance_test(fiber, s=1.0, sigmas=(0.5, 1.0, 2.0),
     if fiber.kind != "discrete":
         raise StructuralError("the invariance test needs a discrete fiber")
     atoms = fiber.measure.atoms
-    cum = np.cumsum(fiber.measure.weights)
     samples = {}
     for j, sig in enumerate(sigmas):
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(j + 1))
         tau = info_time_change(s, sig)
-        y = atoms[np.searchsorted(cum, rng.random(n_samples),
-                                  side="right").clip(max=len(cum) - 1)]
+        y = _sample_atoms(rng, fiber.measure, n_samples)
         noise = rng.standard_normal((n_samples, 1))
         x_tau = (fiber.x + tau * (y - fiber.x)
                  + sig * math.sqrt(tau * (1.0 - tau)) * noise)
@@ -219,7 +214,7 @@ class RestartReport:
     max_weight_dev: float
 
 
-def restart_posterior(nu, psi, h, x, s, r, config=None):
+def restart_posterior(nu, psi, h, x, s, r):
     """Filter posterior as a fresh tilted fiber, with a dual cross-check.
 
     A fiber conditional with potentials (psi, h) observed up to time s at
@@ -243,8 +238,7 @@ def restart_posterior(nu, psi, h, x, s, r, config=None):
     w = w[0]
     bary = w @ atoms
 
-    cfg = config if config is not None else SolverConfig()
-    h_rec, _, w_rec = inner_dual_solve(bary, tilted, nu, cfg, h0=eta)
+    h_rec, _, w_rec = inner_dual_solve(bary, tilted, nu, h0=eta)
     return RestartReport(eta=eta, weights=w, barycenter=bary,
                          recovered_h=h_rec, recovered_weights=w_rec,
                          max_weight_dev=float(np.max(np.abs(w - w_rec))))

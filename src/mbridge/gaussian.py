@@ -29,7 +29,7 @@ from .errors import NotInConvexOrder, StructuralError
 MAX_DIMENSION = 512
 
 
-def _as_spd(mat, name, tol_scale=1e-12):
+def _as_spd(mat, name):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim == 0:
         mat = mat.reshape(1, 1)
@@ -42,7 +42,7 @@ def _as_spd(mat, name, tol_scale=1e-12):
         raise StructuralError(f"{name} must be symmetric")
     mat = 0.5 * (mat + mat.T)
     w = np.linalg.eigvalsh(mat)
-    if w[0] <= tol_scale * max(w[-1], 0.0) or w[0] <= 0.0:
+    if w[0] <= 1e-12 * max(w[-1], 0.0) or w[0] <= 0.0:
         raise StructuralError(f"{name} must be positive definite")
     return mat
 
@@ -132,7 +132,7 @@ def _eigen(delta):
     return lam, u
 
 
-def weighted_energy_quadrature(delta, epsabs=1e-12, epsrel=1e-12):
+def weighted_energy_quadrature(delta):
     """Numerically integrate 0.5 int_0^1 |sigma_t - I|_HS^2 / (1-t) dt.
 
     Per eigenvalue lam of D the integrand reduces to
@@ -147,7 +147,7 @@ def weighted_energy_quadrature(delta, epsabs=1e-12, epsrel=1e-12):
         def integrand(t, ev=ev):
             return (ev - 1.0) ** 2 * (1.0 - t) / ((1.0 - t) + t * ev) ** 2
 
-        val, err = quad(integrand, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel,
+        val, err = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
                         limit=200)
         total += val
         worst = max(worst, err)

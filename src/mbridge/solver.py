@@ -63,10 +63,13 @@ from scipy.optimize import linprog
 from .errors import (DegenerateFiber, DualDivergence, NotConverged,
                      NotInConvexOrder, NotIrreducible, StructuralError)
 from .measures import (Coupling, DiscreteMeasure, check_convex_order,
-                       coupling_constraints, mcov_discrete, merge_close_atoms,
-                       product_coupling, relative_entropy)
+                       coupling_constraints, mcov_discrete, product_coupling,
+                       relative_entropy)
 
 HESSIAN_CONDITION_CAP = 1e14
+# a fiber whose |h| exceeds this bound is diverging toward the boundary of
+# conv(supp nu)
+H_DIVERGENCE_BOUND = 1e6
 # A fiber on the boundary of conv(supp nu) meets the 1e-12 inner Newton
 # tolerance only with off-face mass near 1e-12 / (distance to the face), far
 # below this floor; conditionals of pairs in strict convex order sit far above.
@@ -88,7 +91,7 @@ _FAILURES = (NotIrreducible, DualDivergence, DegenerateFiber, NotConverged)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule and safeguards of the psi-dual Newton solver.
+    """Stopping rule and iteration cap of the psi-dual Newton solver.
 
     A solve converges once both the L1 marginal defect and the largest
     conditional drift fall below ``tolerance``.
@@ -96,13 +99,10 @@ class SolverConfig:
 
     tolerance: float = 1e-10
     max_outer_iterations: int = 10_000
-    h_divergence_bound: float = 1e6
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
             raise StructuralError("tolerance must be positive")
-        if self.h_divergence_bound <= 1.0:
-            raise StructuralError("divergence bound must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,7 @@ def _row_softmax(logits):
     return lse, np.exp(logits - lse[:, None])
 
 
-def _fiber_newton(geom, x_red, psi, config, z0=None):
+def _fiber_newton(geom, x_red, psi, z0=None):
     """Batched damped Newton for the inner duals over one nu.
 
     Maximizes g(z) = <z, x> - log sum_j nu_j exp(psi_j + <z, y_j>) in reduced
@@ -377,11 +377,11 @@ def _fiber_newton(geom, x_red, psi, config, z0=None):
         z[idx] = z_new
 
         hn = np.linalg.norm(z[idx], axis=1)
-        if np.any(hn > config.h_divergence_bound):
+        if np.any(hn > H_DIVERGENCE_BOUND):
             fiber = int(idx[np.argmax(hn)])
             raise DualDivergence(
                 f"fiber {fiber}: |h| exceeded divergence bound "
-                f"{config.h_divergence_bound:.0e}")
+                f"{H_DIVERGENCE_BOUND:.0e}")
 
         val, grad, cond, bary = value_grad(z, x_red)
         grad_norm = np.linalg.norm(grad, axis=1)
@@ -394,7 +394,7 @@ def _fiber_newton(geom, x_red, psi, config, z0=None):
     return z, val, cond
 
 
-def inner_dual_solve(x, psi, nu, config=None, h0=None):
+def inner_dual_solve(x, psi, nu, h0=None):
     """Solve sup_h <h, x> - log sum_j nu_j exp(psi_j + <h, y_j>).
 
     Returns (h, phi_x, conditional) where phi_x is the supremum value and the
@@ -404,7 +404,6 @@ def inner_dual_solve(x, psi, nu, config=None, h0=None):
     or more) runs only when Newton fails or leaves a conditional at
     ``CONDITIONAL_FLOOR``.
     """
-    config = config or SolverConfig()
     nu_ = nu if isinstance(nu, DiscreteMeasure) else DiscreteMeasure(*nu)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != nu_.dim:
@@ -417,7 +416,7 @@ def inner_dual_solve(x, psi, nu, config=None, h0=None):
     z0 = None if h0 is None else (np.asarray(h0, float).reshape(1, -1)
                                   @ geom.basis)
     try:
-        z, phi, cond = _fiber_newton(geom, x_red, psi, config, z0=z0)
+        z, phi, cond = _fiber_newton(geom, x_red, psi, z0=z0)
     except _FAILURES:
         _diagnose(x[None, :], nu_)
         raise
@@ -426,31 +425,18 @@ def inner_dual_solve(x, psi, nu, config=None, h0=None):
     return geom.embed(z)[0], float(phi[0]), cond[0]
 
 
-def primal_value(coupling, mu=None, nu=None):
-    """H(m | mu x nu), cross-checked against sum_x mu_x H(m_x | nu)."""
-    mu = mu or coupling.mu
-    nu = nu or coupling.nu
-    direct = relative_entropy(coupling, product_coupling(mu, nu))
-    cond = coupling.matrix / coupling.matrix.sum(axis=1, keepdims=True)
-    mask = cond > 0.0
-    ratios = np.zeros_like(cond)
-    ratios[mask] = cond[mask] * np.log(cond[mask]
-                                       / np.broadcast_to(nu.weights,
-                                                         cond.shape)[mask])
-    fiberwise = float(mu.weights @ ratios.sum(axis=1))
-    if not math.isinf(direct) and abs(direct - fiberwise) > 1e-12 * (1 + abs(direct)):
-        raise StructuralError(
-            f"entropy decompositions disagree: {direct!r} vs {fiberwise!r}")
-    return direct
+def primal_value(coupling):
+    """H(m | mu x nu)."""
+    return relative_entropy(coupling,
+                            product_coupling(coupling.mu, coupling.nu))
 
 
-def dual_value(psi, mu, nu, config=None):
+def dual_value(psi, mu, nu):
     """sum_j nu_j psi_j + sum_i mu_i sup_h [<h, x_i> - log sum_j nu_j e^{psi_j + <h, y_j>}]."""
-    config = config or SolverConfig()
     psi = np.asarray(psi, dtype=float).ravel()
     geom = _FiberGeometry(nu)
     x_red = geom.reduce_points(mu.atoms)
-    _, phi, _ = _fiber_newton(geom, x_red, psi, config)
+    _, phi, _ = _fiber_newton(geom, x_red, psi)
     return float(nu.weights @ psi + mu.weights @ phi)
 
 
@@ -621,7 +607,7 @@ def _fixed_point(mu, nu, config):
     y_diff = nu.atoms[None, :, :] - mu.atoms[:, None, :]  # (n, m, d)
 
     def fibers(psi, z):
-        z, phi, cond = _fiber_newton(geom, x_red, psi, config, z0=z)
+        z, phi, cond = _fiber_newton(geom, x_red, psi, z0=z)
         curvature = (lambda: _h_block_rows(mu.weights, cond, geom.y_red)) \
             if geom.rank else None
         return phi, cond, z, curvature
@@ -647,7 +633,7 @@ def _fixed_point(mu, nu, config):
     triple = gauge_normalize(PotentialTriple(point.phi, point.psi, h), mu, nu)
     coupling = Coupling(matrix, mu, nu, check=converged)
 
-    p_val = primal_value(coupling, mu, nu)
+    p_val = primal_value(coupling)
     d_val = float(dual_trace[-1])
     if converged and abs(p_val - d_val) > 1e-8 * (1.0 + abs(p_val)):
         converged = False
@@ -729,25 +715,26 @@ def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, psi0=None):
 def schroedinger_system_residuals(mu_bar, nu, phibar, psi):
     """Max absolute defect of the two Schroedinger system equations."""
     k = mu_bar.atoms @ nu.atoms.T
-    expo = phibar[:, None] + psi[None, :] + k
-    first = np.abs(np.exp(expo) @ nu.weights - 1.0).max()
-    second = np.abs(mu_bar.weights @ np.exp(expo) - 1.0).max()
+    gibbs = np.exp(phibar[:, None] + psi[None, :] + k)
+    first = np.abs(gibbs @ nu.weights - 1.0).max()
+    second = np.abs(mu_bar.weights @ gibbs - 1.0).max()
     return float(first), float(second)
 
 
-def extract_base_measure(report, mu=None):
+def extract_base_measure(report):
     """Push mu forward through the fitted field h: atoms h(x_i), weights mu_i.
 
-    Coincident images (within 1e-12) are merged with a warning since the
-    fitted h is then non-injective on the support of mu.
+    Coincident images (within 1e-12) are merged by the ``DiscreteMeasure``
+    constructor, with a warning, since the fitted h is then non-injective on
+    the support of mu.
     """
-    mu = mu or report.coupling.mu
-    atoms, weights, merged = merge_close_atoms(report.potentials.h, mu.weights)
-    if merged:
+    mu = report.coupling.mu
+    base = DiscreteMeasure(report.potentials.h, mu.weights)
+    if base.n < mu.n:
         warnings.warn("fitted h is non-injective on supp(mu); "
                       "merged coincident base atoms", RuntimeWarning,
                       stacklevel=2)
-    return DiscreteMeasure(atoms, weights)
+    return base
 
 
 def vp_value(mu_bar, mu, nu):

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import (InfeasibleParameters, NotConverged, NotInConvexOrder,
                      StructuralError)
-from .measures import DiscreteMeasure
+from .measures import (Coupling, DiscreteMeasure, product_coupling,
+                       relative_entropy)
 from .solver import SolverConfig, sinkhorn_msb
 from .stats import norm_pdf, norm_ppf
 
@@ -195,14 +196,6 @@ def _interior(instance, u, v):
                for normal, bound, _ in instance.constraints())
 
 
-def _entropy_value(instance, u, v):
-    """H(pi(u, v) | mu x nu)."""
-    m = parametrize_coupling(instance, u, v)
-    ref = np.outer(instance.mu.weights, instance.nu.weights)
-    mask = m > 0.0
-    return float(np.sum(m[mask] * np.log(m[mask] / ref[mask])))
-
-
 def _damped_newton_2d(x0, grad_hess, objective, feasible):
     """Minimize a smooth strictly convex function of two variables.
 
@@ -253,16 +246,22 @@ def entropy_minimize(instance):
     not converge.
     """
     u, v = instance.entropy_uv
-    return _solution(instance, u, v, _entropy_value, entropy_system_residual)
+    return _solution(
+        instance, u, v,
+        lambda inst, m: relative_entropy(Coupling(m, inst.mu, inst.nu,
+                                                  check=False),
+                                         product_coupling(inst.mu, inst.nu)),
+        entropy_system_residual)
 
 
 def _solution(instance, u, v, objective, residual):
-    """Package an optimizer of S with its value and system residual."""
+    """Package an optimizer of S with its value (``objective`` of the
+    instance and the coupling matrix) and system residual."""
     matrix = parametrize_coupling(instance, u, v)
     boundary = tuple(f"pi[{i},{j}]" for i in range(3) for j in range(3)
                      if matrix[i, j] < 1e-11)
     return ThreePointSolution(u=float(u), v=float(v), matrix=matrix,
-                              value=objective(instance, u, v),
+                              value=objective(instance, matrix),
                               system_residual=residual(instance, u, v),
                               boundary_entries=boundary)
 
@@ -301,9 +300,9 @@ def w2_to_standard_gaussian(measure):
     return m2 + 1.0 - 2.0 * cross
 
 
-def _bass_objective(instance, u, v):
-    """Averaged squared distance of the conditionals to the standard Gaussian."""
-    m = parametrize_coupling(instance, u, v)
+def _bass_objective(instance, m):
+    """Averaged squared distance of the conditionals of the coupling matrix
+    ``m`` to the standard Gaussian."""
     mu_w = instance.mu.weights
     atoms = np.asarray(NU_ATOMS)
     return float(sum(mu_w[i] * w2_to_standard_gaussian((atoms, m[i] / mu_w[i]))
@@ -326,7 +325,8 @@ def bass_minimize(instance):
 
     u, v = _damped_newton_2d(
         instance.entropy_uv, grad_hess,
-        lambda a, b: _bass_objective(instance, a, b),
+        lambda a, b: _bass_objective(instance,
+                                     parametrize_coupling(instance, a, b)),
         lambda a, b: _interior(instance, a, b))
     return _solution(instance, u, v, _bass_objective, bass_system_residual)
 

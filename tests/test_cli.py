@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbridge import DegenerateFiber, DiscreteMeasure, measure_to_json
+from mbridge import DegenerateFiber, DiscreteMeasure, cli, measure_to_json
 from mbridge.cli import build_parser, main
 from conftest import random_instance
 
@@ -160,6 +160,25 @@ def test_certify_runs_no_linear_program(tmp_path, monkeypatch):
     report = json.loads((out / "certify_report.json").read_text())
     assert report["all_pass"] is True and report["converged"] is True
     assert len(report["base_measure"]["atoms"][0]) == 2
+
+
+def test_certify_evaluates_the_reference_identity_once(tmp_path,
+                                                      monkeypatch,
+                                                      study_files):
+    calls = []
+    check = cli.gaussian_reference_identity_check
+
+    def counting_check(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gaussian_reference_identity_check",
+                        counting_check)
+    mu, nu = study_files
+    code = main(["certify", "--mu", mu, "--nu", nu,
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_unknown_flag_exits_one(study_files, capsys):

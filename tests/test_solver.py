@@ -94,13 +94,12 @@ def test_inner_dual_rejects_boundary_and_off_hull_points():
         inner_dual_solve(np.array([0.0, 0.5]), psi, nu2)
 
 
-def test_inner_dual_divergence_guard_trips_near_the_boundary():
+def test_inner_dual_divergence_guard_trips_near_the_boundary(monkeypatch):
     nu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
-    config = SolverConfig(h_divergence_bound=5.0)
-    # optimal h = atanh(0.99999) ~ 6.1 exceeds the configured bound
+    monkeypatch.setattr("mbridge.solver.H_DIVERGENCE_BOUND", 5.0)
+    # optimal h = atanh(0.99999) ~ 6.1 exceeds the lowered bound
     with pytest.raises(DualDivergence):
-        inner_dual_solve(np.array([0.99999]), np.zeros(2), nu,
-                         config=config)
+        inner_dual_solve(np.array([0.99999]), np.zeros(2), nu)
 
 
 def test_golden_section_oracle_matches_solver_on_the_one_parameter_family():
@@ -249,6 +248,22 @@ def test_extract_base_measure_is_symmetric_on_the_symmetric_instance():
     assert abs(mu_bar.atoms[0, 0] + mu_bar.atoms[1, 0]) < 1e-9
 
 
+def test_extract_base_measure_merges_coincident_images_with_a_warning():
+    mu, nu = study_instance()
+    report = sinkhorn_msb(mu, nu)
+    pot = report.potentials
+    h = pot.h.copy()
+    h[2] = h[0] + 1e-13
+    collapsed = dataclasses.replace(
+        report, potentials=PotentialTriple(pot.phi, pot.psi, h))
+    with pytest.warns(RuntimeWarning, match="non-injective"):
+        base = extract_base_measure(collapsed)
+    assert base.n == 2
+    assert np.array_equal(base.atoms, h[:2])
+    assert np.allclose(base.weights, [mu.weights[0] + mu.weights[2],
+                                      mu.weights[1]], rtol=0, atol=1e-15)
+
+
 def test_infeasible_and_boundary_instances_raise():
     mu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
     nu = DiscreteMeasure([[0.0]], [1.0])
@@ -343,8 +358,6 @@ def test_binomial_discretization_recovers_the_linear_gaussian_field():
 def test_solver_config_validation():
     with pytest.raises(StructuralError):
         SolverConfig(tolerance=0.0)
-    with pytest.raises(StructuralError):
-        SolverConfig(h_divergence_bound=0.5)
 
 
 def test_primal_value_rejects_nothing_but_cross_checks(rng):
