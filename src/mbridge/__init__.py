@@ -24,12 +24,12 @@ from .measures import (Coupling, DiscreteMeasure, GaussianSpec,
                        barycenter_and_moments, check_convex_order,
                        gaussian_reference_identity_check, load_measure,
                        martingale_residual, mcov_discrete, measure_from_json,
-                       measure_to_json, merge_close_atoms, product_coupling,
-                       relative_entropy, save_measure)
+                       measure_to_json, merge_close_atoms, primal_value,
+                       product_coupling, relative_entropy, save_measure)
 from .solver import (PotentialTriple, SolveReport, SolverConfig,
                      classical_sinkhorn_sp, dual_value, extract_base_measure,
                      gauge_normalize, gibbs_coupling, inner_dual_solve,
-                     mcov_bounds, primal_value, schroedinger_system_residuals,
+                     mcov_bounds, schroedinger_system_residuals,
                      sinkhorn_msb, vp_value)
 from .stats import ks_distance, norm_cdf, norm_pdf, norm_ppf
 from .threepoint import (ThreePointInstance, ThreePointSolution, bass_minimize,

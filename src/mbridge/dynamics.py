@@ -25,7 +25,9 @@ Layout of the step kernels: the posterior is atom-major, shape (k, paths),
 and the path state, drift and mean are coordinate-major, shape (d, paths),
 so every reduction (softmax, moments, energies) runs over a short leading
 axis while the elementwise work runs along the long contiguous paths axis;
-temporaries are updated in place. The noise is drawn path-major,
+temporaries are updated in place. The softmax is ``measures._softmax``, the
+normalizer of the solver's conditionals, and a Gaussian fiber's covariance
+passes the one SPD check of ``measures``. The noise is drawn path-major,
 (paths, d), which fixes the order of the random stream. With this layout
 the kernels are bound by the normal draws, and the Wonham Euler loop of
 ``filtering`` almost entirely so: Philox ``standard_normal`` takes about 16
@@ -41,7 +43,8 @@ import numpy as np
 from scipy.special import bdtr, bdtrc
 
 from .errors import StructuralError, TerminalAmbiguity
-from .measures import DiscreteMeasure, barycenter_and_moments
+from .measures import (DiscreteMeasure, _softmax, _spd_matrix,
+                       barycenter_and_moments)
 
 TIME_CLIP = 1.0 - 1e-6
 TERMINAL_ATOL = 1e-9
@@ -74,16 +77,9 @@ class FiberModel:
                 raise StructuralError(
                     "terminal law barycenter must equal the start point")
         else:
-            delta = np.asarray(self.delta, dtype=float)
-            if delta.ndim == 0:
-                delta = delta.reshape(1, 1)
-            if delta.shape != (x.shape[0], x.shape[0]):
+            delta = _spd_matrix(self.delta, "delta")
+            if delta.shape[0] != x.shape[0]:
                 raise StructuralError("delta must be d x d")
-            if np.max(np.abs(delta - delta.T)) > 1e-12 * max(1.0, np.abs(delta).max()):
-                raise StructuralError("delta must be symmetric")
-            delta = 0.5 * (delta + delta.T)
-            if np.linalg.eigvalsh(delta)[0] <= 0.0:
-                raise StructuralError("delta must be positive definite")
             object.__setattr__(self, "delta", delta)
 
     @property
@@ -127,9 +123,7 @@ def _posterior_weights(fiber, t, z, scale=None):
     q -= (0.5 * t * sq)[:, None]
     q /= scale
     q += np.log(fiber.measure.weights)[:, None]
-    q -= q.max(axis=0)
-    np.exp(q, out=q)
-    q /= q.sum(axis=0)
+    _softmax(q, axis=0)
     return q
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .dynamics import FiberModel, _posterior_weights, _sample_atoms
 from .errors import StructuralError
-from .solver import _row_softmax, inner_dual_solve
+from .measures import _softmax
+from .solver import inner_dual_solve
 from .stats import ks_distance
 
 
@@ -234,8 +235,8 @@ def restart_posterior(nu, psi, h, x, s, r):
     atoms = nu.atoms
     eta = h + r + s * x
     tilted = psi - 0.5 * s * np.sum(atoms ** 2, axis=1)
-    _, w = _row_softmax((np.log(nu.weights) + tilted + atoms @ eta)[None, :])
-    w = w[0]
+    w = np.log(nu.weights) + tilted + atoms @ eta
+    _softmax(w, axis=0)
     bary = w @ atoms
 
     h_rec, _, w_rec = inner_dual_solve(bary, tilted, nu, h0=eta)

@@ -25,26 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import NotInConvexOrder, StructuralError
-
-MAX_DIMENSION = 512
-
-
-def _as_spd(mat, name):
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim == 0:
-        mat = mat.reshape(1, 1)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise StructuralError(f"{name} must be a square matrix")
-    if mat.shape[0] > MAX_DIMENSION:
-        raise StructuralError(f"{name} exceeds the supported dimension cap")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
-        raise StructuralError(f"{name} must be symmetric")
-    mat = 0.5 * (mat + mat.T)
-    w = np.linalg.eigvalsh(mat)
-    if w[0] <= 1e-12 * max(w[-1], 0.0) or w[0] <= 0.0:
-        raise StructuralError(f"{name} must be positive definite")
-    return mat
+from .measures import _spd_matrix
 
 
 @dataclass(frozen=True)
@@ -77,8 +58,8 @@ def gaussian_msb_closed_form(sigma0, sigma1, mean0=None, mean1=None):
     Means, when given, must coincide; the potentials are reported for the
     centered pair and all covariances are translation invariant.
     """
-    s0 = _as_spd(sigma0, "sigma0")
-    s1 = _as_spd(sigma1, "sigma1")
+    s0 = _spd_matrix(sigma0, "sigma0")
+    s1 = _spd_matrix(sigma1, "sigma1")
     if s0.shape != s1.shape:
         raise StructuralError("sigma0 and sigma1 have different shapes")
     d = s0.shape[0]
@@ -89,17 +70,16 @@ def gaussian_msb_closed_form(sigma0, sigma1, mean0=None, mean1=None):
     if np.max(np.abs(b0 - b1)) > 1e-12 * max(1.0, float(np.abs(b0).max(initial=0.0))):
         raise NotInConvexOrder("marginal means differ; no martingale coupling")
 
-    delta = s1 - s0
-    w = np.linalg.eigvalsh(delta)
-    if w[0] <= 1e-12 * max(w[-1], 0.0) or w[0] <= 0.0:
+    try:
+        delta = _spd_matrix(s1 - s0, "sigma1 - sigma0")
+    except StructuralError as exc:
         raise NotInConvexOrder(
-            "sigma1 - sigma0 is not positive definite; the Gaussian closed "
-            "form needs strict convex order")
+            f"{exc}; the Gaussian closed form needs strict convex order") \
+            from exc
 
     delta_inv = np.linalg.inv(delta)
-    sign1, logdet_s1 = np.linalg.slogdet(s1)
-    sign_d, logdet_d = np.linalg.slogdet(delta)
-    assert sign1 > 0 and sign_d > 0
+    _, logdet_s1 = np.linalg.slogdet(s1)
+    _, logdet_d = np.linalg.slogdet(delta)
     entropy = 0.5 * (logdet_s1 - logdet_d)
 
     joint = np.block([[s0, s0], [s0, s1]])
@@ -118,7 +98,7 @@ def gaussian_msb_closed_form(sigma0, sigma1, mean0=None, mean1=None):
 def follmer_volatility_gaussian(delta, t):
     """Volatility matrix sigma_t = D ((1-t) I + t D)^{-1} of the Gaussian
     martingale bridge; at t=0 equal to D, at t=1 the identity."""
-    delta = _as_spd(delta, "delta")
+    delta = _spd_matrix(delta, "delta")
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise StructuralError("t must lie in [0, 1]")
@@ -127,7 +107,7 @@ def follmer_volatility_gaussian(delta, t):
 
 
 def _eigen(delta):
-    delta = _as_spd(delta, "delta")
+    delta = _spd_matrix(delta, "delta")
     lam, u = np.linalg.eigh(delta)
     return lam, u
 
@@ -159,7 +139,7 @@ def weighted_energy_quadrature(delta):
 
 def gaussian_energy_closed_form(delta):
     """0.5 (tr D - d - log det D), the weighted volatility energy."""
-    delta = _as_spd(delta, "delta")
+    delta = _spd_matrix(delta, "delta")
     _, logdet = np.linalg.slogdet(delta)
     return float(0.5 * (np.trace(delta) - delta.shape[0] - logdet))
 

@@ -2,10 +2,14 @@
 
 Summary of what lives here:
 
-* ``DiscreteMeasure`` and ``GaussianSpec``: validated marginal types.
+* ``DiscreteMeasure`` and ``GaussianSpec``: validated marginal types. The
+  one check of a covariance matrix, ``_spd_matrix``, also serves the
+  Gaussian closed forms and the Gaussian fibers of the simulator.
 * ``Coupling``: a joint matrix tied to its two marginals.
 * ``relative_entropy``: H(p|q) with a +inf sentinel when p is not
-  absolutely continuous with respect to q.
+  absolutely continuous with respect to q; ``primal_value`` is H(m|mu x nu).
+* ``_softmax``: the one in-place Gibbs normalizer, shared by the solver's
+  conditionals, the simulator's posterior and the filter.
 * ``check_convex_order``: LP feasibility of a martingale coupling,
   returning a witness when one exists.
 * ``mcov_discrete``: maximal covariance between two discrete measures
@@ -16,8 +20,8 @@ Summary of what lives here:
   evaluated in its cancelled form, with no logarithm of m: a marginal defect
   plus a weighted martingale residual.
 
-All arrays are float64 and frozen after validation; operations never mutate
-their inputs.
+All arrays are float64 and frozen after validation; the public operations
+never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .errors import StructuralError
 
 ATOM_MERGE_TOL = 1e-12
 MARGINAL_ATOL = 1e-10
+MAX_DIMENSION = 512
 # HiGHS rejects feasibility tolerances below 1e-10
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-9}
@@ -55,6 +60,44 @@ def _as_atoms(atoms):
     if not np.all(np.isfinite(arr)):
         raise StructuralError("atoms must be finite")
     return arr
+
+
+def _spd_matrix(value, name):
+    """``value`` as a symmetric positive definite matrix; StructuralError if
+    it is not numeric, square, finite and symmetric (within 1e-12 of its
+    scale, then symmetrized), at most ``MAX_DIMENSION`` wide, with every
+    eigenvalue above 1e-12 times the largest. A scalar is a 1 x 1 matrix."""
+    mat = _float_array(value, name)
+    if mat.ndim == 0:
+        mat = mat.reshape(1, 1)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise StructuralError(f"{name} must be a square matrix")
+    if mat.shape[0] > MAX_DIMENSION:
+        raise StructuralError(f"{name} exceeds the supported dimension cap")
+    if not np.all(np.isfinite(mat)):
+        raise StructuralError(f"{name} must be finite")
+    if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
+        raise StructuralError(f"{name} must be symmetric")
+    mat = 0.5 * (mat + mat.T)
+    w = np.linalg.eigvalsh(mat)
+    if w[0] <= 1e-12 * w[-1]:
+        raise StructuralError(f"{name} must be positive definite")
+    return mat
+
+
+def _softmax(logits, axis):
+    """Normalize exp(logits) along ``axis`` in place; return (top, total).
+
+    Shifts by the maximum, takes one exp per entry and divides once. Both
+    returned arrays keep ``axis`` with length one; the log-sum-exp of the
+    input is top + log(total). A -inf entry comes out as an exact 0.
+    """
+    top = logits.max(axis=axis, keepdims=True)
+    logits -= top
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=axis, keepdims=True)
+    logits /= total
+    return top, total
 
 
 def merge_close_atoms(atoms, weights):
@@ -143,21 +186,11 @@ class GaussianSpec:
 
     def __init__(self, mean, covariance):
         mean = _float_array(mean, "mean").ravel()
-        cov = _float_array(covariance, "covariance")
-        if cov.ndim == 0:
-            cov = cov.reshape(1, 1)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise StructuralError("covariance must be a square matrix")
+        cov = _spd_matrix(covariance, "covariance")
         if cov.shape[0] != mean.shape[0]:
             raise StructuralError("mean and covariance dimensions differ")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise StructuralError("Gaussian parameters must be finite")
-        if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, np.max(np.abs(cov))):
-            raise StructuralError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        w = np.linalg.eigvalsh(cov)
-        if w[0] <= 0.0:
-            raise StructuralError("covariance must be positive definite")
+        if not np.all(np.isfinite(mean)):
+            raise StructuralError("Gaussian mean must be finite")
         self.mean = mean
         self.covariance = cov
         for arr in (self.mean, self.covariance):
@@ -251,6 +284,12 @@ def relative_entropy(p, q):
     if np.any(qw[mask] <= 0.0):
         return math.inf
     return float(np.sum(pw[mask] * np.log(pw[mask] / qw[mask])))
+
+
+def primal_value(coupling):
+    """H(m | mu x nu)."""
+    return relative_entropy(coupling,
+                            product_coupling(coupling.mu, coupling.nu))
 
 
 def barycenter_and_moments(p):
@@ -388,12 +427,11 @@ def gaussian_reference_identity_check(m):
 def measure_to_json(measure):
     if isinstance(measure, DiscreteMeasure):
         return {"dimension": measure.dim,
-                "atoms": [list(map(float, a)) for a in measure.atoms],
-                "weights": [float(w) for w in measure.weights]}
+                "atoms": measure.atoms.tolist(),
+                "weights": measure.weights.tolist()}
     if isinstance(measure, GaussianSpec):
-        return {"gaussian": {"mean": [float(v) for v in measure.mean],
-                             "covariance": [list(map(float, row))
-                                            for row in measure.covariance]}}
+        return {"gaussian": {"mean": measure.mean.tolist(),
+                             "covariance": measure.covariance.tolist()}}
     raise StructuralError("unsupported measure type")
 
 

@@ -13,7 +13,7 @@ Eliminating the fiber potentials leaves one concave dual in psi alone,
 whose gradient is nu - cols, the defect of the column sums. Each phi_i and
 its maximizer h_i come from a batched damped Newton solve per mu atom
 (``_fiber_newton``), which makes the row mass and the conditional barycenter
-exact. The psi dual is climbed by one safeguarded Newton kernel,
+exact; every conditional is normalized by ``measures._softmax``. The psi dual is climbed by one safeguarded Newton kernel,
 ``_psi_newton``: the negative Hessian is diag(cols) - sum_i mu_i c_i c_i'
 minus the curvature of the eliminated h block, made solvable by adding the
 nu-weighted affine gauge, and the step is damped by an Armijo line search
@@ -62,9 +62,8 @@ from scipy.optimize import linprog
 
 from .errors import (DegenerateFiber, DualDivergence, NotConverged,
                      NotInConvexOrder, NotIrreducible, StructuralError)
-from .measures import (Coupling, DiscreteMeasure, check_convex_order,
-                       coupling_constraints, mcov_discrete, product_coupling,
-                       relative_entropy)
+from .measures import (Coupling, DiscreteMeasure, _softmax, check_convex_order,
+                       coupling_constraints, mcov_discrete, primal_value)
 
 HESSIAN_CONDITION_CAP = 1e14
 # a fiber whose |h| exceeds this bound is diverging toward the boundary of
@@ -307,14 +306,6 @@ class _FiberGeometry:
         return z @ self.basis.T
 
 
-def _row_softmax(logits):
-    """Row-wise log-sum-exp of an (n, m) array and the row-normalized
-    exponentials, both shifted by the row maximum."""
-    top = logits.max(axis=1, keepdims=True)
-    lse = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
-    return lse, np.exp(logits - lse[:, None])
-
-
 def _fiber_newton(geom, x_red, psi, z0=None):
     """Batched damped Newton for the inner duals over one nu.
 
@@ -329,8 +320,9 @@ def _fiber_newton(geom, x_red, psi, z0=None):
     z = np.zeros((n, r)) if z0 is None else np.array(z0, dtype=float)
 
     def value_grad(zc, xs):
-        lse, cond = _row_softmax(base[None, :] + zc @ yr.T)
-        val = np.einsum("nr,nr->n", zc, xs) - lse
+        cond = base[None, :] + zc @ yr.T
+        top, total = _softmax(cond, axis=1)
+        val = np.einsum("nr,nr->n", zc, xs) - (top + np.log(total))[:, 0]
         bary = cond @ yr
         return val, xs - bary, cond, bary
 
@@ -423,12 +415,6 @@ def inner_dual_solve(x, psi, nu, h0=None):
     if cond.min() <= CONDITIONAL_FLOOR:
         _diagnose(x[None, :], nu_)
     return geom.embed(z)[0], float(phi[0]), cond[0]
-
-
-def primal_value(coupling):
-    """H(m | mu x nu)."""
-    return relative_entropy(coupling,
-                            product_coupling(coupling.mu, coupling.nu))
 
 
 def dual_value(psi, mu, nu):
@@ -604,7 +590,6 @@ def _fixed_point(mu, nu, config):
     bound = min(float(-(w @ np.log(w))) for w in (mu.weights, nu.weights))
     geom = _FiberGeometry(nu)
     x_red = geom.reduce_points(mu.atoms)
-    y_diff = nu.atoms[None, :, :] - mu.atoms[:, None, :]  # (n, m, d)
 
     def fibers(psi, z):
         z, phi, cond = _fiber_newton(geom, x_red, psi, z0=z)
@@ -613,7 +598,7 @@ def _fixed_point(mu, nu, config):
         return phi, cond, z, curvature
 
     def residuals(cols, cond):
-        drift = np.einsum("nm,nmd->nd", cond, y_diff)
+        drift = cond @ nu.atoms - mu.atoms
         return (float(np.abs(cols - nu.weights).sum()),
                 float(np.max(np.linalg.norm(drift, axis=1))))
 
@@ -679,12 +664,12 @@ def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, psi0=None):
     if tolerance is None:
         tolerance = max(1e-13, 4.0 * np.finfo(float).eps
                         * max(1.0, float(np.abs(k).max())))
-    log_mu = np.log(mu_bar.weights)
     log_nu = np.log(nu.weights)
 
     def fibers(psi, prev):
-        lse, cond = _row_softmax(log_nu[None, :] + psi[None, :] + k)
-        return -lse, cond, None, None
+        cond = log_nu[None, :] + psi[None, :] + k
+        top, total = _softmax(cond, axis=1)
+        return -(top + np.log(total))[:, 0], cond, None, None
 
     def stop(cols, cond):
         return float(np.max(np.abs(cols / nu.weights - 1.0))) < tolerance
@@ -704,11 +689,9 @@ def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, psi0=None):
     psi = point.psi - shift
     phibar = point.phi + shift
 
-    matrix = np.exp(log_mu[:, None] + log_nu[None, :]
-                    + phibar[:, None] + psi[None, :] + k)
-    coupling = Coupling(matrix, mu_bar, nu, check=False)
-    value = (relative_entropy(coupling, product_coupling(mu_bar, nu))
-             - float(np.sum(matrix * k)))
+    coupling = Coupling(mu_bar.weights[:, None] * point.cond, mu_bar, nu,
+                        check=False)
+    value = primal_value(coupling) - float(np.sum(coupling.matrix * k))
     return value, coupling, (phibar, psi)
 
 
@@ -757,7 +740,8 @@ def mcov_bounds(report, base):
     mu, nu = report.coupling.mu, report.coupling.nu
     lower = float(mu.weights @ np.einsum("id,id->i", report.potentials.h,
                                          mu.atoms))
-    f, _ = _row_softmax(np.log(nu.weights) + report.potentials.psi
-                        + base.atoms @ nu.atoms.T)
+    top, total = _softmax(np.log(nu.weights) + report.potentials.psi
+                          + base.atoms @ nu.atoms.T, axis=1)
+    f = (top + np.log(total))[:, 0]
     transform = (mu.atoms @ base.atoms.T - f).max(axis=1)
     return lower, float(base.weights @ f + mu.weights @ transform)

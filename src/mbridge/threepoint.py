@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import (InfeasibleParameters, NotConverged, NotInConvexOrder,
                      StructuralError)
-from .measures import (Coupling, DiscreteMeasure, product_coupling,
-                       relative_entropy)
+from .measures import Coupling, DiscreteMeasure, primal_value
 from .solver import SolverConfig, sinkhorn_msb
 from .stats import norm_pdf, norm_ppf
 
@@ -248,9 +247,8 @@ def entropy_minimize(instance):
     u, v = instance.entropy_uv
     return _solution(
         instance, u, v,
-        lambda inst, m: relative_entropy(Coupling(m, inst.mu, inst.nu,
-                                                  check=False),
-                                         product_coupling(inst.mu, inst.nu)),
+        lambda inst, m: primal_value(Coupling(m, inst.mu, inst.nu,
+                                              check=False)),
         entropy_system_residual)
 
 

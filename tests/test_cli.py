@@ -218,6 +218,25 @@ def test_gaussian_measure_rejected_by_solve(tmp_path, capsys):
     assert "discrete" in capsys.readouterr().err
 
 
+NON_FINITE_COVARIANCES = {
+    "sigma0-nan": ["gaussian", "--sigma0", "nan", "--sigma1", "2"],
+    "delta-nan": ["simulate", "--delta", "nan"],
+    "delta-inf": ["simulate", "--delta", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_COVARIANCES)
+def test_non_finite_covariance_exits_one_without_artifacts(tmp_path, case,
+                                                          capsys):
+    out = tmp_path / "run"
+    assert main([*NON_FINITE_COVARIANCES[case], "--out", str(out)]) == 1
+    err_lines = [line for line in capsys.readouterr().err.split("\n")
+                 if line and "wall-clock" not in line]
+    assert len(err_lines) == 1
+    assert "must be finite" in err_lines[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_gaussian_command_unit_increment(tmp_path):
     out = tmp_path / "run"
     code = main(["gaussian", "--sigma0", "1", "--sigma1", "2",

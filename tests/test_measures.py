@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 import mbridge as mb
 from mbridge import (
@@ -20,6 +22,7 @@ from mbridge import (
     product_coupling,
     relative_entropy,
 )
+from mbridge.measures import _softmax
 from conftest import random_instance
 
 
@@ -278,3 +281,58 @@ def test_json_rejects_malformed_documents():
     with pytest.raises(mb.StructuralError):
         measure_from_json({"dimension": 1, "atoms": [[0.0], [1.0]],
                            "weights": [0.7, 0.7]})
+
+
+# every consumer of a covariance matrix runs the same SPD check
+COVARIANCE_CONSUMERS = {
+    "GaussianSpec": lambda cov: GaussianSpec(np.zeros(len(cov)), cov),
+    "FiberModel": lambda cov: mb.FiberModel.gaussian(np.zeros(len(cov)), cov),
+    "gaussian": mb.gaussian_energy_closed_form,
+}
+NOT_SPD = {
+    "nan": [[np.nan]],
+    "inf": [[np.inf]],
+    "nan-off-diagonal": [[1.0, np.nan], [np.nan, 1.0]],
+    "asymmetric": [[1.0, 2.0], [0.0, 1.0]],
+    "negative": [[-1.0]],
+    # below the 1e-12 relative eigenvalue cut
+    "near-singular": np.diag([1.0, 1e-13]),
+}
+
+
+@pytest.mark.parametrize("cov", NOT_SPD)
+@pytest.mark.parametrize("consumer", COVARIANCE_CONSUMERS)
+def test_every_covariance_consumer_rejects_the_same_matrices(consumer, cov):
+    with pytest.raises(mb.StructuralError):
+        COVARIANCE_CONSUMERS[consumer](NOT_SPD[cov])
+
+
+@pytest.mark.parametrize("consumer", COVARIANCE_CONSUMERS)
+def test_every_covariance_consumer_accepts_a_matrix_above_the_cut(consumer):
+    COVARIANCE_CONSUMERS[consumer](np.diag([1.0, 1e-11]))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_softmax_normalizes_in_place_and_returns_the_log_sum_exp(axis):
+    rng = np.random.default_rng(11)
+    logits = rng.uniform(-500.0, 500.0, size=(6, 9))     # a spread of 1e3
+    logits[1, 4] = logits[3, 0] = logits[3, 7] = logits[5, 8] = -np.inf
+    if axis == 0:
+        logits = np.ascontiguousarray(logits.T)
+    expected_lse = logsumexp(logits, axis=axis, keepdims=True)
+    q = logits.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top, total = _softmax(q, axis=axis)
+    assert np.all(q[np.isneginf(logits)] == 0.0)
+    m = logits.shape[axis]
+    assert np.max(np.abs(q.sum(axis=axis) - 1.0)) <= 4 * m * np.finfo(float).eps
+    lse = top + np.log(total)
+    assert np.all(np.abs(lse - expected_lse) <= 1e-15 * (1.0 + np.abs(lse)))
+    if axis == 0:
+        # the simulator's posterior normalized this way before the helper
+        ref = logits.copy()
+        ref -= ref.max(axis=0)
+        np.exp(ref, out=ref)
+        ref /= ref.sum(axis=0)
+        assert q.tobytes() == ref.tobytes()
