@@ -32,7 +32,8 @@ from .dynamics import FiberModel, law_checks, phi_bijection_check, \
 from .errors import DegenerateFiber, DualDivergence, InfeasibleParameters, \
     MbridgeError, NotConverged, NotInConvexOrder, NotIrreducible, \
     StructuralError
-from .filtering import sigma_invariance_test, wonham_sde_crosscheck
+from .filtering import SEED_BOUND, sigma_invariance_test, \
+    wonham_sde_crosscheck
 from .gaussian import bass_comparison_gaussian, follmer_volatility_gaussian, \
     gaussian_energy_closed_form, gaussian_msb_closed_form, \
     weighted_energy_quadrature
@@ -120,12 +121,31 @@ def _parse_matrix(text, flag):
 
 
 def _parse_floats(text, flag):
-    """A comma-separated list of numbers."""
+    """A comma-separated list of finite numbers."""
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise StructuralError(f"field '{flag}' must be comma-separated "
                               f"numbers: {exc}") from exc
+    _check_finite(values, flag)
+    return values
+
+
+def _check_finite(values, flag):
+    if not np.all(np.isfinite(values)):
+        raise StructuralError(f"field '{flag}' must be finite, got {values}")
+
+
+def _check_sampling(args, counts):
+    """Refuse counts and seeds that no simulation can use."""
+    for flag in counts:
+        value = getattr(args, flag.lstrip("-"))
+        if value < 1:
+            raise StructuralError(
+                f"field '{flag}' must be a positive integer, got {value}")
+    if not 0 <= args.seed < SEED_BOUND:
+        raise StructuralError(f"field '--seed' must lie in [0, 2**64), "
+                              f"got {args.seed}")
 
 
 def _solver_config(args):
@@ -276,6 +296,7 @@ def cmd_gaussian(args):
 
 
 def cmd_simulate(args):
+    _check_sampling(args, ("--paths",))
     grid = np.linspace(0.0, 1.0, args.grid_points)
     if args.delta is not None:
         if args.mu is not None or args.nu is not None:
@@ -340,13 +361,15 @@ def cmd_simulate(args):
 
 
 def cmd_filter(args):
+    _check_sampling(args, ("--paths", "--steps"))
+    _check_finite(args.s, "--s")
+    sigmas = tuple(_parse_floats(args.sigmas, "--sigmas"))
     if args.nu is not None:
         nu = _load_discrete(args.nu, "--nu")
     else:
         nu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.3, 0.4, 0.3])
     x, _, _ = barycenter_and_moments(nu)
     fiber = FiberModel.discrete(x, nu)
-    sigmas = tuple(_parse_floats(args.sigmas, "--sigmas"))
 
     inv = sigma_invariance_test(fiber, s=args.s, sigmas=sigmas,
                                 n_samples=args.paths, seed=args.seed)

@@ -30,8 +30,10 @@ normalizer of the solver's conditionals, and a Gaussian fiber's covariance
 passes the one SPD check of ``measures``. The noise is drawn path-major,
 (paths, d), which fixes the order of the random stream. With this layout
 the kernels are bound by the normal draws, and the Wonham Euler loop of
-``filtering`` almost entirely so: Philox ``standard_normal`` takes about 16
-of its ~20 ns per path-step.
+``filtering`` almost entirely so. Measured back to back on one thread of a
+2-core Xeon (Python 3.11, numpy 2.4), Philox ``standard_normal`` took
+21-25 ns per draw and a whole Euler step 26-28 ns per path-step; on both
+cores the 40,000-path, 4000-step check ran at 14-17 ns per path-step.
 """
 
 from __future__ import annotations

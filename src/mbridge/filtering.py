@@ -12,11 +12,22 @@ s_ref; the invariance test below samples the construction at several
 volatilities and compares the laws directly. For a symmetric two-atom fiber
 with unit gap the posterior probability solves dZ = Z (1 - Z) dB, which the
 cross-check integrates with independent driving noise and compares in law.
+
+The Euler paths of that cross-check run in fixed blocks of ``_EULER_BLOCK``
+paths, one task each on a thread pool as wide as the cores the process may
+use. Philox is counter-based, so every block gets its own substream: block 0
+continues the root stream, and block b >= 1 uses the key with b in its high
+word, which no stream of the root key (the invariance test's jumped streams
+included) can reach. The blocks are joined in order, so the report is the
+same on one core as on many.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +37,14 @@ from .errors import StructuralError
 from .measures import _softmax
 from .solver import inner_dual_solve
 from .stats import ks_distance
+
+# Euler paths per block, the unit of work of the Wonham thread pool; fixed,
+# so the random streams do not depend on the number of cores
+_EULER_BLOCK = 10_000
+# Euler steps whose normals one standard_normal call draws
+_DRAW_STEPS = 4
+# seeds take the low word of the Philox key, Euler blocks the high word
+SEED_BOUND = 2 ** 64
 
 
 def simulate_observations(fiber, s_grid, n_paths=1000, seed=42):
@@ -149,6 +168,57 @@ class WonhamReport:
     n_paths: int
 
 
+def _cores():
+    """Cores this process may run on; the one source of the pool size."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+def _block_stream(seed, block):
+    """Philox substream of Euler block ``block`` >= 1.
+
+    The block index is the high word of the 128-bit key. The root stream
+    Philox(key=seed) and every ``jumped(j)`` of it (the invariance test's
+    streams) keep the high word 0, because a jump moves the counter and
+    never the key; so for 0 <= seed < 2**64 no block stream meets them.
+    """
+    return np.random.Philox(key=seed + (block << 64))
+
+
+def _euler_block(rng, n_paths, n_steps, sqrt_ds, marks):
+    """Euler paths of dZ = Z (1 - Z) dB from Z_0 = 1/2, clamped to [0, 1].
+
+    ``marks`` holds, in checkpoint order, the step after which each
+    snapshot is taken. Returns the snapshots and the number of clamped
+    excursions. Runs on a worker thread and calls nothing but numpy, which
+    releases the GIL in the draws and the in-place ufuncs. The draws of
+    ``_DRAW_STEPS`` steps come from one call, which reads the stream in the
+    same order as one call per step.
+    """
+    z = np.full(n_paths, 0.5)
+    inc = np.empty(n_paths)
+    noise = np.empty((_DRAW_STEPS, n_paths))
+    snapshots = []
+    violations = 0
+    for i in range(n_steps):
+        k = i % _DRAW_STEPS
+        if k == 0:
+            rng.standard_normal(out=noise[:min(_DRAW_STEPS, n_steps - i)])
+        np.subtract(1.0, z, out=inc)
+        inc *= z
+        inc *= sqrt_ds
+        inc *= noise[k]
+        z += inc
+        if z.min() < 0.0 or z.max() > 1.0:
+            violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))
+            np.clip(z, 0.0, 1.0, out=z)
+        while len(snapshots) < len(marks) and marks[len(snapshots)] == i:
+            snapshots.append(z.copy())
+    return snapshots, violations
+
+
 def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
                           checkpoints=(1.0, 4.0), seed=42):
     """Exact filter versus Euler on its autonomous SDE, compared in law.
@@ -159,10 +229,24 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     with freshly drawn noise, clamps excursions outside [0, 1] (counting
     them), and compares the two laws at the checkpoints, plus the frequency
     of ending in the upper half.
+
+    The Euler paths run in blocks of ``_EULER_BLOCK`` on a thread pool with
+    one worker per available core (at most one per block). Block 0
+    continues the root stream after the exact side's draws; block b >= 1
+    draws from its own substream (``_block_stream``), disjoint from the
+    root stream and from the invariance test's jumped streams of the same
+    seed. The blocks are joined in order, so the report does not depend on
+    the number of cores, and a run of at most one block draws exactly what
+    a single serial loop would. The seed must lie in [0, 2**64).
     """
     checkpoints = tuple(float(c) for c in checkpoints)
     if any(c <= 0.0 or c > s_max for c in checkpoints):
         raise StructuralError("checkpoints must lie in (0, s_max]")
+    n_paths, n_steps, seed = int(n_paths), int(n_steps), int(seed)
+    if n_paths < 1 or n_steps < 1:
+        raise StructuralError("n_paths and n_steps must be positive")
+    if not 0 <= seed < SEED_BOUND:
+        raise StructuralError("seed must lie in [0, 2**64)")
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     # exact side: R_s = s Y' + W_s with Y' = +-1/2, Z = logistic(R)
@@ -172,29 +256,23 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
         r = c * yp + math.sqrt(c) * rng.standard_normal(n_paths)
         z_exact[c] = 1.0 / (1.0 + np.exp(-r))
 
-    # euler side, independent noise
+    # euler side, independent noise; a checkpoint is taken after the first
+    # step whose end (i + 1) ds reaches it, not after a running sum of ds,
+    # which can end short of s_max
     ds = s_max / n_steps
-    sqrt_ds = math.sqrt(ds)
-    z = np.full(n_paths, 0.5)
-    inc = np.empty(n_paths)
-    noise = np.empty(n_paths)
-    z_euler = {}
-    violations = 0
-    remaining = sorted(checkpoints)
-    for i in range(n_steps):
-        # the draws dominate this loop; the step itself runs in place
-        rng.standard_normal(out=noise)
-        np.subtract(1.0, z, out=inc)
-        inc *= z
-        inc *= sqrt_ds
-        inc *= noise
-        z += inc
-        if z.min() < 0.0 or z.max() > 1.0:
-            violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))
-            np.clip(z, 0.0, 1.0, out=z)
-        # (i + 1) ds, not a running sum, which can end short of s_max
-        while remaining and (i + 1) * ds >= remaining[0] - 1e-12:
-            z_euler[remaining.pop(0)] = z.copy()
+    order = sorted(checkpoints)
+    ends = np.arange(1, n_steps + 1) * ds
+    marks = [int(np.searchsorted(ends, c - 1e-12)) for c in order]
+    sizes = [min(_EULER_BLOCK, n_paths - lo)
+             for lo in range(0, n_paths, _EULER_BLOCK)]
+    streams = [rng] + [np.random.Generator(_block_stream(seed, b))
+                       for b in range(1, len(sizes))]
+    kernel = functools.partial(_euler_block, n_steps=n_steps,
+                               sqrt_ds=math.sqrt(ds), marks=marks)
+    with ThreadPoolExecutor(min(len(sizes), _cores())) as pool:
+        blocks = list(pool.map(kernel, streams, sizes))
+    z_euler = {c: np.concatenate([snaps[k] for snaps, _ in blocks])
+               for k, c in enumerate(order)}
 
     ks = {c: float(ks_distance(z_exact[c], z_euler[c])) for c in checkpoints}
     last = max(checkpoints)
@@ -202,7 +280,7 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
         checkpoints=checkpoints, ks_by_checkpoint=ks,
         terminal_freq_exact=float(np.mean(z_exact[last] > 0.5)),
         terminal_freq_euler=float(np.mean(z_euler[last] > 0.5)),
-        clamp_violations=violations, n_paths=int(n_paths))
+        clamp_violations=sum(v for _, v in blocks), n_paths=n_paths)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,18 @@ def norm_ppf(q):
 
 
 def ks_distance(a, b):
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
+
+    Both samples must be nonempty and finite; a NaN has no place in an
+    empirical distribution function.
+    """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.size == 0 or b.size == 0:
         raise ValueError("need nonempty samples")
+    # sorting puts -inf first and +inf and NaN last, so the ends decide
+    if not np.all(np.isfinite([a[0], a[-1], b[0], b[-1]])):
+        raise ValueError("samples must be finite")
     grid = np.concatenate([a, b])
     ca = np.searchsorted(a, grid, side="right") / a.size
     cb = np.searchsorted(b, grid, side="right") / b.size

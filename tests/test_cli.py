@@ -347,6 +347,58 @@ def test_filter_command(tmp_path):
     assert len(lines) == 202
 
 
+NON_FINITE_FLAGS = {
+    "filter-s-nan": ["filter", "--s", "nan"],
+    "filter-s-inf": ["filter", "--s", "inf"],
+    "filter-sigmas-nan": ["filter", "--sigmas", "0.5,nan,2"],
+    "filter-sigmas-inf": ["filter", "--sigmas", "inf"],
+    "gaussian-mean-nan": ["gaussian", "--sigma0", "1", "--sigma1", "2",
+                          "--mean0", "nan", "--mean1", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_FLAGS)
+def test_non_finite_flag_exits_one_without_artifacts(tmp_path, case, capsys):
+    # before any work: a NaN once ran the whole filter and passed it on a
+    # zero KS matrix
+    out = tmp_path / "run"
+    assert main([*NON_FINITE_FLAGS[case], "--out", str(out)]) == 1
+    err_lines = [line for line in capsys.readouterr().err.split("\n")
+                 if line and "wall-clock" not in line]
+    assert len(err_lines) == 1
+    assert "must be finite" in err_lines[0]
+    assert not out.exists()
+
+
+UNUSABLE_COUNTS = {
+    "filter-paths-zero": ("--paths", ["filter", "--paths", "0"]),
+    "filter-paths-negative": ("--paths", ["filter", "--paths", "-5"]),
+    "filter-steps-zero": ("--steps", ["filter", "--steps", "0"]),
+    "filter-steps-negative": ("--steps", ["filter", "--steps", "-3"]),
+    "filter-seed-negative": ("--seed", ["filter", "--seed", "-1"]),
+    "filter-seed-too-large": ("--seed", ["filter", "--seed", str(2**64)]),
+    "simulate-paths-zero": ("--paths", ["simulate", "--delta", "2",
+                                        "--paths", "0"]),
+    "simulate-paths-negative": ("--paths", ["simulate", "--delta", "2",
+                                            "--paths", "-3"]),
+    "simulate-seed-negative": ("--seed", ["simulate", "--delta", "2",
+                                          "--seed", "-1"]),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_COUNTS)
+def test_unusable_count_or_seed_exits_one_naming_the_flag(tmp_path, case,
+                                                          capsys):
+    flag, argv = UNUSABLE_COUNTS[case]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    err_lines = [line for line in capsys.readouterr().err.split("\n")
+                 if line and "wall-clock" not in line]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error:") and f"'{flag}'" in err_lines[0]
+    assert not out.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -24,6 +24,7 @@ from mbridge import (
 )
 from mbridge.dynamics import (TIME_CLIP, _gaussian_drift_matrix,
                               _gaussian_vol_energy_increments)
+from mbridge import filtering
 from mbridge.filtering import wonham_sde_crosscheck
 from conftest import two_by_three_family
 
@@ -457,6 +458,76 @@ def test_wonham_euler_reproduces_the_reference_loop(n_paths, n_steps):
     assert report.clamp_violations == violations
     assert report.terminal_freq_euler == freq
     assert (violations > 0) == (n_steps < 800)
+
+
+def _reference_wonham_blocks(n_paths, n_steps, s_max, checkpoints, seed,
+                             block):
+    # the same plain loop, run block by block: block 0 continues the root
+    # stream, block b >= 1 draws from the key with b in its high word
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    yp = np.where(rng.random(n_paths) < 0.5, -0.5, 0.5)
+    z_exact = {}
+    for c in checkpoints:
+        r = c * yp + math.sqrt(c) * rng.standard_normal(n_paths)
+        z_exact[c] = 1.0 / (1.0 + np.exp(-r))
+    ds = s_max / n_steps
+    parts = {c: [] for c in checkpoints}
+    violations = 0
+    for b, lo in enumerate(range(0, n_paths, block)):
+        if b > 0:
+            rng = np.random.Generator(np.random.Philox(key=seed + b * 2**64))
+        z = np.full(min(block, n_paths - lo), 0.5)
+        taken = set()
+        for step in range(1, n_steps + 1):
+            z = z + z * (1.0 - z) * math.sqrt(ds) * rng.standard_normal(z.size)
+            violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))
+            z = np.clip(z, 0.0, 1.0)
+            for c in checkpoints:
+                if c not in taken and step * ds >= c - 1e-12:
+                    taken.add(c)
+                    parts[c].append(z.copy())
+    z_euler = {c: np.concatenate(parts[c]) for c in checkpoints}
+    ks = {c: ks_distance(z_exact[c], z_euler[c]) for c in checkpoints}
+    return ks, violations, float(np.mean(z_euler[max(checkpoints)] > 0.5))
+
+
+def test_wonham_blocks_reproduce_the_per_block_reference_loop():
+    # three blocks, the last one short; the coarse steps make paths clamp
+    block = filtering._EULER_BLOCK
+    n_paths = 2 * block + block // 3
+    report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=37,
+                                   checkpoints=(1.0, 4.0), seed=8)
+    ks, violations, freq = _reference_wonham_blocks(n_paths, 37, 4.0,
+                                                    (1.0, 4.0), 8, block)
+    assert report.ks_by_checkpoint == ks
+    assert report.clamp_violations == violations > 0
+    assert report.terminal_freq_euler == freq
+
+
+def test_wonham_report_does_not_depend_on_the_worker_count(monkeypatch):
+    reports = []
+    for cores in (1, 2):
+        monkeypatch.setattr(filtering, "_cores", lambda cores=cores: cores)
+        reports.append(wonham_sde_crosscheck(
+            n_paths=2 * filtering._EULER_BLOCK + 17, n_steps=200, seed=5))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**64 - 1])
+def test_block_substreams_miss_the_invariance_streams(seed):
+    # sigma_invariance_test draws from Philox(key=seed).jumped(j + 1), the
+    # Euler blocks b >= 1 from their own keys; a plain jumped(b) would
+    # hand block b the stream of the (b - 1)-th volatility
+    root = np.random.Philox(key=seed)
+    used = [root.state["state"]] + [root.jumped(j + 1).state["state"]
+                                    for j in range(64)]
+    assert all(np.array_equal(st["key"], [seed, 0]) for st in used)
+    for b in range(1, 64):
+        state = filtering._block_stream(seed, b).state["state"]
+        assert np.array_equal(state["key"], [seed, b])
+        assert not any(np.array_equal(state["key"], st["key"])
+                       and np.array_equal(state["counter"], st["counter"])
+                       for st in used)
 
 
 # --- law checks that can fail

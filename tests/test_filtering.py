@@ -113,8 +113,10 @@ def test_wonham_crosscheck_agrees_in_law():
     assert abs(report.terminal_freq_exact - 0.5) < 0.015
     assert abs(report.terminal_freq_euler - 0.5) < 0.015
     assert report.clamp_violations < 5
-    with pytest.raises(StructuralError):
-        wonham_sde_crosscheck(checkpoints=(5.0,), s_max=4.0, n_paths=16)
+    for bad in ({"checkpoints": (5.0,)}, {"n_paths": 0}, {"n_steps": -3},
+                {"seed": -1}, {"seed": 2**64}):
+        with pytest.raises(StructuralError):
+            wonham_sde_crosscheck(**{"n_paths": 16, "n_steps": 4, **bad})
 
 
 def test_restart_posterior_is_again_a_tilted_fiber(rng):

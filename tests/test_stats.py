@@ -66,3 +66,12 @@ def test_ks_distance_identical_samples_is_zero():
 
 def test_ks_distance_disjoint_supports_is_one():
     assert ks_distance(np.arange(5.0), np.arange(5.0) + 10.0) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_distance_refuses_non_finite_samples(bad):
+    good = np.arange(5.0)
+    with pytest.raises(ValueError, match="finite"):
+        ks_distance(np.append(good, bad), good)
+    with pytest.raises(ValueError, match="finite"):
+        ks_distance(good, np.append(good, bad))
