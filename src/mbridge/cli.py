@@ -136,14 +136,14 @@ def _check_finite(values, flag):
         raise StructuralError(f"field '{flag}' must be finite, got {values}")
 
 
-def _check_sampling(args, counts):
-    """Refuse counts and seeds that no simulation can use."""
-    for flag in counts:
-        value = getattr(args, flag.lstrip("-"))
-        if value < 1:
+def _check_sampling(args, minimums):
+    """Refuse counts below their minimum and seeds no simulation can use."""
+    for flag, low in minimums.items():
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value < low:
             raise StructuralError(
-                f"field '{flag}' must be a positive integer, got {value}")
-    if not 0 <= args.seed < SEED_BOUND:
+                f"field '{flag}' must be an integer >= {low}, got {value}")
+    if "seed" in vars(args) and not 0 <= args.seed < SEED_BOUND:
         raise StructuralError(f"field '--seed' must lie in [0, 2**64), "
                               f"got {args.seed}")
 
@@ -242,6 +242,7 @@ def cmd_certify(args):
 
 
 def cmd_gaussian(args):
+    _check_sampling(args, {"--grid-points": 1})
     s0 = _parse_matrix(args.sigma0, "--sigma0")
     s1 = _parse_matrix(args.sigma1, "--sigma1")
     mean0 = _parse_floats(args.mean0, "--mean0") if args.mean0 else None
@@ -296,7 +297,8 @@ def cmd_gaussian(args):
 
 
 def cmd_simulate(args):
-    _check_sampling(args, ("--paths",))
+    _check_sampling(args, {"--paths": 1, "--grid-points": 2,
+                           "--store-every": 1, "--csv-paths": 0})
     grid = np.linspace(0.0, 1.0, args.grid_points)
     if args.delta is not None:
         if args.mu is not None or args.nu is not None:
@@ -361,9 +363,12 @@ def cmd_simulate(args):
 
 
 def cmd_filter(args):
-    _check_sampling(args, ("--paths", "--steps"))
+    _check_sampling(args, {"--paths": 1, "--steps": 1})
     _check_finite(args.s, "--s")
     sigmas = tuple(_parse_floats(args.sigmas, "--sigmas"))
+    if len(set(sigmas)) < 2 or min(sigmas) <= 0.0:
+        raise StructuralError(f"field '--sigmas' must hold two distinct "
+                              f"positive volatilities, got {args.sigmas}")
     if args.nu is not None:
         nu = _load_discrete(args.nu, "--nu")
     else:

@@ -8,38 +8,31 @@ exact at the grid times. The martingale is the conditional mean
 
     M_t = E[Y | X_t] = X_t + (1 - t) u_t(X_t),
 
-where u is the drift of X in its own filtration. For a discrete fiber the
-backward posterior is, by Bayes against the bridge likelihood,
+where u is the drift of X in its own filtration. The bridge over mu is one
+process started at x_i ~ mu, a single fiber the case of one start. Discrete
+fibers share one table of atoms y_j (weight 0 where a fiber lacks one); by
+Bayes a path started at x_i has the backward posterior
 
-    q_j(t, z)  propto  m_x(y_j) exp( [ <z - x, y_j - x>
-                                       - t |y_j - x|^2 / 2 ] / (s^2 (1 - t)) ),
+    q_j(t, z)  propto  exp( [ <z - c, y_j - c> - t |y_j - c|^2 / 2 ]
+                            / (s^2 (1 - t))  +  P_ij ),
+    P_ij = log m_{x_i}(y_j) - <x_i - c, y_j - c> / s^2,
 
-with reference volatility s, and u = (mean(q) - z)/(1 - t),
-sigma_t = Cov(q)/(1 - t). For a Gaussian fiber both coefficients are linear
-and closed-form. Path energies accumulate the drift cost |u|^2/2 and the
-weighted volatility cost |sigma - I|^2 / (2 (1 - t)) along the path; for a
-Gaussian fiber the volatility cost is deterministic and is accumulated by
-exact per-step integration of its spectral antiderivative.
+with reference volatility s and one center c, the barycenter of mu. Then
+u = (mean(q) - z)/(1 - t) and sigma_t = Cov(q)/(1 - t); for a Gaussian
+fiber both are linear and closed-form. Path energies accumulate the drift
+cost |u|^2/2 and the volatility cost |sigma - I|^2 / (2 (1 - t)), the
+latter exactly per step for a Gaussian fiber.
 
-Layout of the step kernels: the posterior is atom-major, shape (k, paths),
-and the path state, drift and mean are coordinate-major, shape (d, paths),
-so every reduction (softmax, moments, energies) runs over a short leading
-axis while the elementwise work runs along the long contiguous paths axis;
-temporaries are updated in place. The softmax is ``measures._softmax``, the
-normalizer of the solver's conditionals, and a Gaussian fiber's covariance
-passes the one SPD check of ``measures``. The noise is drawn path-major,
-(paths, d), which fixes the order of the random stream. With this layout
-the kernels are bound by the normal draws, and the Wonham Euler loop of
-``filtering`` almost entirely so. Measured back to back on one thread of a
-2-core Xeon (Python 3.11, numpy 2.4), Philox ``standard_normal`` took
-21-25 ns per draw and a whole Euler step 26-28 ns per path-step; on both
-cores the 40,000-path, 4000-step check ran at 14-17 ns per path-step.
+The posterior is atom-major, (k, paths), the path state coordinate-major,
+(d, paths). All draws come from the one stream Philox(key=seed), chunk by
+chunk: one uniform per path, in path order, for its terminal atom (a
+Gaussian fiber: one normal row), then one (paths, d) normal block per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import bdtr, bdtrc
@@ -101,30 +94,33 @@ class FiberModel:
         return FiberModel(x=x, delta=delta, sigma_ref=sigma_ref)
 
 
-def _sample_atoms(rng, measure, n):
-    """``n`` atoms of a discrete measure drawn by inverse CDF, one uniform
-    each."""
+def _atoms_at(measure, u):
+    """Atoms of a discrete measure at the uniforms ``u``, by inverse CDF."""
     cum = np.cumsum(measure.weights)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
+    idx = np.searchsorted(cum, u, side="right")
     return measure.atoms[idx.clip(max=len(cum) - 1)]
 
 
-def _posterior_weights(fiber, t, z, scale=None):
-    """Terminal posterior of a discrete fiber, atom-major: shape (k, paths).
+def _fiber_posterior(fiber, t, z, scale):
+    """``_posterior_weights`` of one discrete fiber, centred at its start."""
+    w = np.log(fiber.measure.weights)[:, None]
+    return _posterior_weights(fiber.measure.atoms, fiber.x, w, t, z, scale)
 
-    One GEMM gives <z - x, y_j - x> for every atom and path; the shift, the
-    scale (s^2 (1 - t) unless given) and the log-weights are applied in
-    place, and the softmax reduces over the leading (atom) axis.
+
+def _posterior_weights(atoms, center, log_prior, t, z, scale):
+    """Bridge posterior over a table of atoms, atom-major: shape (k, paths).
+
+    Normalizes exp([<z - c, y_j - c> - t |y_j - c|^2 / 2] / scale + P_j)
+    over the atoms y_j for the center c and the log-prior P, of shape
+    (k, 1) or (k, paths): one GEMM, then in-place updates and the softmax.
     """
-    rel = fiber.measure.atoms - fiber.x                 # (k, d)
+    rel = atoms - center                                # (k, d)
     sq = np.sum(rel ** 2, axis=1)                       # (k,)
-    if scale is None:
-        scale = fiber.sigma_ref ** 2 * (1.0 - t)
     # np.dot, not @: matmul runs a slow non-BLAS loop when d = 1
-    q = np.dot(rel, (np.atleast_2d(z) - fiber.x).T)     # (k, paths)
+    q = np.dot(rel, (np.atleast_2d(z) - center).T)      # (k, paths)
     q -= (0.5 * t * sq)[:, None]
     q /= scale
-    q += np.log(fiber.measure.weights)[:, None]
+    q += log_prior
     _softmax(q, axis=0)
     return q
 
@@ -148,10 +144,9 @@ def backward_posterior(fiber, t, z):
         if dist[j] > TERMINAL_ATOL:
             raise TerminalAmbiguity(
                 f"terminal position is {dist[j]:.3e} away from every atom")
-        w = np.zeros(fiber.measure.n)
-        w[j] = 1.0
-        return w
-    return _posterior_weights(fiber, t, z[None, :])[:, 0]
+        return np.eye(fiber.measure.n)[j]
+    return _fiber_posterior(fiber, t, z[None, :],
+                            fiber.sigma_ref ** 2 * (1.0 - t))[:, 0]
 
 
 def _gaussian_drift_matrix(fiber, t):
@@ -175,13 +170,12 @@ def fiber_coefficients(fiber, t, z):
     if not 0.0 <= t < 1.0:
         raise StructuralError("coefficients need t in [0, 1)")
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    d = fiber.dim
     if fiber.kind == "gaussian":
         u = _gaussian_drift_matrix(fiber, t) @ (z - fiber.x)
-        eye = np.eye(d)
+        eye = np.eye(fiber.dim)
         sigma = fiber.delta @ np.linalg.inv((1.0 - t) * eye + t * fiber.delta)
         return u, sigma
-    q = _posterior_weights(fiber, t, z[None, :])[:, 0]
+    q = _fiber_posterior(fiber, t, z[None, :], 1.0 - t)[:, 0]
     atoms = fiber.measure.atoms
     mean = q @ atoms
     second = (atoms * q[:, None]).T @ atoms
@@ -194,7 +188,8 @@ class PathEnsemble:
     """Simulated paths of (X, M) on a time grid, with path energies.
 
     Trajectories are stored at ``grid[stored_idx]``; energies accumulate over
-    the full grid. ``fiber_index`` labels the fiber each path started from.
+    the full grid. ``fiber_index`` labels the fiber each path started from
+    and ``mu_weights`` holds the fibers' weights, [1.0] for a single fiber.
     """
 
     grid: np.ndarray
@@ -209,7 +204,7 @@ class PathEnsemble:
     seed: int
     method: str
     sigma_ref: float
-    mu_weights: np.ndarray = field(default=None)
+    mu_weights: np.ndarray
 
     @property
     def stored_times(self):
@@ -222,13 +217,9 @@ class PathEnsemble:
     def aggregate_energies(self):
         """(drift, volatility) cost of the ensemble.
 
-        Plain path means for a single fiber; for a mixed ensemble the
-        fiber means are combined with the declared marginal weights, which
-        keeps the aggregation exact under stratified path counts.
+        The fiber means are combined with the declared marginal weights,
+        which keeps the aggregation exact under stratified path counts.
         """
-        if self.mu_weights is None:
-            return (float(np.mean(self.drift_energy)),
-                    float(np.mean(self.vol_energy)))
         drift = vol = 0.0
         for i, w in enumerate(self.mu_weights):
             sel = self.fiber_index == i
@@ -270,20 +261,68 @@ def _gaussian_vol_energy_increments(delta, grid):
 
 
 def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
-                                method="bridge", store_every=1,
-                                _bit_generator=None):
-    """Simulate (X, M) for one fiber.
+                                method="bridge", store_every=1):
+    """Simulate (X, M) for one fiber: the mixture over the point mass at x.
 
     ``method="bridge"`` draws the terminal value and fills in the exact
-    Brownian bridge, so the terminal law is exact; ``method="euler"`` runs an
-    Euler scheme on dX = u dt + s dB instead and serves as an in-law
-    cross-check. ``terminal`` is the drawn value for the bridge and the
-    endpoint X at the last grid point for the Euler scheme. Trajectories are
-    stored every ``store_every`` grid points (the first and last point
-    always); energies accumulate at every step with the left endpoint rule,
-    skipping steps beyond t = 1 - 1e-6, except that a Gaussian fiber's
-    volatility energy is integrated exactly per step.
+    Brownian bridge, so the terminal law is exact; ``method="euler"`` runs
+    an Euler scheme on dX = u dt + s dB instead as an in-law cross-check,
+    and its ``terminal`` is the endpoint X. Paths are stored every
+    ``store_every`` grid points and at both ends; energies accumulate at
+    every step by the left endpoint rule up to t = 1 - 1e-6 (a Gaussian
+    fiber's volatility energy exactly per step).
     """
+    return randomize_over_mu(DiscreteMeasure([fiber.x], [1.0]), [fiber],
+                             grid=grid, n_paths=n_paths, seed=seed,
+                             method=method, store_every=store_every)
+
+
+def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
+                      nu=None, method="bridge", store_every=1):
+    """Simulate the bridge started from mu: every path in one time loop.
+
+    Path counts follow mu by largest-remainder rounding, in fiber order, on
+    one atom table and one random stream (see the module notes). A Gaussian
+    fiber runs alone. A passed ``nu`` must match the mixture of the
+    fibers' laws within 1e-9. Otherwise as ``simulate_follmer_martingale``.
+    """
+    if len(fibers) != mu.n:
+        raise StructuralError("need one fiber per mu atom")
+    for i, fib in enumerate(fibers):
+        if np.max(np.abs(fib.x - mu.atoms[i])) > 1e-12:
+            raise StructuralError(f"fiber {i} does not start at mu atom {i}")
+    gaussian = any(fib.kind == "gaussian" for fib in fibers)
+    if gaussian and (mu.n > 1 or nu is not None):
+        raise StructuralError("mixtures need discrete fibers")
+    if len({fib.sigma_ref for fib in fibers}) > 1:
+        raise StructuralError("fibers must share one reference volatility")
+    if not gaussian:
+        # the fibers' atoms, each once and in lexsort order, and every
+        # fiber's log-weights on them, -inf where it lacks one
+        atoms, col = np.unique(np.concatenate([f.measure.atoms
+                                               for f in fibers]),
+                               axis=0, return_inverse=True)
+        log_w = np.full((mu.n, atoms.shape[0]), -np.inf)
+        log_w[np.repeat(np.arange(mu.n), [f.measure.n for f in fibers]),
+              col.ravel()] = np.log(np.concatenate([f.measure.weights
+                                                    for f in fibers]))
+    if nu is not None:
+        kb = np.lexsort(nu.atoms.T[::-1])
+        if (atoms.shape != nu.atoms.shape
+                or np.max(np.linalg.norm(atoms - nu.atoms[kb], axis=1)) > 1e-9
+                or np.max(np.abs(mu.weights @ np.exp(log_w)
+                                 - nu.weights[kb])) > 1e-9):
+            raise StructuralError("fiber mixture does not match the declared nu")
+
+    n_paths = int(n_paths)
+    base = np.floor(mu.weights * n_paths).astype(int)
+    short = n_paths - base.sum()
+    if short > 0:
+        frac = mu.weights * n_paths - base
+        base[np.argsort(-frac, kind="stable")[:short]] += 1
+    if np.any(base == 0):
+        raise StructuralError("n_paths too small to give every fiber a stratum")
+
     if grid is None:
         grid = np.linspace(0.0, 1.0, 1001)
     grid = np.asarray(grid, dtype=float)
@@ -293,24 +332,25 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
         raise StructuralError("grid must be strictly increasing")
     if method not in ("bridge", "euler"):
         raise StructuralError("method must be 'bridge' or 'euler'")
+    if int(store_every) < 1:
+        raise StructuralError("store_every must be a positive integer")
 
     k_grid = grid.size
-    stored_idx = np.arange(0, k_grid, max(int(store_every), 1))
+    stored_idx = np.arange(0, k_grid, int(store_every))
     if stored_idx[-1] != k_grid - 1:
         stored_idx = np.append(stored_idx, k_grid - 1)
     stored_pos = {int(g): k for k, g in enumerate(stored_idx)}
 
+    fiber = fibers[0]
     d = fiber.dim
     sig = fiber.sigma_ref
-    n_paths = int(n_paths)
-    rng = np.random.Generator(_bit_generator
-                              if _bit_generator is not None
-                              else np.random.Philox(key=seed))
+    fiber_index = np.repeat(np.arange(mu.n), base)
+    starts = np.array([f.x for f in fibers])
+    rng = np.random.Generator(np.random.Philox(key=seed))
 
     if method == "euler" and sig != 1.0:
         raise StructuralError("euler cross-check runs at reference volatility one")
 
-    gaussian = fiber.kind == "gaussian"
     if gaussian:
         chol = np.linalg.cholesky(fiber.delta)
         if sig == 1.0:
@@ -322,37 +362,47 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
                 gauss_vol += inc
         prec_inv = np.linalg.inv(fiber.delta)
     else:
-        atoms = fiber.measure.atoms
+        center = mu.weights @ starts
+        # the static part P of the logits, atom-major: one column per fiber
+        prior = np.ascontiguousarray(
+            (log_w - np.dot(starts - center, (atoms - center).T)
+             / sig ** 2).T)
         # per-atom outer products a_k a_k', one row per atom
         outer = (atoms[:, :, None] * atoms[:, None, :]).reshape(-1, d * d)
 
     M = np.empty((n_paths, stored_idx.size, d))
     X = np.empty((n_paths, stored_idx.size, d))
     terminal = np.empty((n_paths, d))
-    drift_energy = np.zeros(n_paths)
-    vol_energy = np.zeros(n_paths)
-    if sig != 1.0:
-        drift_energy[:] = np.nan
-        vol_energy[:] = np.nan
+    # energies are defined at reference volatility one
+    drift_energy = np.full(n_paths, 0.0 if sig == 1.0 else np.nan)
+    vol_energy = drift_energy.copy()
 
     eye = np.eye(d)
     x0 = fiber.x[:, None]
     for lo in range(0, n_paths, _CHUNK):
         hi = min(lo + _CHUNK, n_paths)
         nc = hi - lo
+        fi = fiber_index[lo:hi]
         if gaussian:
             y = fiber.x + rng.standard_normal((nc, d)) @ chol.T
             if sig == 1.0:
                 vol_energy[lo:hi] = gauss_vol
         else:
-            y = _sample_atoms(rng, fiber.measure, nc)
+            u = rng.random(nc)
+            y = np.empty((nc, d))
+            for i in range(fi[0], fi[-1] + 1):    # one run per fiber
+                a, b = np.searchsorted(fi, [i, i + 1])
+                y[a:b] = _atoms_at(fibers[i].measure, u[a:b])
+            # the one (k, chunk) gather; a chunk of one fiber broadcasts
+            log_prior = (prior[:, fi[:1]] if fi[0] == fi[-1]
+                         else np.take(prior, fi, axis=1))
         # Euler never reads y but draws it all the same, so both methods
         # share one random stream; it reports its own endpoint instead
         if method == "bridge":
             terminal[lo:hi] = y
         # path state is coordinate-major, (d, nc); noise is drawn path-major
         y = np.ascontiguousarray(y.T)
-        x_cur = np.repeat(x0, nc, axis=1)
+        x_cur = np.ascontiguousarray(starts[fi].T)
         noise = np.empty((nc, d))
         step = np.empty((d, nc))
 
@@ -377,8 +427,10 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
                                           / (sig ** 2 * (1.0 - t_eff)))
                     u_cur = None
             else:
-                q = _posterior_weights(fiber, t_eff, x_cur.T)   # (k, nc)
-                m_cur = atoms.T @ q
+                q = _posterior_weights(atoms, center, log_prior, t_eff,
+                                       x_cur.T, sig ** 2 * (1.0 - t_eff))
+                # the prior mean is the start itself: take it exactly
+                m_cur = atoms.T @ q if t > 0.0 else x_cur.copy()
                 u_cur = (m_cur - x_cur) / (1.0 - t_eff)
 
             if k in stored_pos:
@@ -419,70 +471,11 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
         if method == "euler":
             terminal[lo:hi] = x_cur.T
 
-    return PathEnsemble(grid=grid, stored_idx=stored_idx, fibers=[fiber],
-                        fiber_index=np.zeros(n_paths, dtype=int),
-                        terminal=terminal, M=M, X=X,
+    return PathEnsemble(grid=grid, stored_idx=stored_idx, fibers=list(fibers),
+                        fiber_index=fiber_index, terminal=terminal, M=M, X=X,
                         drift_energy=drift_energy, vol_energy=vol_energy,
-                        seed=int(seed), method=method, sigma_ref=sig)
-
-
-def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
-                      nu=None, method="bridge", store_every=1):
-    """Mix single-fiber simulations with stratified path counts.
-
-    Path counts follow mu by largest-remainder rounding, each fiber runs on
-    its own counter-based substream (so the mixture is reproducible under
-    any execution order), and when ``nu`` is passed the mixture of the
-    declared terminal laws is validated against it within 1e-9.
-    """
-    if len(fibers) != mu.n:
-        raise StructuralError("need one fiber per mu atom")
-    for i, fib in enumerate(fibers):
-        if np.max(np.abs(fib.x - mu.atoms[i])) > 1e-12:
-            raise StructuralError(f"fiber {i} does not start at mu atom {i}")
-        if fib.kind != "discrete":
-            raise StructuralError("mixtures need discrete fibers")
-    if nu is not None:
-        pooled_atoms = np.concatenate([f.measure.atoms for f in fibers])
-        pooled_w = np.concatenate([mu.weights[i] * f.measure.weights
-                                   for i, f in enumerate(fibers)])
-        mix = DiscreteMeasure(pooled_atoms, pooled_w)
-        ka = np.lexsort(mix.atoms.T[::-1])
-        kb = np.lexsort(nu.atoms.T[::-1])
-        if (mix.n != nu.n
-                or np.max(np.linalg.norm(mix.atoms[ka] - nu.atoms[kb],
-                                         axis=1)) > 1e-9
-                or np.max(np.abs(mix.weights[ka] - nu.weights[kb])) > 1e-9):
-            raise StructuralError("fiber mixture does not match the declared nu")
-
-    base = np.floor(mu.weights * n_paths).astype(int)
-    short = n_paths - base.sum()
-    if short > 0:
-        frac = mu.weights * n_paths - base
-        base[np.argsort(-frac, kind="stable")[:short]] += 1
-    if np.any(base == 0):
-        raise StructuralError("n_paths too small to give every fiber a stratum")
-
-    parts = []
-    key = np.random.Philox(key=seed)
-    for i, fib in enumerate(fibers):
-        parts.append((i, simulate_follmer_martingale(
-            fib, grid=grid, n_paths=int(base[i]), seed=seed, method=method,
-            store_every=store_every, _bit_generator=key.jumped(i + 1))))
-
-    first = parts[0][1]
-    return PathEnsemble(
-        grid=first.grid, stored_idx=first.stored_idx,
-        fibers=[f for f in fibers],
-        fiber_index=np.concatenate([np.full(p.n_paths, i, dtype=int)
-                                    for i, p in parts]),
-        terminal=np.concatenate([p.terminal for _, p in parts]),
-        M=np.concatenate([p.M for _, p in parts]),
-        X=np.concatenate([p.X for _, p in parts]),
-        drift_energy=np.concatenate([p.drift_energy for _, p in parts]),
-        vol_energy=np.concatenate([p.vol_energy for _, p in parts]),
-        seed=int(seed), method=method, sigma_ref=first.sigma_ref,
-        mu_weights=mu.weights.copy())
+                        seed=int(seed), method=method, sigma_ref=sig,
+                        mu_weights=mu.weights.copy())
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FiberModel, _posterior_weights, _sample_atoms
+from .dynamics import _atoms_at, _fiber_posterior
 from .errors import StructuralError
 from .measures import _softmax
 from .solver import inner_dual_solve
@@ -61,7 +61,7 @@ def simulate_observations(fiber, s_grid, n_paths=1000, seed=42):
         raise StructuralError("s_grid must be strictly increasing")
     rng = np.random.Generator(np.random.Philox(key=seed))
     d = fiber.dim
-    y = _sample_atoms(rng, fiber.measure, n_paths)
+    y = _atoms_at(fiber.measure, rng.random(n_paths))
     r = np.zeros((n_paths, s_grid.size, d))
     prev_s = 0.0
     prev_r = np.zeros((n_paths, d))
@@ -84,7 +84,7 @@ def posterior_estimator(fiber, s, r):
         raise StructuralError("s must be nonnegative")
     r = np.asarray(r, dtype=float)
     # the bridge posterior at time s, displacement r and scale one
-    w = _posterior_weights(fiber, s, fiber.x + np.atleast_2d(r), scale=1.0)
+    w = _fiber_posterior(fiber, s, fiber.x + np.atleast_2d(r), 1.0)
     z = (fiber.measure.atoms.T @ w).T
     if r.ndim == 1:
         return w[:, 0], z[0]
@@ -135,19 +135,20 @@ def sigma_invariance_test(fiber, s=1.0, sigmas=(0.5, 1.0, 2.0),
         raise StructuralError("the invariance test compares laws in d = 1")
     if fiber.kind != "discrete":
         raise StructuralError("the invariance test needs a discrete fiber")
+    keys = [float(sg) for sg in sigmas]
+    if len(set(keys)) < 2 or min(keys) <= 0.0:
+        raise StructuralError("need two distinct positive volatilities")
     atoms = fiber.measure.atoms
     samples = {}
-    for j, sig in enumerate(sigmas):
+    for j, sig in enumerate(keys):
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(j + 1))
         tau = info_time_change(s, sig)
-        y = _sample_atoms(rng, fiber.measure, n_samples)
+        y = _atoms_at(fiber.measure, rng.random(n_samples))
         noise = rng.standard_normal((n_samples, 1))
         x_tau = (fiber.x + tau * (y - fiber.x)
                  + sig * math.sqrt(tau * (1.0 - tau)) * noise)
-        fib_sig = FiberModel.discrete(fiber.x, fiber.measure, sigma_ref=sig)
-        w = _posterior_weights(fib_sig, tau, x_tau)
-        samples[float(sig)] = (atoms.T @ w).ravel()
-    keys = [float(sg) for sg in sigmas]
+        w = _fiber_posterior(fiber, tau, x_tau, sig ** 2 * (1.0 - tau))
+        samples[sig] = (atoms.T @ w).ravel()
     ks = np.zeros((len(keys), len(keys)))
     for a in range(len(keys)):
         for b in range(a + 1, len(keys)):

@@ -56,11 +56,20 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path, study_files, capsys):
 
 def test_identical_runs_produce_byte_identical_artifacts(tmp_path, study_files):
     mu, nu = study_files
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["solve", "--mu", mu, "--nu", nu, "--out", str(out1)]) == 0
-    assert main(["solve", "--mu", mu, "--nu", nu, "--out", str(out2)]) == 0
-    for name in ("solve_report.json", "coupling.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    runs = {
+        "solve": (["solve"], ("solve_report.json", "coupling.csv")),
+        # the study mixture: every fiber's paths on the one random stream
+        "simulate": (["simulate", "--paths", "300", "--grid-points", "41",
+                      "--store-every", "10"],
+                     ("simulate_report.json", "ensemble.csv")),
+    }
+    for cmd, (argv, names) in runs.items():
+        out1, out2 = tmp_path / f"{cmd}-a", tmp_path / f"{cmd}-b"
+        for out in (out1, out2):
+            assert main([*argv, "--mu", mu, "--nu", nu,
+                         "--out", str(out)]) == 0
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_certify_value_chain_passes(tmp_path, study_files):
@@ -383,6 +392,19 @@ UNUSABLE_COUNTS = {
                                             "--paths", "-3"]),
     "simulate-seed-negative": ("--seed", ["simulate", "--delta", "2",
                                           "--seed", "-1"]),
+    "simulate-store-every-zero": ("--store-every", [
+        "simulate", "--delta", "2", "--store-every", "0"]),
+    "simulate-store-every-negative": ("--store-every", [
+        "simulate", "--delta", "2", "--store-every", "-5"]),
+    "simulate-csv-paths-negative": ("--csv-paths", [
+        "simulate", "--delta", "2", "--csv-paths", "-1"]),
+    "simulate-grid-points-one": ("--grid-points", [
+        "simulate", "--delta", "2", "--grid-points", "1"]),
+    "gaussian-grid-points-zero": ("--grid-points", [
+        "gaussian", "--sigma0", "1", "--sigma1", "2", "--grid-points", "0"]),
+    # one volatility, or a repeated one, leaves no pair of laws to compare
+    "filter-sigmas-single": ("--sigmas", ["filter", "--sigmas", "2"]),
+    "filter-sigmas-repeated": ("--sigmas", ["filter", "--sigmas", "1,1"]),
 }
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbridge import (
     DiscreteMeasure,
@@ -24,9 +25,9 @@ from mbridge import (
 )
 from mbridge.dynamics import (TIME_CLIP, _gaussian_drift_matrix,
                               _gaussian_vol_energy_increments)
-from mbridge import filtering
+from mbridge import dynamics, filtering
 from mbridge.filtering import wonham_sde_crosscheck
-from conftest import two_by_three_family
+from conftest import random_instance, two_by_three_family
 
 
 def bernoulli_fiber(sigma_ref=1.0):
@@ -260,6 +261,26 @@ def test_randomized_mixture_structural_errors():
         randomize_over_mu(mu, [fib_ok, fib_other], n_paths=1)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]),
+       n_paths=st.integers(40, 400))
+def test_mixture_starts_at_mu_and_ends_on_nu_atoms(seed, d, n_paths):
+    mu, nu, _ = random_instance(np.random.default_rng(seed), d=d)
+    cond = sinkhorn_msb(mu, nu).coupling.conditionals()
+    fibers = [FiberModel.discrete(mu.atoms[i],
+                                  DiscreteMeasure(nu.atoms, cond[i]))
+              for i in range(mu.n)]
+    ens = randomize_over_mu(mu, fibers, grid=np.linspace(0, 1, 11),
+                            n_paths=n_paths, seed=seed, nu=nu, store_every=4)
+    assert np.array_equal(ens.M[:, 0], mu.atoms[ens.fiber_index])
+    on_atom = np.all(ens.terminal[:, None, :] == nu.atoms[None], axis=2)
+    assert np.all(on_atom.sum(axis=1) == 1)
+    assert np.array_equal(ens.M[:, -1], ens.terminal)
+    assert np.all(np.diff(ens.fiber_index) >= 0)
+    assert np.array_equal(np.bincount(ens.fiber_index, minlength=mu.n),
+                          _reference_strata(mu.weights, n_paths))
+
+
 def test_sigma_ref_scaling_keeps_the_martingale_property():
     fib = FiberModel.gaussian([0.0], [[2.0]], sigma_ref=2.0)
     n = 30_000
@@ -300,13 +321,16 @@ def test_grid_validation():
         simulate_follmer_martingale(fib, grid=np.array([0.0, 0.5, 1.1]))
     with pytest.raises(StructuralError):
         simulate_follmer_martingale(fib, method="heun", n_paths=4)
+    with pytest.raises(StructuralError):
+        simulate_follmer_martingale(fib, n_paths=4, store_every=0)
 
 
 # --- reference kernels: the row-major step, one path per row, written out
-# --- plainly; the simulator must reproduce it
+# --- plainly in the mixture form; the simulator must reproduce it
 
 
 def _reference_posterior(fiber, t, z):
+    # the posterior of one fiber centred at its start, as first written
     rel = fiber.measure.atoms - fiber.x
     sq = np.sum(rel ** 2, axis=1)
     scale = fiber.sigma_ref ** 2 * (1.0 - t)
@@ -317,24 +341,52 @@ def _reference_posterior(fiber, t, z):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _reference_simulate(fiber, grid, n_paths, seed, method, store_every):
-    d = fiber.dim
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    stored = list(range(0, grid.size, store_every))
-    if stored[-1] != grid.size - 1:
-        stored.append(grid.size - 1)
+def _reference_table(fibers):
+    # every atom once, sorted by coordinates; -inf where a fiber lacks an
+    # atom
+    atoms = sorted({tuple(a) for fib in fibers for a in fib.measure.atoms})
+    atoms = [np.array(a) for a in atoms]
+    log_w = np.full((len(fibers), len(atoms)), -np.inf)
+    for i, fib in enumerate(fibers):
+        for a, lw in zip(fib.measure.atoms, np.log(fib.measure.weights)):
+            j = next(j for j, b in enumerate(atoms) if np.array_equal(a, b))
+            log_w[i, j] = lw
+    return np.array(atoms), log_w
+
+
+def _reference_strata(weights, n_paths):
+    # largest-remainder path counts, ties to the first atom
+    exact = np.asarray(weights) * n_paths
+    counts = np.floor(exact).astype(int)
+    for i in np.argsort(counts - exact, kind="stable")[:n_paths - counts.sum()]:
+        counts[i] += 1
+    return counts
+
+
+def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
+    n_paths = fi.size
+    fib = fibers[0]
+    d = fib.dim
     eye = np.eye(d)
-    gaussian = fiber.kind == "gaussian"
+    starts = np.array([f.x for f in fibers])
+    gaussian = fib.kind == "gaussian"
     if gaussian:
-        y = fiber.x + (rng.standard_normal((n_paths, d))
-                       @ np.linalg.cholesky(fiber.delta).T)
-        vol_incs = _gaussian_vol_energy_increments(fiber.delta, grid)
+        y = fib.x + (rng.standard_normal((n_paths, d))
+                     @ np.linalg.cholesky(fib.delta).T)
+        vol_incs = _gaussian_vol_energy_increments(fib.delta, grid)
     else:
-        atoms = fiber.measure.atoms
-        cum = np.cumsum(fiber.measure.weights)
-        y = atoms[np.searchsorted(cum, rng.random(n_paths),
-                                  side="right").clip(max=len(cum) - 1)]
-    x = np.broadcast_to(fiber.x, (n_paths, d)).copy()
+        atoms, log_w = _reference_table(fibers)
+        c = weights @ starts
+        rel = atoms - c
+        sq = np.sum(rel ** 2, axis=1)
+        prior = log_w - (starts - c) @ rel.T / fib.sigma_ref ** 2
+        u = rng.random(n_paths)
+        y = np.empty((n_paths, d))
+        for p in range(n_paths):
+            meas = fibers[fi[p]].measure
+            j = np.searchsorted(np.cumsum(meas.weights), u[p], side="right")
+            y[p] = meas.atoms[min(j, meas.n - 1)]
+    x = starts[fi]
     M, X = [], []
     drift = np.zeros(n_paths)
     vol = np.zeros(n_paths)
@@ -344,11 +396,16 @@ def _reference_simulate(fiber, grid, n_paths, seed, method, store_every):
             x = y.copy()
             m = y
         elif gaussian:
-            u = (x - fiber.x) @ _gaussian_drift_matrix(fiber, t_eff).T
+            u = (x - fib.x) @ _gaussian_drift_matrix(fib, t_eff).T
             m = x + (1.0 - t_eff) * u
         else:
-            q = _reference_posterior(fiber, t_eff, x)
-            m = q @ atoms
+            logits = (((x - c) @ rel.T - 0.5 * t_eff * sq[None, :])
+                      / (fib.sigma_ref ** 2 * (1.0 - t_eff)) + prior[fi])
+            logits -= logits.max(axis=1, keepdims=True)
+            q = np.exp(logits)
+            q = q / q.sum(axis=1, keepdims=True)
+            # the prior mean is the start
+            m = q @ atoms if t > 0.0 else x.copy()
             u = (m - x) / (1.0 - t_eff)
         if k in stored:
             M.append(m.copy())
@@ -377,30 +434,109 @@ def _reference_simulate(fiber, grid, n_paths, seed, method, store_every):
             "drift_energy": drift, "vol_energy": vol}
 
 
+def _reference_simulate(fibers, weights, n_paths, grid, seed, method,
+                        store_every, chunk):
+    # the fibers' paths in fiber order, chunk by chunk on one stream
+    fi = np.repeat(np.arange(len(fibers)),
+                   _reference_strata(weights, n_paths))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    stored = list(range(0, grid.size, store_every))
+    if stored[-1] != grid.size - 1:
+        stored.append(grid.size - 1)
+    parts = [_reference_chunk(fibers, weights, fi[lo:lo + chunk], grid, rng,
+                              method, stored)
+             for lo in range(0, n_paths, chunk)]
+    ref = {name: np.concatenate([p[name] for p in parts])
+           for name in parts[0]}
+    ref["fiber_index"] = fi
+    return ref
+
+
 def _four_atom_plane_fiber():
     atoms = np.array([[-1.0, 0.3], [0.7, 1.1], [1.3, -0.6], [0.2, -1.4]])
     w = np.array([0.3, 0.2, 0.25, 0.25])
     return FiberModel.discrete(w @ atoms, DiscreteMeasure(atoms, w))
 
 
-def _kernel_pair(fiber, method):
+def _study_fibers():
+    # three fibers on the dyadic atoms -2, 0, 2, as the solver gives them
+    mu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.40, 0.46, 0.14])
+    nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.43, 0.27, 0.30])
+    cond = sinkhorn_msb(mu, nu).coupling.conditionals()
+    return mu, [FiberModel.discrete(mu.atoms[i],
+                                    DiscreteMeasure(nu.atoms, cond[i]))
+                for i in range(mu.n)]
+
+
+def _plane_fibers():
+    # three fibers in the plane; the last lacks the fourth atom, and the
+    # second lists its atoms in another order
+    atoms = np.array([[-1.0, 0.3], [0.7, 1.1], [1.3, -0.6], [0.2, -1.4]])
+    rows = [(atoms, [0.3, 0.2, 0.25, 0.25]),
+            (atoms[[2, 0, 3, 1]], [0.1, 0.4, 0.3, 0.2]),
+            (atoms[:3], [0.5, 0.2, 0.3])]
+    fibers = [FiberModel.discrete(np.asarray(w) @ a, DiscreteMeasure(a, w))
+              for a, w in rows]
+    mu = DiscreteMeasure([f.x for f in fibers], [0.5, 0.3, 0.2])
+    return mu, fibers
+
+
+def _kernel_pair(case, method, chunk=32768):
     grid = np.linspace(0.0, 1.0, 201)
-    ens = simulate_follmer_martingale(fiber, grid=grid, n_paths=500, seed=13,
-                                      method=method, store_every=20)
-    ref = _reference_simulate(fiber, grid, 500, 13, method, 20)
+    if isinstance(case, FiberModel):
+        ens = simulate_follmer_martingale(case, grid=grid, n_paths=500,
+                                          seed=13, method=method,
+                                          store_every=20)
+        mu, fibers = DiscreteMeasure([case.x], [1.0]), [case]
+    else:
+        mu, fibers = case
+        ens = randomize_over_mu(mu, fibers, grid=grid, n_paths=500, seed=13,
+                                method=method, store_every=20)
+    ref = _reference_simulate(fibers, mu.weights, 500, grid, 13, method, 20,
+                              chunk)
     return ens, ref
 
 
 @pytest.mark.parametrize("method", ["bridge", "euler"])
-@pytest.mark.parametrize("fiber", [
+@pytest.mark.parametrize("case", [
     # dyadic atoms make every atom product exact, as in the study instance,
     # so only the order of the sums could differ, and it does not
     FiberModel.discrete([-0.26], DiscreteMeasure([[-2.0], [0.0], [2.0]],
                                                  [0.43, 0.27, 0.30])),
+    _study_fibers(),
     FiberModel.gaussian([0.4, -0.3], [[2.0, 0.3], [0.3, 1.5]]),
-], ids=["discrete-3-d1", "gaussian-d2"])
-def test_kernel_reproduces_the_row_major_reference_exactly(fiber, method):
-    ens, ref = _kernel_pair(fiber, method)
+], ids=["discrete-3-d1", "mixture-3-d1", "gaussian-d2"])
+def test_kernel_reproduces_the_row_major_reference_exactly(case, method):
+    ens, ref = _kernel_pair(case, method)
+    for name, value in ref.items():
+        assert np.array_equal(getattr(ens, name), value), name
+
+
+@pytest.mark.parametrize("method", ["bridge", "euler"])
+@pytest.mark.parametrize("case", [
+    _four_atom_plane_fiber(),
+    FiberModel.discrete([0.4 * -1.3 + 0.4 * 0.7 + 0.2 * 2.1],
+                        DiscreteMeasure([[-1.3], [0.7], [2.1]],
+                                        [0.4, 0.4, 0.2])),
+    _plane_fibers(),
+], ids=["discrete-4-d2", "discrete-3-d1-generic", "mixture-3-d2"])
+def test_kernel_matches_the_row_major_reference_to_rounding(case, method):
+    # the GEMMs and reductions run in another order; the last bits move
+    ens, ref = _kernel_pair(case, method)
+    for name in ("terminal", "fiber_index"):
+        assert np.array_equal(getattr(ens, name), ref[name]), name
+    for name in ("M", "X", "drift_energy", "vol_energy"):
+        value = getattr(ens, name)
+        scale = max(1.0, float(np.max(np.abs(ref[name]))))
+        assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("method", ["bridge", "euler"])
+def test_chunks_split_fibers_on_one_stream(monkeypatch, method):
+    # 500 paths in chunks of 64: chunks that hold one fiber and chunks
+    # that hold two
+    monkeypatch.setattr(dynamics, "_CHUNK", 64)
+    ens, ref = _kernel_pair(_study_fibers(), method, chunk=64)
     for name, value in ref.items():
         assert np.array_equal(getattr(ens, name), value), name
 
@@ -411,15 +547,39 @@ def test_kernel_reproduces_the_row_major_reference_exactly(fiber, method):
     FiberModel.discrete([0.4 * -1.3 + 0.4 * 0.7 + 0.2 * 2.1],
                         DiscreteMeasure([[-1.3], [0.7], [2.1]],
                                         [0.4, 0.4, 0.2])),
-], ids=["discrete-4-d2", "discrete-3-d1-generic"])
-def test_kernel_matches_the_row_major_reference_to_rounding(fiber, method):
-    # the GEMMs and reductions run in another order; the last bits move
-    ens, ref = _kernel_pair(fiber, method)
-    assert np.array_equal(ens.terminal, ref["terminal"])
-    for name in ("M", "X", "drift_energy", "vol_energy"):
-        value = getattr(ens, name)
-        scale = max(1.0, float(np.max(np.abs(ref[name]))))
-        assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, name
+], ids=["discrete-4-d2", "discrete-3-d1"])
+def test_mixture_of_one_fiber_is_the_single_fiber(fiber, method):
+    grid = np.linspace(0.0, 1.0, 101)
+    single = simulate_follmer_martingale(fiber, grid=grid, n_paths=700,
+                                         seed=3, method=method, store_every=7)
+    mixed = randomize_over_mu(DiscreteMeasure([fiber.x], [1.0]), [fiber],
+                              grid=grid, n_paths=700, seed=3, method=method,
+                              store_every=7)
+    for name in ("M", "X", "terminal", "drift_energy", "vol_energy",
+                 "fiber_index"):
+        assert np.array_equal(getattr(mixed, name), getattr(single, name))
+    assert mixed.aggregate_energies() == single.aggregate_energies()
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.99, 1.0 - 1e-6])
+def test_posterior_weights_match_the_per_fiber_form(t):
+    mu, fibers = _plane_fibers()
+    starts = np.array([f.x for f in fibers])
+    atoms, log_w = _reference_table(fibers)
+    center = mu.weights @ starts
+    prior = (log_w - (starts - center) @ (atoms - center).T).T
+    rng = np.random.default_rng(4)
+    fi = np.repeat(np.arange(3), 40)
+    z = starts[fi] + rng.normal(size=(fi.size, 2))
+    q = dynamics._posterior_weights(atoms, center, prior[:, fi], t, z, 1.0 - t)
+    for i, fib in enumerate(fibers):
+        sel = fi == i
+        cols = [next(j for j, b in enumerate(atoms) if np.array_equal(a, b))
+                for a in fib.measure.atoms]
+        ref = _reference_posterior(fib, t, z[sel])
+        assert np.max(np.abs(q[cols][:, sel] - ref.T)) <= 1e-13
+        lacking = np.setdiff1d(np.arange(atoms.shape[0]), cols)
+        assert np.all(q[lacking][:, sel] == 0.0)
 
 
 def _reference_wonham(n_paths, n_steps, s_max, checkpoints, seed):

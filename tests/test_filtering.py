@@ -106,6 +106,13 @@ def test_sigma_invariance_of_the_filter_law():
         assert sample.min() >= -1.0 and sample.max() <= 1.0
 
 
+@pytest.mark.parametrize("sigmas", [(2.0,), (1.0, 1.0), (0.0, 1.0)])
+def test_sigma_invariance_needs_two_distinct_positive_volatilities(sigmas):
+    # a single law has no pair to compare: the check could not fail
+    with pytest.raises(StructuralError):
+        sigma_invariance_test(three_atom_fiber(), sigmas=sigmas, n_samples=8)
+
+
 def test_wonham_crosscheck_agrees_in_law():
     report = wonham_sde_crosscheck(n_paths=20_000, n_steps=2_000,
                                    s_max=4.0, checkpoints=(1.0, 4.0), seed=3)
