@@ -32,7 +32,7 @@ from .dynamics import FiberModel, law_checks, phi_bijection_check, \
 from .errors import DegenerateFiber, DualDivergence, InfeasibleParameters, \
     MbridgeError, NotConverged, NotInConvexOrder, NotIrreducible, \
     StructuralError
-from .filtering import SEED_BOUND, sigma_invariance_test, \
+from .filtering import SEED_BOUND, _volatilities, sigma_invariance_test, \
     wonham_sde_crosscheck
 from .gaussian import bass_comparison_gaussian, follmer_volatility_gaussian, \
     gaussian_energy_closed_form, gaussian_msb_closed_form, \
@@ -75,20 +75,16 @@ def _manifest(args, command, inputs, parameters):
 
 
 def _write_json(outdir, name, doc):
-    path = Path(outdir) / name
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(Path(outdir) / name, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, default=_json_default)
         fh.write("\n")
-    return path
 
 
 def _write_csv(outdir, name, header, rows):
-    path = Path(outdir) / name
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(Path(outdir) / name, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    return path
 
 
 def _outdir(args):
@@ -148,14 +144,23 @@ def _check_sampling(args, minimums):
                               f"got {args.seed}")
 
 
-def _solver_config(args):
-    return SolverConfig(tolerance=args.tol,
-                        max_outer_iterations=args.max_outer)
+def _solve(args):
+    """Load --mu and --nu and solve them under the solver flags."""
+    mu = _load_discrete(args.mu, "--mu")
+    nu = _load_discrete(args.nu, "--nu")
+    config = SolverConfig(tolerance=args.tol,
+                          max_outer_iterations=args.max_outer)
+    return mu, nu, sinkhorn_msb(mu, nu, config)
 
 
-def _solve_payload(report):
+def _solve_payload(args, command, report):
+    """The report fields that solve and certify share, manifest first."""
     mu, nu = report.coupling.mu, report.coupling.nu
     return {
+        "schema": SCHEMA,
+        "manifest": _manifest(args, command, {"mu": args.mu, "nu": args.nu},
+                              {"tol": args.tol, "max_outer": args.max_outer,
+                               "iterations": report.iterations}),
         "converged": report.converged,
         "iterations": report.iterations,
         "primal_value": report.primal_value,
@@ -173,20 +178,12 @@ def _solve_payload(report):
 
 
 def cmd_solve(args):
-    mu = _load_discrete(args.mu, "--mu")
-    nu = _load_discrete(args.nu, "--nu")
-    config = _solver_config(args)
-    report = sinkhorn_msb(mu, nu, config)
+    _, nu, report = _solve(args)
     out = _outdir(args)
 
     _write_csv(out, "coupling.csv",
                [f"nu_{j}" for j in range(nu.n)], report.coupling.matrix)
-    doc = {"schema": SCHEMA,
-           "manifest": _manifest(args, "solve",
-                                 {"mu": args.mu, "nu": args.nu},
-                                 {"tol": args.tol, "max_outer": args.max_outer,
-                                  "iterations": report.iterations}),
-           **_solve_payload(report),
+    doc = {**_solve_payload(args, "solve", report),
            "coupling_csv": "coupling.csv"}
     _write_json(out, "solve_report.json", doc)
     print(f"solve: converged={report.converged} "
@@ -196,16 +193,13 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
-    mu = _load_discrete(args.mu, "--mu")
-    nu = _load_discrete(args.nu, "--nu")
-    config = _solver_config(args)
-    report = sinkhorn_msb(mu, nu, config)
+    _, nu, report = _solve(args)
 
     base = extract_base_measure(report)
     sp_value, _, (phibar, psi) = classical_sinkhorn_sp(
         base, nu, psi0=report.potentials.psi)
     ss1, ss2 = schroedinger_system_residuals(base, nu, phibar, psi)
-    payload = _solve_payload(report)
+    payload = _solve_payload(args, "certify", report)
 
     primal, dual = report.primal_value, report.dual_value
     # MCov(base, mu) lies in [mcov, upper], so |P - SP - MCov| is at most
@@ -220,12 +214,7 @@ def cmd_certify(args):
         "schroedinger_system": max(ss1, ss2) < 1e-10,
         "reference_identity": payload["identity_residual"] < 1e-10,
     }
-    doc = {"schema": SCHEMA,
-           "manifest": _manifest(args, "certify",
-                                 {"mu": args.mu, "nu": args.nu},
-                                 {"tol": args.tol, "max_outer": args.max_outer,
-                                  "iterations": report.iterations}),
-           **payload,
+    doc = {**payload,
            "base_measure": measure_to_json(base),
            "sp_value": sp_value,
            "mcov_value": mcov,
@@ -257,9 +246,8 @@ def cmd_gaussian(args):
     d = sol.dim
     header = (["t"]
               + [f"sigma_{i}{j}" for i in range(d) for j in range(d)]
-              + [f"tau_{k}" for k in range(d)]
-              + [f"bridge_{k}" for k in range(d)]
-              + [f"flat_{k}" for k in range(d)])
+              + [f"{name}_{k}" for name in ("tau", "bridge", "flat")
+                 for k in range(d)])
     rows = []
     taus = comp.time_change(grid)
     for g, t in enumerate(grid):
@@ -312,9 +300,7 @@ def cmd_simulate(args):
     else:
         if args.mu is None or args.nu is None:
             raise StructuralError("simulate needs --delta or both --mu/--nu")
-        mu = _load_discrete(args.mu, "--mu")
-        nu = _load_discrete(args.nu, "--nu")
-        report = sinkhorn_msb(mu, nu, _solver_config(args))
+        mu, nu, report = _solve(args)
         if not report.converged:
             raise NotConverged("solver did not converge; no ensemble simulated")
         cond = report.coupling.conditionals()
@@ -365,10 +351,11 @@ def cmd_simulate(args):
 def cmd_filter(args):
     _check_sampling(args, {"--paths": 1, "--steps": 1})
     _check_finite(args.s, "--s")
-    sigmas = tuple(_parse_floats(args.sigmas, "--sigmas"))
-    if len(set(sigmas)) < 2 or min(sigmas) <= 0.0:
-        raise StructuralError(f"field '--sigmas' must hold two distinct "
-                              f"positive volatilities, got {args.sigmas}")
+    sigmas = _parse_floats(args.sigmas, "--sigmas")
+    try:
+        _volatilities(sigmas)
+    except StructuralError as exc:
+        raise StructuralError(f"field '--sigmas': {exc}") from None
     if args.nu is not None:
         nu = _load_discrete(args.nu, "--nu")
     else:
@@ -422,12 +409,11 @@ def cmd_threepoint(args):
     gap = (entropy.u - bass.u, entropy.v - bass.v)
 
     out = _outdir(args)
-    lines = ["entropy optimizer"]
-    for row in entropy.matrix:
-        lines.append("  " + "  ".join(f"{v:12.8f}" for v in row))
-    lines.append("flat-volatility optimizer")
-    for row in bass.matrix:
-        lines.append("  " + "  ".join(f"{v:12.8f}" for v in row))
+    lines = []
+    for title, sol in (("entropy", entropy), ("flat-volatility", bass)):
+        lines.append(f"{title} optimizer")
+        lines += ["  " + "  ".join(f"{v:12.8f}" for v in row)
+                  for row in sol.matrix]
     lines.append(f"gap (u, v): {gap[0]:14.6e} {gap[1]:14.6e}")
     (out / "threepoint_matrices.txt").write_text("\n".join(lines) + "\n",
                                                  encoding="utf-8")
@@ -436,16 +422,9 @@ def cmd_threepoint(args):
            "manifest": _manifest(args, "threepoint", {},
                                  {"p1": args.p1, "q1": args.q1,
                                   "p2": args.p2, "q2": args.q2}),
-           "entropy": {"u": entropy.u, "v": entropy.v,
-                       "matrix": entropy.matrix,
-                       "value": entropy.value,
-                       "system_residual": list(entropy.system_residual),
-                       "boundary_entries": list(entropy.boundary_entries)},
-           "bass": {"u": bass.u, "v": bass.v,
-                    "matrix": bass.matrix,
-                    "value": bass.value,
-                    "system_residual": list(bass.system_residual),
-                    "boundary_entries": list(bass.boundary_entries)},
+           # every field of each solution, in declaration order
+           "entropy": vars(entropy),
+           "bass": vars(bass),
            "optimizer_gap": list(gap),
            "matrices_txt": "threepoint_matrices.txt"}
     _write_json(out, "threepoint_report.json", doc)
@@ -474,19 +453,15 @@ def build_parser():
         p.add_argument("--max-outer", type=int, default=10_000,
                        dest="max_outer")
 
-    p = sub.add_parser("solve", help="solve one discrete instance")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    solver_flags(p)
-    common(p, seed=False)
-    p.set_defaults(handler=cmd_solve)
-
-    p = sub.add_parser("certify", help="value chain on one instance")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    solver_flags(p)
-    common(p, seed=False)
-    p.set_defaults(handler=cmd_certify)
+    for name, handler, text in (
+            ("solve", cmd_solve, "solve one discrete instance"),
+            ("certify", cmd_certify, "value chain on one instance")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--mu", required=True)
+        p.add_argument("--nu", required=True)
+        solver_flags(p)
+        common(p, seed=False)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("gaussian", help="Gaussian closed forms and schedules")
     p.add_argument("--sigma0", required=True)

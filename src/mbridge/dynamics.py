@@ -23,10 +23,21 @@ fiber both are linear and closed-form. Path energies accumulate the drift
 cost |u|^2/2 and the volatility cost |sigma - I|^2 / (2 (1 - t)), the
 latter exactly per step for a Gaussian fiber.
 
-The posterior is atom-major, (k, paths), the path state coordinate-major,
-(d, paths). All draws come from the one stream Philox(key=seed), chunk by
-chunk: one uniform per path, in path order, for its terminal atom (a
-Gaussian fiber: one normal row), then one (paths, d) normal block per step.
+Layout of the step kernel: the posterior is atom-major, shape (k, paths),
+and the path state, drift and mean are coordinate-major, shape (d, paths),
+so every reduction (softmax, moments, energies) runs over a short leading
+axis while the elementwise work runs along the long contiguous paths axis;
+temporaries are updated in place. The softmax is ``measures._softmax``, the
+normalizer of the solver's conditionals, and a Gaussian fiber's covariance
+passes the one SPD check of ``measures``. All draws come from the one
+stream Philox(key=seed), chunk by chunk: one uniform per path, in path
+order, for its terminal atom (a Gaussian fiber: one normal row), then one
+path-major (paths, d) normal block per step. With this layout the kernels
+are bound by the normal draws, and the Wonham Euler loop of ``filtering``
+almost entirely so. Measured back to back on one thread of a 2-core Xeon
+(Python 3.11, numpy 2.4), Philox ``standard_normal`` took 21-25 ns per
+draw and a whole Euler step 26-28 ns per path-step; on both cores the
+40,000-path, 4000-step check ran at 14-17 ns per path-step.
 """
 
 from __future__ import annotations
@@ -282,9 +293,13 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
     """Simulate the bridge started from mu: every path in one time loop.
 
     Path counts follow mu by largest-remainder rounding, in fiber order, on
-    one atom table and one random stream (see the module notes). A Gaussian
-    fiber runs alone. A passed ``nu`` must match the mixture of the
-    fibers' laws within 1e-9. Otherwise as ``simulate_follmer_martingale``.
+    one atom table and one random stream (see the module notes). Memory
+    and cost grow with that table, the union of the fibers' K atoms: a
+    chunk holds at most _CHUNK * m / K paths, m the most atoms of one
+    fiber, so its (k, chunk) arrays stay within one fiber's, and each step
+    computes on the atoms of the chunk's own fibers only. Fibers that share
+    no atoms therefore run in shorter chunks. A Gaussian fiber runs alone. A passed ``nu`` must match the mixture of the fibers' laws
+    within 1e-9. Otherwise as ``simulate_follmer_martingale``.
     """
     if len(fibers) != mu.n:
         raise StructuralError("need one fiber per mu atom")
@@ -296,12 +311,15 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
         raise StructuralError("mixtures need discrete fibers")
     if len({fib.sigma_ref for fib in fibers}) > 1:
         raise StructuralError("fibers must share one reference volatility")
+    chunk = _CHUNK
     if not gaussian:
         # the fibers' atoms, each once and in lexsort order, and every
         # fiber's log-weights on them, -inf where it lacks one
         atoms, col = np.unique(np.concatenate([f.measure.atoms
                                                for f in fibers]),
                                axis=0, return_inverse=True)
+        chunk = max(_CHUNK * max(f.measure.n for f in fibers)
+                    // atoms.shape[0], 1)
         log_w = np.full((mu.n, atoms.shape[0]), -np.inf)
         log_w[np.repeat(np.arange(mu.n), [f.measure.n for f in fibers]),
               col.ravel()] = np.log(np.concatenate([f.measure.weights
@@ -379,8 +397,8 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
 
     eye = np.eye(d)
     x0 = fiber.x[:, None]
-    for lo in range(0, n_paths, _CHUNK):
-        hi = min(lo + _CHUNK, n_paths)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
         nc = hi - lo
         fi = fiber_index[lo:hi]
         if gaussian:
@@ -393,9 +411,11 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
             for i in range(fi[0], fi[-1] + 1):    # one run per fiber
                 a, b = np.searchsorted(fi, [i, i + 1])
                 y[a:b] = _atoms_at(fibers[i].measure, u[a:b])
-            # the one (k, chunk) gather; a chunk of one fiber broadcasts
-            log_prior = (prior[:, fi[:1]] if fi[0] == fi[-1]
-                         else np.take(prior, fi, axis=1))
+            # the atoms of this chunk's fibers, and their log-prior per path
+            cols = np.flatnonzero(np.isfinite(prior[:, fi[0]:fi[-1] + 1])
+                                  .any(axis=1))
+            table, table_outer = atoms[cols], outer[cols]
+            log_prior = np.take(prior[cols], fi, axis=1)    # the one (k, chunk)
         # Euler never reads y but draws it all the same, so both methods
         # share one random stream; it reports its own endpoint instead
         if method == "bridge":
@@ -427,16 +447,15 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
                                           / (sig ** 2 * (1.0 - t_eff)))
                     u_cur = None
             else:
-                q = _posterior_weights(atoms, center, log_prior, t_eff,
+                q = _posterior_weights(table, center, log_prior, t_eff,
                                        x_cur.T, sig ** 2 * (1.0 - t_eff))
                 # the prior mean is the start itself: take it exactly
-                m_cur = atoms.T @ q if t > 0.0 else x_cur.copy()
+                m_cur = table.T @ q if t > 0.0 else x_cur.copy()
                 u_cur = (m_cur - x_cur) / (1.0 - t_eff)
 
             if k in stored_pos:
-                pos = stored_pos[k]
-                M[lo:hi, pos] = m_cur.T
-                X[lo:hi, pos] = x_cur.T
+                M[lo:hi, stored_pos[k]] = m_cur.T
+                X[lo:hi, stored_pos[k]] = x_cur.T
 
             if last:
                 break
@@ -448,7 +467,7 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
                                                             u_cur, u_cur)
                 if not gaussian:
                     # |Cov/(1-t) - I|^2 from the second moments of q
-                    dev = outer.T @ q
+                    dev = table_outer.T @ q
                     dev -= (m_cur[:, None, :]
                             * m_cur[None, :, :]).reshape(d * d, nc)
                     dev /= 1.0 - t

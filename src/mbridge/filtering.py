@@ -122,6 +122,14 @@ class SigmaInvarianceReport:
     samples: dict
 
 
+def _volatilities(sigmas):
+    """The volatilities of the invariance test: two distinct, all positive."""
+    keys = [float(sg) for sg in sigmas]
+    if len(set(keys)) < 2 or min(keys) <= 0.0:
+        raise StructuralError(f"need two distinct positive volatilities: {keys}")
+    return keys
+
+
 def sigma_invariance_test(fiber, s=1.0, sigmas=(0.5, 1.0, 2.0),
                           n_samples=40_000, seed=42):
     """Sample M at the information time for several reference volatilities.
@@ -135,9 +143,7 @@ def sigma_invariance_test(fiber, s=1.0, sigmas=(0.5, 1.0, 2.0),
         raise StructuralError("the invariance test compares laws in d = 1")
     if fiber.kind != "discrete":
         raise StructuralError("the invariance test needs a discrete fiber")
-    keys = [float(sg) for sg in sigmas]
-    if len(set(keys)) < 2 or min(keys) <= 0.0:
-        raise StructuralError("need two distinct positive volatilities")
+    keys = _volatilities(sigmas)
     atoms = fiber.measure.atoms
     samples = {}
     for j, sig in enumerate(keys):
