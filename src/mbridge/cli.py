@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -27,12 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import FiberModel, law_checks, phi_bijection_check, \
-    randomize_over_mu, simulate_follmer_martingale
+from .dynamics import SEED_BOUND, FiberModel, law_checks, \
+    phi_bijection_check, randomize_over_mu, simulate_follmer_martingale
 from .errors import DegenerateFiber, DualDivergence, InfeasibleParameters, \
     MbridgeError, NotConverged, NotInConvexOrder, NotIrreducible, \
     StructuralError
-from .filtering import SEED_BOUND, _volatilities, sigma_invariance_test, \
+from .filtering import _volatilities, sigma_invariance_test, \
     wonham_sde_crosscheck
 from .gaussian import bass_comparison_gaussian, follmer_volatility_gaussian, \
     gaussian_energy_closed_form, gaussian_msb_closed_form, \
@@ -375,10 +376,16 @@ def cmd_filter(args):
     out = _outdir(args)
     _write_csv(out, "filter_quantiles.csv", header, rows)
 
-    passing = (inv.max_ks < 0.02
-               and max(won.ks_by_checkpoint.values()) < 0.02
-               and abs(won.terminal_freq_exact - 0.5) < 0.01
-               and abs(won.terminal_freq_euler - 0.5) < 0.01)
+    # every sample holds n = --paths draws: two samples of one law lie a KS
+    # distance 2.83 sqrt((n + n) / (n n)) apart with probability ~2e-7, and
+    # a frequency's standard error is at most 0.5 / sqrt(n); at n = 40,000
+    # the gates are 0.02 and 0.01
+    ks_gate = 2.83 * math.sqrt(2.0 / args.paths)
+    freq_gate = 2.0 / math.sqrt(args.paths)
+    passing = (inv.max_ks < ks_gate
+               and max(won.ks_by_checkpoint.values()) < ks_gate
+               and abs(won.terminal_freq_exact - 0.5) < freq_gate
+               and abs(won.terminal_freq_euler - 0.5) < freq_gate)
     doc = {"schema": SCHEMA,
            "manifest": _manifest(args, "filter",
                                  {"nu": args.nu},

@@ -29,15 +29,23 @@ so every reduction (softmax, moments, energies) runs over a short leading
 axis while the elementwise work runs along the long contiguous paths axis;
 temporaries are updated in place. The softmax is ``measures._softmax``, the
 normalizer of the solver's conditionals, and a Gaussian fiber's covariance
-passes the one SPD check of ``measures``. All draws come from the one
-stream Philox(key=seed), chunk by chunk: one uniform per path, in path
-order, for its terminal atom (a Gaussian fiber: one normal row), then one
-path-major (paths, d) normal block per step. With this layout the kernels
-are bound by the normal draws, and the Wonham Euler loop of ``filtering``
-almost entirely so. Measured back to back on one thread of a 2-core Xeon
-(Python 3.11, numpy 2.4), Philox ``standard_normal`` took 21-25 ns per
-draw and a whole Euler step 26-28 ns per path-step; on both cores the
-40,000-path, 4000-step check ran at 14-17 ns per path-step.
+passes the one SPD check of ``measures``. Away from reference volatility
+one no energies are kept, so M is computed on the stored steps only.
+
+Random streams: every stream of ``dynamics`` and ``filtering`` is SFC64
+seeded by SeedSequence(seed, spawn_key=key), built by ``_stream``. The
+simulation reads the root stream, key (); a role that needs streams of
+its own (an Euler block, a volatility of the invariance test) takes a key
+prefix of its own. All draws of a simulation come from the root stream,
+chunk by chunk: one uniform per path, in path order, for its terminal atom
+(a Gaussian fiber: one normal row), then one path-major (paths, d) normal
+block per step. With this layout the kernels are bound by the normal
+draws, and the Wonham Euler loop of ``filtering`` almost entirely so.
+Measured on one thread of a busy 2-core Xeon (Python 3.11, numpy 2.4,
+three runs), an SFC64 ``standard_normal`` draw took 15-18 ns (Philox
+21-27 ns, PCG64DXSM 18-21 ns; fills of (4, 10000)); a bridge step of one
+3-atom fiber 96-114 ns per path-step at volatility one, and 22-23 ns at
+volatility two when every 100th step is stored.
 """
 
 from __future__ import annotations
@@ -57,6 +65,23 @@ TERMINAL_ATOL = 1e-9
 _CHUNK = 32768
 TERMINAL_MIN_P = 1e-7
 MEAN_SE_BOUND = 5.0
+# SeedSequence takes any nonnegative integer; a seed stays one unsigned
+# 64-bit word, so every manifest's seed reads back as a 64-bit integer
+SEED_BOUND = 2 ** 64
+
+
+def _stream(seed, key=()):
+    """The random stream of ``seed`` under the spawn key ``key``.
+
+    SFC64 seeded by SeedSequence(seed, spawn_key=key): the root stream has
+    key (), and each role with streams of its own takes a key prefix of
+    its own, so distinct keys give independent streams of one seed.
+    """
+    seed = int(seed)
+    if not 0 <= seed < SEED_BOUND:
+        raise StructuralError("seed must lie in [0, 2**64)")
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=key)))
 
 
 @dataclass(frozen=True)
@@ -364,7 +389,7 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
     sig = fiber.sigma_ref
     fiber_index = np.repeat(np.arange(mu.n), base)
     starts = np.array([f.x for f in fibers])
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _stream(seed)
 
     if method == "euler" and sig != 1.0:
         raise StructuralError("euler cross-check runs at reference volatility one")
@@ -428,6 +453,7 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
 
         for k, t in enumerate(grid):
             last = k == k_grid - 1
+            pos = stored_pos.get(k)
             # martingale value and coefficients at the current point
             t_eff = min(t, TIME_CLIP)
             if method == "bridge" and t >= 1.0:
@@ -436,6 +462,10 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
                 x_cur = y.copy()
                 m_cur = y
                 u_cur = None
+            elif pos is None and sig != 1.0:
+                # no energies away from volatility one, and the bridge step
+                # reads neither u nor M: only a stored step needs M
+                pass
             elif gaussian:
                 if sig == 1.0:
                     u_cur = drift_mats[k] @ (x_cur - x0)
@@ -453,9 +483,9 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
                 m_cur = table.T @ q if t > 0.0 else x_cur.copy()
                 u_cur = (m_cur - x_cur) / (1.0 - t_eff)
 
-            if k in stored_pos:
-                M[lo:hi, stored_pos[k]] = m_cur.T
-                X[lo:hi, stored_pos[k]] = x_cur.T
+            if pos is not None:
+                M[lo:hi, pos] = m_cur.T
+                X[lo:hi, pos] = x_cur.T
 
             if last:
                 break

@@ -13,13 +13,18 @@ volatilities and compares the laws directly. For a symmetric two-atom fiber
 with unit gap the posterior probability solves dZ = Z (1 - Z) dB, which the
 cross-check integrates with independent driving noise and compares in law.
 
-The Euler paths of that cross-check run in fixed blocks of ``_EULER_BLOCK``
-paths, one task each on a thread pool as wide as the cores the process may
-use. Philox is counter-based, so every block gets its own substream: block 0
-continues the root stream, and block b >= 1 uses the key with b in its high
-word, which no stream of the root key (the invariance test's jumped streams
-included) can reach. The blocks are joined in order, so the report is the
-same on one core as on many.
+Every stream here follows the rule of ``dynamics._stream``: SFC64 seeded by
+SeedSequence(seed, spawn_key=key). Observations and the exact side of the
+cross-check read the root stream, key (); the invariance test's j-th
+volatility reads key (1, j). The Euler paths of the cross-check run in
+fixed blocks of ``_EULER_BLOCK`` paths, one task each on a thread pool as
+wide as the cores the process may use: block 0 continues the root stream
+after the exact side's draws, and block b >= 1 reads key (2, b). The
+blocks are joined in order, so the report is the same on one core as on
+many, and a run of at most one block reads one serial loop's stream.
+Measured as in ``dynamics``, a whole Euler step took 18-22 ns per
+path-step on one thread, and the 40,000-path, 4000-step check 13-20 ns per
+path-step on both cores.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _atoms_at, _fiber_posterior
+from .dynamics import _atoms_at, _fiber_posterior, _stream
 from .errors import StructuralError
 from .measures import _softmax
 from .solver import inner_dual_solve
@@ -43,8 +48,10 @@ from .stats import ks_distance
 _EULER_BLOCK = 10_000
 # Euler steps whose normals one standard_normal call draws
 _DRAW_STEPS = 4
-# seeds take the low word of the Philox key, Euler blocks the high word
-SEED_BOUND = 2 ** 64
+# spawn-key prefixes beside the root stream: (_VOLATILITY_KEY, j) is the
+# invariance test's j-th volatility, (_BLOCK_KEY, b) Wonham Euler block b
+_VOLATILITY_KEY = 1
+_BLOCK_KEY = 2
 
 
 def simulate_observations(fiber, s_grid, n_paths=1000, seed=42):
@@ -59,7 +66,7 @@ def simulate_observations(fiber, s_grid, n_paths=1000, seed=42):
         raise StructuralError("s_grid must be nonnegative and one dimensional")
     if s_grid.size > 1 and np.any(np.diff(s_grid) <= 0.0):
         raise StructuralError("s_grid must be strictly increasing")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _stream(seed)
     d = fiber.dim
     y = _atoms_at(fiber.measure, rng.random(n_paths))
     r = np.zeros((n_paths, s_grid.size, d))
@@ -147,7 +154,7 @@ def sigma_invariance_test(fiber, s=1.0, sigmas=(0.5, 1.0, 2.0),
     atoms = fiber.measure.atoms
     samples = {}
     for j, sig in enumerate(keys):
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(j + 1))
+        rng = _stream(seed, (_VOLATILITY_KEY, j))
         tau = info_time_change(s, sig)
         y = _atoms_at(fiber.measure, rng.random(n_samples))
         noise = rng.standard_normal((n_samples, 1))
@@ -181,17 +188,6 @@ def _cores():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask outside Linux
         return os.cpu_count() or 1
-
-
-def _block_stream(seed, block):
-    """Philox substream of Euler block ``block`` >= 1.
-
-    The block index is the high word of the 128-bit key. The root stream
-    Philox(key=seed) and every ``jumped(j)`` of it (the invariance test's
-    streams) keep the high word 0, because a jump moves the counter and
-    never the key; so for 0 <= seed < 2**64 no block stream meets them.
-    """
-    return np.random.Philox(key=seed + (block << 64))
 
 
 def _euler_block(rng, n_paths, n_steps, sqrt_ds, marks):
@@ -240,21 +236,20 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     The Euler paths run in blocks of ``_EULER_BLOCK`` on a thread pool with
     one worker per available core (at most one per block). Block 0
     continues the root stream after the exact side's draws; block b >= 1
-    draws from its own substream (``_block_stream``), disjoint from the
-    root stream and from the invariance test's jumped streams of the same
-    seed. The blocks are joined in order, so the report does not depend on
-    the number of cores, and a run of at most one block draws exactly what
-    a single serial loop would. The seed must lie in [0, 2**64).
+    draws from the stream of spawn key (2, b), independent of the root
+    stream and of the invariance test's streams of the same seed (see the
+    module notes). The blocks are joined in order, so the report does not
+    depend on the number of cores, and a run of at most one block draws
+    exactly what a single serial loop would. The seed must lie in
+    [0, 2**64).
     """
     checkpoints = tuple(float(c) for c in checkpoints)
     if any(c <= 0.0 or c > s_max for c in checkpoints):
         raise StructuralError("checkpoints must lie in (0, s_max]")
-    n_paths, n_steps, seed = int(n_paths), int(n_steps), int(seed)
+    n_paths, n_steps = int(n_paths), int(n_steps)
     if n_paths < 1 or n_steps < 1:
         raise StructuralError("n_paths and n_steps must be positive")
-    if not 0 <= seed < SEED_BOUND:
-        raise StructuralError("seed must lie in [0, 2**64)")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _stream(seed)
 
     # exact side: R_s = s Y' + W_s with Y' = +-1/2, Z = logistic(R)
     yp = np.where(rng.random(n_paths) < 0.5, -0.5, 0.5)
@@ -272,7 +267,7 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     marks = [int(np.searchsorted(ends, c - 1e-12)) for c in order]
     sizes = [min(_EULER_BLOCK, n_paths - lo)
              for lo in range(0, n_paths, _EULER_BLOCK)]
-    streams = [rng] + [np.random.Generator(_block_stream(seed, b))
+    streams = [rng] + [_stream(seed, (_BLOCK_KEY, b))
                        for b in range(1, len(sizes))]
     kernel = functools.partial(_euler_block, n_steps=n_steps,
                                sqrt_ds=math.sqrt(ds), marks=marks)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbridge import DegenerateFiber, DiscreteMeasure, cli, measure_to_json
+from mbridge import DegenerateFiber, DiscreteMeasure, cli, filtering, \
+    measure_to_json
 from mbridge.cli import build_parser, main
 from conftest import random_instance
 
@@ -56,18 +57,25 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path, study_files, capsys):
 
 def test_identical_runs_produce_byte_identical_artifacts(tmp_path, study_files):
     mu, nu = study_files
+    pair = ["--mu", mu, "--nu", nu]
     runs = {
-        "solve": (["solve"], ("solve_report.json", "coupling.csv")),
+        "solve": (["solve", *pair], ("solve_report.json", "coupling.csv")),
         # the study mixture: every fiber's paths on the one random stream
-        "simulate": (["simulate", "--paths", "300", "--grid-points", "41",
-                      "--store-every", "10"],
+        "simulate": (["simulate", *pair, "--paths", "300", "--grid-points",
+                      "41", "--store-every", "10"],
                      ("simulate_report.json", "ensemble.csv")),
+        "simulate-delta": (["simulate", "--delta", "2.0", "--paths", "3000",
+                            "--grid-points", "401", "--store-every", "100",
+                            "--csv-paths", "20"],
+                           ("simulate_report.json", "ensemble.csv")),
+        # two Euler blocks: the root stream's and block 1's
+        "filter": (["filter", "--paths", "12000", "--steps", "100"],
+                   ("filter_report.json", "filter_quantiles.csv")),
     }
     for cmd, (argv, names) in runs.items():
         out1, out2 = tmp_path / f"{cmd}-a", tmp_path / f"{cmd}-b"
         for out in (out1, out2):
-            assert main([*argv, "--mu", mu, "--nu", nu,
-                         "--out", str(out)]) == 0
+            assert main([*argv, "--out", str(out)]) == 0
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -354,6 +362,34 @@ def test_filter_command(tmp_path):
     lines = (out / "filter_quantiles.csv").read_text().strip().split("\n")
     assert lines[0] == "q,M_sigma_0.5,M_sigma_1.0,M_sigma_2.0"
     assert len(lines) == 202
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_filter_gates_scale_with_the_paths(tmp_path, seed):
+    # at 4000 paths the KS gate is 2.83 sqrt(2 / 4000) = 0.063 and the
+    # frequency gate 2 / sqrt(4000) = 0.032; both shrink to 0.02 and 0.01
+    # at 40,000
+    out = tmp_path / "run"
+    assert main(["filter", "--paths", "4000", "--steps", "400",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    report = json.loads((out / "filter_report.json").read_text())
+    assert report["all_pass"] is True
+
+
+def test_filter_gates_catch_a_wrong_euler_coefficient(tmp_path, monkeypatch):
+    # dZ = 1.25 Z (1 - Z) dB instead of Z (1 - Z) dB: the Euler law spreads
+    # out, and the scaled KS gate still sees it at 4000 paths
+    euler = filtering._euler_block
+    monkeypatch.setattr(
+        filtering, "_euler_block",
+        lambda rng, n_paths, n_steps, sqrt_ds, marks:
+        euler(rng, n_paths, n_steps, 1.25 * sqrt_ds, marks))
+    out = tmp_path / "run"
+    assert main(["filter", "--paths", "4000", "--steps", "400",
+                 "--seed", "1", "--out", str(out)]) == 2
+    report = json.loads((out / "filter_report.json").read_text())
+    assert report["all_pass"] is False
+    assert max(report["wonham"]["ks"].values()) > 2.83 * math.sqrt(2 / 4000)
 
 
 NON_FINITE_FLAGS = {

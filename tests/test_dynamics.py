@@ -395,6 +395,11 @@ def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
         if method == "bridge" and t >= 1.0:
             x = y.copy()
             m = y
+        elif gaussian and fib.sigma_ref != 1.0:
+            # the mean of N(x, Delta) given the bridge point, by precision
+            scale = fib.sigma_ref ** 2 * (1.0 - t_eff)
+            prec = (t_eff / scale) * eye + np.linalg.inv(fib.delta)
+            m = fib.x + ((x - fib.x) / scale) @ np.linalg.inv(prec).T
         elif gaussian:
             u = (x - fib.x) @ _gaussian_drift_matrix(fib, t_eff).T
             m = x + (1.0 - t_eff) * u
@@ -413,7 +418,8 @@ def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
         if k == grid.size - 1:
             break
         dt = grid[k + 1] - grid[k]
-        if t <= TIME_CLIP:
+        # energies are defined at reference volatility one
+        if fib.sigma_ref == 1.0 and t <= TIME_CLIP:
             drift += 0.5 * dt * np.sum(u ** 2, axis=1)
             if not gaussian:
                 second = np.einsum("pk,ki,kj->pij", q, atoms, atoms)
@@ -426,7 +432,8 @@ def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
         if method == "bridge":
             rem = 1.0 - t
             x = (x + (y - x) * (dt / rem)
-                 + math.sqrt(dt * (1.0 - grid[k + 1]) / rem) * noise)
+                 + fib.sigma_ref * math.sqrt(dt * (1.0 - grid[k + 1]) / rem)
+                 * noise)
         else:
             x = x + u * dt + math.sqrt(dt) * noise
     return {"M": np.stack(M, axis=1), "X": np.stack(X, axis=1),
@@ -439,7 +446,7 @@ def _reference_simulate(fibers, weights, n_paths, grid, seed, method,
     # the fibers' paths in fiber order, chunk by chunk on one stream
     fi = np.repeat(np.arange(len(fibers)),
                    _reference_strata(weights, n_paths))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     stored = list(range(0, grid.size, store_every))
     if stored[-1] != grid.size - 1:
         stored.append(grid.size - 1)
@@ -458,13 +465,14 @@ def _four_atom_plane_fiber():
     return FiberModel.discrete(w @ atoms, DiscreteMeasure(atoms, w))
 
 
-def _study_fibers():
+def _study_fibers(sigma_ref=1.0):
     # three fibers on the dyadic atoms -2, 0, 2, as the solver gives them
     mu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.40, 0.46, 0.14])
     nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.43, 0.27, 0.30])
     cond = sinkhorn_msb(mu, nu).coupling.conditionals()
     return mu, [FiberModel.discrete(mu.atoms[i],
-                                    DiscreteMeasure(nu.atoms, cond[i]))
+                                    DiscreteMeasure(nu.atoms, cond[i]),
+                                    sigma_ref=sigma_ref)
                 for i in range(mu.n)]
 
 
@@ -529,6 +537,23 @@ def test_kernel_matches_the_row_major_reference_to_rounding(case, method):
         value = getattr(ens, name)
         scale = max(1.0, float(np.max(np.abs(ref[name]))))
         assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("case", [
+    FiberModel.discrete([-0.26], DiscreteMeasure([[-2.0], [0.0], [2.0]],
+                                                 [0.43, 0.27, 0.30]),
+                        sigma_ref=2.0),
+    _study_fibers(sigma_ref=2.0),
+    FiberModel.gaussian([0.4, -0.3], [[2.0, 0.3], [0.3, 1.5]], sigma_ref=2.0),
+], ids=["discrete-3-d1", "mixture-3-d1", "gaussian-d2"])
+def test_kernel_off_unit_volatility_stores_the_reference_paths(case):
+    # no energies are kept at sigma_ref = 2, so the kernel computes M only
+    # on the stored steps (every 20th); the stored paths must not move
+    ens, ref = _kernel_pair(case, "bridge")
+    for name in ("M", "X", "terminal", "fiber_index"):
+        assert np.array_equal(getattr(ens, name), ref[name]), name
+    assert np.all(np.isnan(ens.drift_energy))
+    assert np.all(np.isnan(ens.vol_energy))
 
 
 def _disjoint_fibers():
@@ -601,7 +626,7 @@ def test_posterior_weights_match_the_per_fiber_form(t):
 
 
 def _reference_wonham(n_paths, n_steps, s_max, checkpoints, seed):
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     yp = np.where(rng.random(n_paths) < 0.5, -0.5, 0.5)
     z_exact = {}
     for c in checkpoints:
@@ -641,8 +666,8 @@ def test_wonham_euler_reproduces_the_reference_loop(n_paths, n_steps):
 def _reference_wonham_blocks(n_paths, n_steps, s_max, checkpoints, seed,
                              block):
     # the same plain loop, run block by block: block 0 continues the root
-    # stream, block b >= 1 draws from the key with b in its high word
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    # stream, block b >= 1 draws from the seed sequence with spawn key (2, b)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     yp = np.where(rng.random(n_paths) < 0.5, -0.5, 0.5)
     z_exact = {}
     for c in checkpoints:
@@ -653,7 +678,8 @@ def _reference_wonham_blocks(n_paths, n_steps, s_max, checkpoints, seed,
     violations = 0
     for b, lo in enumerate(range(0, n_paths, block)):
         if b > 0:
-            rng = np.random.Generator(np.random.Philox(key=seed + b * 2**64))
+            rng = np.random.Generator(np.random.SFC64(
+                np.random.SeedSequence(seed, spawn_key=(2, b))))
         z = np.full(min(block, n_paths - lo), 0.5)
         taken = set()
         for step in range(1, n_steps + 1):
@@ -692,20 +718,29 @@ def test_wonham_report_does_not_depend_on_the_worker_count(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**64 - 1])
-def test_block_substreams_miss_the_invariance_streams(seed):
-    # sigma_invariance_test draws from Philox(key=seed).jumped(j + 1), the
-    # Euler blocks b >= 1 from their own keys; a plain jumped(b) would
-    # hand block b the stream of the (b - 1)-th volatility
-    root = np.random.Philox(key=seed)
-    used = [root.state["state"]] + [root.jumped(j + 1).state["state"]
-                                    for j in range(64)]
-    assert all(np.array_equal(st["key"], [seed, 0]) for st in used)
-    for b in range(1, 64):
-        state = filtering._block_stream(seed, b).state["state"]
-        assert np.array_equal(state["key"], [seed, b])
-        assert not any(np.array_equal(state["key"], st["key"])
-                       and np.array_equal(state["counter"], st["counter"])
-                       for st in used)
+def test_every_stream_has_its_own_spawn_key_and_draws(monkeypatch, seed):
+    # the invariance test's three volatilities, then the Wonham root stream
+    # and four more Euler blocks of four paths each
+    made = []
+
+    def spy(seed, key=()):
+        made.append(dynamics._stream(seed, key))
+        return made[-1]
+
+    monkeypatch.setattr(filtering, "_stream", spy)
+    monkeypatch.setattr(filtering, "_EULER_BLOCK", 4)
+    filtering.sigma_invariance_test(bernoulli_fiber(), n_samples=8, seed=seed)
+    wonham_sde_crosscheck(n_paths=20, n_steps=2, seed=seed)
+    assert all(isinstance(rng.bit_generator, np.random.SFC64) for rng in made)
+    seqs = [rng.bit_generator.seed_seq for rng in made]
+    assert all(sq.entropy == seed for sq in seqs)
+    keys = [sq.spawn_key for sq in seqs]
+    assert keys == [(1, 0), (1, 1), (1, 2), (), (2, 1), (2, 2), (2, 3), (2, 4)]
+    draws = [dynamics._stream(seed, key).standard_normal(1000)
+             for key in keys]
+    for a in range(len(draws)):
+        for b in range(a):
+            assert np.intersect1d(draws[a], draws[b]).size == 0, (a, b)
 
 
 # --- law checks that can fail
