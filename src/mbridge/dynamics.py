@@ -14,10 +14,11 @@ fibers share one table of atoms y_j (weight 0 where a fiber lacks one); by
 Bayes a path started at x_i has the backward posterior
 
     q_j(t, z)  propto  exp( [ <z - c, y_j - c> - t |y_j - c|^2 / 2 ]
-                            / (s^2 (1 - t))  +  P_ij ),
-    P_ij = log m_{x_i}(y_j) - <x_i - c, y_j - c> / s^2,
+                            / (1 - t)  +  P_ij ),
+    P_ij = log m_{x_i}(y_j) - <x_i - c, y_j - c>,
 
-with reference volatility s and one center c, the barycenter of mu. Then
+with one center c, the barycenter of mu. The reference process is Brownian
+motion, of unit volatility, as in the paper's energy. Then
 u = (mean(q) - z)/(1 - t) and sigma_t = Cov(q)/(1 - t); for a Gaussian
 fiber both are linear and closed-form. Path energies accumulate the drift
 cost |u|^2/2 and the volatility cost |sigma - I|^2 / (2 (1 - t)), the
@@ -29,8 +30,7 @@ so every reduction (softmax, moments, energies) runs over a short leading
 axis while the elementwise work runs along the long contiguous paths axis;
 temporaries are updated in place. The softmax is ``measures._softmax``, the
 normalizer of the solver's conditionals, and a Gaussian fiber's covariance
-passes the one SPD check of ``measures``. Away from reference volatility
-one no energies are kept, so M is computed on the stored steps only.
+passes the one SPD check of ``measures``.
 
 Random streams: every stream of ``dynamics`` and ``filtering`` is SFC64
 seeded by SeedSequence(seed, spawn_key=key), built by ``_stream``. The
@@ -44,8 +44,7 @@ draws, and the Wonham Euler loop of ``filtering`` almost entirely so.
 Measured on one thread of a busy 2-core Xeon (Python 3.11, numpy 2.4,
 three runs), an SFC64 ``standard_normal`` draw took 15-18 ns (Philox
 21-27 ns, PCG64DXSM 18-21 ns; fills of (4, 10000)); a bridge step of one
-3-atom fiber 96-114 ns per path-step at volatility one, and 22-23 ns at
-volatility two when every 100th step is stored.
+3-atom fiber 96-114 ns per path-step.
 """
 
 from __future__ import annotations
@@ -86,18 +85,17 @@ def _stream(seed, key=()):
 
 @dataclass(frozen=True)
 class FiberModel:
-    """Start point plus terminal conditional law, with reference volatility."""
+    """Start point plus terminal conditional law."""
 
     x: np.ndarray
     measure: DiscreteMeasure = None     # discrete terminal law, or
     delta: np.ndarray = None            # Gaussian increment covariance
-    sigma_ref: float = 1.0
 
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         object.__setattr__(self, "x", x)
-        if self.sigma_ref <= 0.0:
-            raise StructuralError("reference volatility must be positive")
+        if not np.all(np.isfinite(x)):
+            raise StructuralError("fiber start must be finite")
         if (self.measure is None) == (self.delta is None):
             raise StructuralError("provide exactly one of measure or delta")
         if self.measure is not None:
@@ -122,12 +120,12 @@ class FiberModel:
         return self.x.shape[0]
 
     @staticmethod
-    def discrete(x, measure, sigma_ref=1.0):
-        return FiberModel(x=x, measure=measure, sigma_ref=sigma_ref)
+    def discrete(x, measure):
+        return FiberModel(x=x, measure=measure)
 
     @staticmethod
-    def gaussian(x, delta, sigma_ref=1.0):
-        return FiberModel(x=x, delta=delta, sigma_ref=sigma_ref)
+    def gaussian(x, delta):
+        return FiberModel(x=x, delta=delta)
 
 
 def _atoms_at(measure, u):
@@ -181,12 +179,11 @@ def backward_posterior(fiber, t, z):
             raise TerminalAmbiguity(
                 f"terminal position is {dist[j]:.3e} away from every atom")
         return np.eye(fiber.measure.n)[j]
-    return _fiber_posterior(fiber, t, z[None, :],
-                            fiber.sigma_ref ** 2 * (1.0 - t))[:, 0]
+    return _fiber_posterior(fiber, t, z[None, :], 1.0 - t)[:, 0]
 
 
 def _gaussian_drift_matrix(fiber, t):
-    """A_t with u(t, z) = A_t (z - x), for reference volatility one."""
+    """A_t with u(t, z) = A_t (z - x)."""
     d = fiber.dim
     eye = np.eye(d)
     return (fiber.delta - eye) @ np.linalg.inv((1.0 - t) * eye + t * fiber.delta)
@@ -198,10 +195,8 @@ def fiber_coefficients(fiber, t, z):
     Discrete fibers use posterior moments, u = (mean - z)/(1-t) and
     sigma = Cov/(1-t); Gaussian fibers use the closed forms
     u = (Delta - I)((1-t) I + t Delta)^{-1} (z - x) and
-    sigma = Delta ((1-t) I + t Delta)^{-1}. Reference volatility must be one.
+    sigma = Delta ((1-t) I + t Delta)^{-1}.
     """
-    if fiber.sigma_ref != 1.0:
-        raise StructuralError("coefficients are defined at reference volatility one")
     t = float(t)
     if not 0.0 <= t < 1.0:
         raise StructuralError("coefficients need t in [0, 1)")
@@ -239,7 +234,6 @@ class PathEnsemble:
     vol_energy: np.ndarray
     seed: int
     method: str
-    sigma_ref: float
     mu_weights: np.ndarray
 
     @property
@@ -296,13 +290,26 @@ def _gaussian_vol_energy_increments(delta, grid):
     return 0.5 * incs
 
 
+def _gaussian_drift_energy_increments(delta, grid):
+    """Expected per-step drift energies 0.5 dt_k E|u_k|^2, left endpoint.
+
+    u_k = A_k (X_k - x) with Cov X_t = t^2 Delta + t (1-t) I, so per
+    eigenvalue lam E|u_t|^2 = (lam-1)^2 t / c(t), c(t) = 1 + t (lam - 1);
+    steps that start after TIME_CLIP add nothing, as in the simulator.
+    """
+    lam = np.linalg.eigvalsh(delta)
+    t = grid[:-1, None]
+    rate = np.sum((lam - 1.0) ** 2 * t / (1.0 + t * (lam - 1.0)), axis=1)
+    return np.where(grid[:-1] <= TIME_CLIP, 0.5 * np.diff(grid) * rate, 0.0)
+
+
 def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
                                 method="bridge", store_every=1):
     """Simulate (X, M) for one fiber: the mixture over the point mass at x.
 
     ``method="bridge"`` draws the terminal value and fills in the exact
     Brownian bridge, so the terminal law is exact; ``method="euler"`` runs
-    an Euler scheme on dX = u dt + s dB instead as an in-law cross-check,
+    an Euler scheme on dX = u dt + dB instead as an in-law cross-check,
     and its ``terminal`` is the endpoint X. Paths are stored every
     ``store_every`` grid points and at both ends; energies accumulate at
     every step by the left endpoint rule up to t = 1 - 1e-6 (a Gaussian
@@ -334,8 +341,6 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
     gaussian = any(fib.kind == "gaussian" for fib in fibers)
     if gaussian and (mu.n > 1 or nu is not None):
         raise StructuralError("mixtures need discrete fibers")
-    if len({fib.sigma_ref for fib in fibers}) > 1:
-        raise StructuralError("fibers must share one reference volatility")
     chunk = _CHUNK
     if not gaussian:
         # the fibers' atoms, each once and in lexsort order, and every
@@ -386,39 +391,31 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
 
     fiber = fibers[0]
     d = fiber.dim
-    sig = fiber.sigma_ref
     fiber_index = np.repeat(np.arange(mu.n), base)
     starts = np.array([f.x for f in fibers])
     rng = _stream(seed)
 
-    if method == "euler" and sig != 1.0:
-        raise StructuralError("euler cross-check runs at reference volatility one")
-
     if gaussian:
         chol = np.linalg.cholesky(fiber.delta)
-        if sig == 1.0:
-            drift_mats = [_gaussian_drift_matrix(fiber, min(t, TIME_CLIP))
-                          for t in grid]
-            # deterministic: every path adds the same increments in order
-            gauss_vol = 0.0
-            for inc in _gaussian_vol_energy_increments(fiber.delta, grid):
-                gauss_vol += inc
-        prec_inv = np.linalg.inv(fiber.delta)
+        drift_mats = [_gaussian_drift_matrix(fiber, min(t, TIME_CLIP))
+                      for t in grid]
+        # deterministic: every path adds the same increments in order
+        gauss_vol = 0.0
+        for inc in _gaussian_vol_energy_increments(fiber.delta, grid):
+            gauss_vol += inc
     else:
         center = mu.weights @ starts
         # the static part P of the logits, atom-major: one column per fiber
         prior = np.ascontiguousarray(
-            (log_w - np.dot(starts - center, (atoms - center).T)
-             / sig ** 2).T)
+            (log_w - np.dot(starts - center, (atoms - center).T)).T)
         # per-atom outer products a_k a_k', one row per atom
         outer = (atoms[:, :, None] * atoms[:, None, :]).reshape(-1, d * d)
 
     M = np.empty((n_paths, stored_idx.size, d))
     X = np.empty((n_paths, stored_idx.size, d))
     terminal = np.empty((n_paths, d))
-    # energies are defined at reference volatility one
-    drift_energy = np.full(n_paths, 0.0 if sig == 1.0 else np.nan)
-    vol_energy = drift_energy.copy()
+    drift_energy = np.zeros(n_paths)
+    vol_energy = np.zeros(n_paths)
 
     eye = np.eye(d)
     x0 = fiber.x[:, None]
@@ -428,8 +425,7 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
         fi = fiber_index[lo:hi]
         if gaussian:
             y = fiber.x + rng.standard_normal((nc, d)) @ chol.T
-            if sig == 1.0:
-                vol_energy[lo:hi] = gauss_vol
+            vol_energy[lo:hi] = gauss_vol
         else:
             u = rng.random(nc)
             y = np.empty((nc, d))
@@ -462,23 +458,12 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
                 x_cur = y.copy()
                 m_cur = y
                 u_cur = None
-            elif pos is None and sig != 1.0:
-                # no energies away from volatility one, and the bridge step
-                # reads neither u nor M: only a stored step needs M
-                pass
             elif gaussian:
-                if sig == 1.0:
-                    u_cur = drift_mats[k] @ (x_cur - x0)
-                    m_cur = x_cur + (1.0 - t_eff) * u_cur
-                else:
-                    prec = (t_eff / (sig ** 2 * (1.0 - t_eff))) * eye + prec_inv
-                    cov_q = np.linalg.inv(prec)
-                    m_cur = x0 + cov_q @ ((x_cur - x0)
-                                          / (sig ** 2 * (1.0 - t_eff)))
-                    u_cur = None
+                u_cur = drift_mats[k] @ (x_cur - x0)
+                m_cur = x_cur + (1.0 - t_eff) * u_cur
             else:
                 q = _posterior_weights(table, center, log_prior, t_eff,
-                                       x_cur.T, sig ** 2 * (1.0 - t_eff))
+                                       x_cur.T, 1.0 - t_eff)
                 # the prior mean is the start itself: take it exactly
                 m_cur = table.T @ q if t > 0.0 else x_cur.copy()
                 u_cur = (m_cur - x_cur) / (1.0 - t_eff)
@@ -492,7 +477,7 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
             dt = grid[k + 1] - grid[k]
 
             # energies, left endpoint, clipped near the terminal time
-            if sig == 1.0 and t <= TIME_CLIP:
+            if t <= TIME_CLIP:
                 drift_energy[lo:hi] += 0.5 * dt * np.einsum("ip,ip->p",
                                                             u_cur, u_cur)
                 if not gaussian:
@@ -511,11 +496,11 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
                 np.subtract(y, x_cur, out=step)
                 step *= dt / rem
                 x_cur += step
-                noise *= sig * math.sqrt(dt * (1.0 - grid[k + 1]) / rem)
+                noise *= math.sqrt(dt * (1.0 - grid[k + 1]) / rem)
             else:
                 u_cur *= dt
                 x_cur += u_cur
-                noise *= sig * math.sqrt(dt)
+                noise *= math.sqrt(dt)
             x_cur += noise.T
         if method == "euler":
             terminal[lo:hi] = x_cur.T
@@ -523,7 +508,7 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
     return PathEnsemble(grid=grid, stored_idx=stored_idx, fibers=list(fibers),
                         fiber_index=fiber_index, terminal=terminal, M=M, X=X,
                         drift_energy=drift_energy, vol_energy=vol_energy,
-                        seed=int(seed), method=method, sigma_ref=sig,
+                        seed=int(seed), method=method,
                         mu_weights=mu.weights.copy())
 
 

@@ -98,22 +98,22 @@ def posterior_estimator(fiber, s, r):
     return w.T, z
 
 
-def info_time_change(s, sigma_ref=1.0):
+def info_time_change(s, sigma=1.0):
     """Bridge time tau carrying the same information as observation time s."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise StructuralError("s must be nonnegative")
-    c = sigma_ref ** 2
+    c = sigma ** 2
     with np.errstate(invalid="ignore"):
         tau = np.where(np.isinf(s), 1.0, c * s / (1.0 + c * s))
     return float(tau) if tau.ndim == 0 else tau
 
 
-def inverse_info_time(tau, sigma_ref=1.0):
+def inverse_info_time(tau, sigma=1.0):
     tau = np.asarray(tau, dtype=float)
     if np.any((tau < 0.0) | (tau > 1.0)):
         raise StructuralError("tau must lie in [0, 1]")
-    c = sigma_ref ** 2
+    c = sigma ** 2
     with np.errstate(divide="ignore"):
         s = np.where(tau >= 1.0, np.inf, tau / (c * (1.0 - tau)))
     return float(s) if s.ndim == 0 else s

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbridge import DegenerateFiber, DiscreteMeasure, cli, filtering, \
-    measure_to_json
+from mbridge import DegenerateFiber, DiscreteMeasure, cli, dynamics, \
+    filtering, measure_to_json
 from mbridge.cli import build_parser, main
 from conftest import random_instance
 
@@ -296,6 +296,39 @@ def test_simulate_gaussian_fiber(tmp_path):
     assert lines[0] == "path_id,t,M,X,fiber"
     # 200 stored paths x 5 stored times (default store_every 50)
     assert len(lines) == 1 + 200 * 5
+
+
+@pytest.mark.parametrize("delta, paths", [("2.0", "300"),
+                                          ("[[2.0,0.3],[0.3,1.5]]", "2000")])
+def test_simulate_cost_gate_scales_with_paths_and_grid(tmp_path, delta,
+                                                        paths):
+    # both exited 2 under a fixed 1% gate: on 41 grid points the drift
+    # cost's left-endpoint bias alone is -0.0044 for the 2 x 2 delta, and
+    # 300 paths leave it a standard error near 0.01
+    out = tmp_path / "run"
+    assert main(["simulate", "--delta", delta, "--paths", paths,
+                 "--grid-points", "41", "--out", str(out)]) == 0
+    report = json.loads((out / "simulate_report.json").read_text())
+    assert report["all_pass"] is True
+    assert (abs(report["cost_drift"] - report["cost_mart"])
+            < report["cost_gate"])
+
+
+def test_simulate_cost_gate_catches_a_wrong_drift(tmp_path, monkeypatch):
+    # u = 1.1 A_t (z - x): M keeps its mean, so the law checks still pass,
+    # but the drift cost grows by 21% and leaves the gate
+    drift = dynamics._gaussian_drift_matrix
+    monkeypatch.setattr(dynamics, "_gaussian_drift_matrix",
+                        lambda fiber, t: 1.1 * drift(fiber, t))
+    out = tmp_path / "run"
+    assert main(["simulate", "--delta", "[[2.0,0.3],[0.3,1.5]]",
+                 "--paths", "10000", "--grid-points", "201",
+                 "--out", str(out)]) == 2
+    report = json.loads((out / "simulate_report.json").read_text())
+    assert report["all_pass"] is False
+    assert report["max_mean_dev_se"] <= 5.0
+    assert (abs(report["cost_drift"] - report["cost_mart"])
+            > report["cost_gate"])
 
 
 def test_simulate_discrete_mixture(tmp_path):

@@ -23,17 +23,17 @@ from mbridge import (
     simulate_follmer_martingale,
     sinkhorn_msb,
 )
-from mbridge.dynamics import (TIME_CLIP, _gaussian_drift_matrix,
+from mbridge.dynamics import (TIME_CLIP, _gaussian_drift_energy_increments,
+                              _gaussian_drift_matrix,
                               _gaussian_vol_energy_increments)
 from mbridge import dynamics, filtering
 from mbridge.filtering import wonham_sde_crosscheck
 from conftest import random_instance, two_by_three_family
 
 
-def bernoulli_fiber(sigma_ref=1.0):
+def bernoulli_fiber():
     return FiberModel.discrete(
-        [0.0], DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5]),
-        sigma_ref=sigma_ref)
+        [0.0], DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5]))
 
 
 def test_fiber_model_validation():
@@ -47,8 +47,12 @@ def test_fiber_model_validation():
         FiberModel.discrete([0.5], meas)
     with pytest.raises(StructuralError):
         FiberModel.gaussian([0.0], [[-1.0]])
-    with pytest.raises(StructuralError):
-        FiberModel.discrete([0.0], meas, sigma_ref=0.0)
+    # a non-finite start is refused, not carried into NaN posteriors
+    for start in ([np.nan], [np.inf], [-np.inf]):
+        with pytest.raises(StructuralError, match="finite"):
+            FiberModel.discrete(start, meas)
+        with pytest.raises(StructuralError, match="finite"):
+            FiberModel.gaussian(start, [[2.0]])
 
 
 def test_backward_posterior_prior_normalization_and_terminal(rng):
@@ -80,8 +84,6 @@ def test_fiber_coefficients_closed_forms():
     # symmetric Bernoulli at the start: posterior (1/2, 1/2)
     u, s = fiber_coefficients(bernoulli_fiber(), 0.0, [0.0])
     assert abs(u[0]) < 1e-14 and abs(s[0, 0] - 1.0) < 1e-14
-    with pytest.raises(StructuralError):
-        fiber_coefficients(bernoulli_fiber(sigma_ref=2.0), 0.0, [0.0])
     with pytest.raises(StructuralError):
         fiber_coefficients(bernoulli_fiber(), 1.0, [0.0])
 
@@ -159,6 +161,26 @@ def test_gaussian_bijection_and_exact_volatility_energy():
     assert report.rel_discrepancy < 1e-2
     se = ens.drift_energy.std() / math.sqrt(ens.n_paths)
     assert abs(report.cost_drift - closed) < 3.0 * se
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
+def test_gaussian_energy_increments_and_the_drift_bias(seed, d):
+    # a random SPD increment: a random rotation of eigenvalues in [0.1, 10]
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    delta = (rot * rng.uniform(0.1, 10.0, size=d)) @ rot.T
+    delta = 0.5 * (delta + delta.T)
+    closed = gaussian_energy_closed_form(delta)
+    bias = []
+    for points in (41, 1001):
+        grid = np.linspace(0.0, 1.0, points)
+        vol = _gaussian_vol_energy_increments(delta, grid).sum()
+        assert abs(vol - closed) <= 1e-12 * (1.0 + abs(closed))
+        bias.append(_gaussian_drift_energy_increments(delta, grid).sum()
+                    - vol)
+    # the left-endpoint drift cost's bias b shrinks under refinement
+    assert abs(bias[1]) < abs(bias[0])
 
 
 def test_bridge_and_euler_agree_in_law():
@@ -281,20 +303,6 @@ def test_mixture_starts_at_mu_and_ends_on_nu_atoms(seed, d, n_paths):
                           _reference_strata(mu.weights, n_paths))
 
 
-def test_sigma_ref_scaling_keeps_the_martingale_property():
-    fib = FiberModel.gaussian([0.0], [[2.0]], sigma_ref=2.0)
-    n = 30_000
-    ens = simulate_follmer_martingale(fib, grid=np.linspace(0, 1, 101),
-                                      n_paths=n, seed=21, store_every=10)
-    assert ens.sigma_ref == 2.0
-    assert np.all(np.isnan(ens.drift_energy))
-    for pos in range(ens.stored_idx.size):
-        mean = ens.M[:, pos, 0].mean()
-        assert abs(mean) < 4.0 * math.sqrt(2.0 / n) + 1e-12
-    with pytest.raises(StructuralError):
-        simulate_follmer_martingale(fib, method="euler", n_paths=8)
-
-
 def test_store_every_and_csv_round_trip(tmp_path):
     fib = bernoulli_fiber()
     ens = simulate_follmer_martingale(fib, grid=np.linspace(0, 1, 101),
@@ -333,9 +341,8 @@ def _reference_posterior(fiber, t, z):
     # the posterior of one fiber centred at its start, as first written
     rel = fiber.measure.atoms - fiber.x
     sq = np.sum(rel ** 2, axis=1)
-    scale = fiber.sigma_ref ** 2 * (1.0 - t)
     logits = (np.log(fiber.measure.weights)[None, :]
-              + ((z - fiber.x) @ rel.T - 0.5 * t * sq[None, :]) / scale)
+              + ((z - fiber.x) @ rel.T - 0.5 * t * sq[None, :]) / (1.0 - t))
     logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits)
     return w / w.sum(axis=1, keepdims=True)
@@ -379,7 +386,7 @@ def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
         c = weights @ starts
         rel = atoms - c
         sq = np.sum(rel ** 2, axis=1)
-        prior = log_w - (starts - c) @ rel.T / fib.sigma_ref ** 2
+        prior = log_w - (starts - c) @ rel.T
         u = rng.random(n_paths)
         y = np.empty((n_paths, d))
         for p in range(n_paths):
@@ -395,17 +402,12 @@ def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
         if method == "bridge" and t >= 1.0:
             x = y.copy()
             m = y
-        elif gaussian and fib.sigma_ref != 1.0:
-            # the mean of N(x, Delta) given the bridge point, by precision
-            scale = fib.sigma_ref ** 2 * (1.0 - t_eff)
-            prec = (t_eff / scale) * eye + np.linalg.inv(fib.delta)
-            m = fib.x + ((x - fib.x) / scale) @ np.linalg.inv(prec).T
         elif gaussian:
             u = (x - fib.x) @ _gaussian_drift_matrix(fib, t_eff).T
             m = x + (1.0 - t_eff) * u
         else:
             logits = (((x - c) @ rel.T - 0.5 * t_eff * sq[None, :])
-                      / (fib.sigma_ref ** 2 * (1.0 - t_eff)) + prior[fi])
+                      / (1.0 - t_eff) + prior[fi])
             logits -= logits.max(axis=1, keepdims=True)
             q = np.exp(logits)
             q = q / q.sum(axis=1, keepdims=True)
@@ -418,8 +420,7 @@ def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
         if k == grid.size - 1:
             break
         dt = grid[k + 1] - grid[k]
-        # energies are defined at reference volatility one
-        if fib.sigma_ref == 1.0 and t <= TIME_CLIP:
+        if t <= TIME_CLIP:
             drift += 0.5 * dt * np.sum(u ** 2, axis=1)
             if not gaussian:
                 second = np.einsum("pk,ki,kj->pij", q, atoms, atoms)
@@ -432,8 +433,7 @@ def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
         if method == "bridge":
             rem = 1.0 - t
             x = (x + (y - x) * (dt / rem)
-                 + fib.sigma_ref * math.sqrt(dt * (1.0 - grid[k + 1]) / rem)
-                 * noise)
+                 + math.sqrt(dt * (1.0 - grid[k + 1]) / rem) * noise)
         else:
             x = x + u * dt + math.sqrt(dt) * noise
     return {"M": np.stack(M, axis=1), "X": np.stack(X, axis=1),
@@ -465,14 +465,13 @@ def _four_atom_plane_fiber():
     return FiberModel.discrete(w @ atoms, DiscreteMeasure(atoms, w))
 
 
-def _study_fibers(sigma_ref=1.0):
+def _study_fibers():
     # three fibers on the dyadic atoms -2, 0, 2, as the solver gives them
     mu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.40, 0.46, 0.14])
     nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.43, 0.27, 0.30])
     cond = sinkhorn_msb(mu, nu).coupling.conditionals()
     return mu, [FiberModel.discrete(mu.atoms[i],
-                                    DiscreteMeasure(nu.atoms, cond[i]),
-                                    sigma_ref=sigma_ref)
+                                    DiscreteMeasure(nu.atoms, cond[i]))
                 for i in range(mu.n)]
 
 
@@ -537,23 +536,6 @@ def test_kernel_matches_the_row_major_reference_to_rounding(case, method):
         value = getattr(ens, name)
         scale = max(1.0, float(np.max(np.abs(ref[name]))))
         assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, name
-
-
-@pytest.mark.parametrize("case", [
-    FiberModel.discrete([-0.26], DiscreteMeasure([[-2.0], [0.0], [2.0]],
-                                                 [0.43, 0.27, 0.30]),
-                        sigma_ref=2.0),
-    _study_fibers(sigma_ref=2.0),
-    FiberModel.gaussian([0.4, -0.3], [[2.0, 0.3], [0.3, 1.5]], sigma_ref=2.0),
-], ids=["discrete-3-d1", "mixture-3-d1", "gaussian-d2"])
-def test_kernel_off_unit_volatility_stores_the_reference_paths(case):
-    # no energies are kept at sigma_ref = 2, so the kernel computes M only
-    # on the stored steps (every 20th); the stored paths must not move
-    ens, ref = _kernel_pair(case, "bridge")
-    for name in ("M", "X", "terminal", "fiber_index"):
-        assert np.array_equal(getattr(ens, name), ref[name]), name
-    assert np.all(np.isnan(ens.drift_energy))
-    assert np.all(np.isnan(ens.vol_energy))
 
 
 def _disjoint_fibers():
