@@ -607,6 +607,19 @@ def test_posterior_weights_match_the_per_fiber_form(t):
         assert np.all(q[lacking][:, sel] == 0.0)
 
 
+def _reference_levels(rng, n_steps, n_paths):
+    # the draw rule: ceil(D n / 8) raw words per D steps, read as bytes, the
+    # low byte of each word first, step-major and in path order
+    levels = []
+    for lo in range(0, n_steps, filtering._DRAW_STEPS):
+        steps = min(filtering._DRAW_STEPS, n_steps - lo)
+        words = rng.bit_generator.random_raw(math.ceil(steps * n_paths / 8))
+        raw = b"".join(int(w).to_bytes(8, "little") for w in words)
+        levels += [list(raw[k * n_paths:(k + 1) * n_paths])
+                   for k in range(steps)]
+    return np.array(levels)
+
+
 def _reference_wonham(n_paths, n_steps, s_max, checkpoints, seed):
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     yp = np.where(rng.random(n_paths) < 0.5, -0.5, 0.5)
@@ -615,11 +628,13 @@ def _reference_wonham(n_paths, n_steps, s_max, checkpoints, seed):
         r = c * yp + math.sqrt(c) * rng.standard_normal(n_paths)
         z_exact[c] = 1.0 / (1.0 + np.exp(-r))
     ds = s_max / n_steps
+    table = math.sqrt(ds) * filtering._QUANTILES
+    levels = _reference_levels(rng, n_steps, n_paths)
     z = np.full(n_paths, 0.5)
     z_euler = {}
     violations = 0
     for step in range(1, n_steps + 1):
-        z = z + z * (1.0 - z) * math.sqrt(ds) * rng.standard_normal(n_paths)
+        z = z + z * (1.0 - z) * table[levels[step - 1]]
         violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))
         z = np.clip(z, 0.0, 1.0)
         for c in checkpoints:
@@ -629,12 +644,20 @@ def _reference_wonham(n_paths, n_steps, s_max, checkpoints, seed):
     return ks, violations, float(np.mean(z_euler[max(checkpoints)] > 0.5))
 
 
+def _clamp_can_fire(n_steps, s_max):
+    # an increment is at most sqrt(ds) q_max Z (1 - Z), which leaves [0, 1]
+    # only if sqrt(ds) q_max > 1, that is n_steps < s_max q_max^2 (~33.5 at
+    # s_max = 4)
+    return n_steps < s_max * filtering._QUANTILES.max() ** 2
+
+
 @pytest.mark.parametrize("n_paths, n_steps", [(3000, 800), (3000, 40),
-                                               (50, 10), (50, 9361)])
+                                               (3000, 30), (50, 10),
+                                               (50, 9361)])
 def test_wonham_euler_reproduces_the_reference_loop(n_paths, n_steps):
-    # coarse steps push paths out of [0, 1] (clamped and counted); with 50
-    # paths some steps lose paths through the top only; at 9361 steps a
-    # running sum of ds ends more than 1e-12 short of s_max
+    # 30 and 10 steps push paths out of [0, 1] (clamped and counted), 40
+    # steps are just too fine to; at 9361 steps a running sum of ds ends
+    # more than 1e-12 short of s_max
     report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=n_steps,
                                    checkpoints=(1.0, 4.0), seed=8)
     ks, violations, freq = _reference_wonham(n_paths, n_steps, 4.0,
@@ -642,7 +665,7 @@ def test_wonham_euler_reproduces_the_reference_loop(n_paths, n_steps):
     assert report.ks_by_checkpoint == ks
     assert report.clamp_violations == violations
     assert report.terminal_freq_euler == freq
-    assert (violations > 0) == (n_steps < 800)
+    assert (violations > 0) == _clamp_can_fire(n_steps, 4.0)
 
 
 def _reference_wonham_blocks(n_paths, n_steps, s_max, checkpoints, seed,
@@ -656,6 +679,7 @@ def _reference_wonham_blocks(n_paths, n_steps, s_max, checkpoints, seed,
         r = c * yp + math.sqrt(c) * rng.standard_normal(n_paths)
         z_exact[c] = 1.0 / (1.0 + np.exp(-r))
     ds = s_max / n_steps
+    table = math.sqrt(ds) * filtering._QUANTILES
     parts = {c: [] for c in checkpoints}
     violations = 0
     for b, lo in enumerate(range(0, n_paths, block)):
@@ -663,9 +687,10 @@ def _reference_wonham_blocks(n_paths, n_steps, s_max, checkpoints, seed,
             rng = np.random.Generator(np.random.SFC64(
                 np.random.SeedSequence(seed, spawn_key=(2, b))))
         z = np.full(min(block, n_paths - lo), 0.5)
+        levels = _reference_levels(rng, n_steps, z.size)
         taken = set()
         for step in range(1, n_steps + 1):
-            z = z + z * (1.0 - z) * math.sqrt(ds) * rng.standard_normal(z.size)
+            z = z + z * (1.0 - z) * table[levels[step - 1]]
             violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))
             z = np.clip(z, 0.0, 1.0)
             for c in checkpoints:
@@ -681,9 +706,9 @@ def test_wonham_blocks_reproduce_the_per_block_reference_loop():
     # three blocks, the last one short; the coarse steps make paths clamp
     block = filtering._EULER_BLOCK
     n_paths = 2 * block + block // 3
-    report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=37,
+    report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=33,
                                    checkpoints=(1.0, 4.0), seed=8)
-    ks, violations, freq = _reference_wonham_blocks(n_paths, 37, 4.0,
+    ks, violations, freq = _reference_wonham_blocks(n_paths, 33, 4.0,
                                                     (1.0, 4.0), 8, block)
     assert report.ks_by_checkpoint == ks
     assert report.clamp_violations == violations > 0

@@ -18,6 +18,7 @@ from mbridge import (
     simulate_observations,
     wonham_sde_crosscheck,
 )
+from mbridge import filtering
 
 
 def three_atom_fiber():
@@ -124,6 +125,62 @@ def test_wonham_crosscheck_agrees_in_law():
                 {"seed": -1}, {"seed": 2**64}):
         with pytest.raises(StructuralError):
             wonham_sde_crosscheck(**{"n_paths": 16, "n_steps": 4, **bad})
+
+
+def test_euler_increment_table_is_odd_with_unit_variance():
+    # Euler with increments of mean 0, variance ds and third moment 0 has
+    # weak order one, as with Gaussian increments
+    q = filtering._QUANTILES
+    assert q.shape == (256,)
+    assert np.all(np.diff(q) > 0.0)
+    assert np.array_equal(q, -q[::-1])
+    assert math.fsum(q) == 0.0
+    assert abs(math.fsum(q * q) / q.size - 1.0) <= 1e-15
+    assert math.fsum(q * q * q) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_wonham_law_has_no_lattice_bias_on_a_coarse_grid(seed):
+    # a two-point increment law puts the Euler paths of 100 steps on a
+    # lattice about 0.03 away in KS; the 256-level table stays with
+    # Gaussian Euler
+    report = wonham_sde_crosscheck(n_paths=40_000, n_steps=100, seed=seed)
+    assert max(report.ks_by_checkpoint.values()) < 0.02
+
+
+NON_FINITE_TIMES = {
+    "time-change-nan": lambda: info_time_change(math.nan),
+    "inverse-time-change-nan": lambda: inverse_info_time(
+        np.array([0.5, math.nan])),
+    "wonham-s_max-inf": lambda: wonham_sde_crosscheck(
+        n_paths=16, n_steps=4, s_max=math.inf),
+    "wonham-s_max-nan": lambda: wonham_sde_crosscheck(
+        n_paths=16, n_steps=4, s_max=math.nan),
+    "wonham-checkpoint-nan": lambda: wonham_sde_crosscheck(
+        n_paths=16, n_steps=4, checkpoints=(math.nan,)),
+    "invariance-s-inf": lambda: sigma_invariance_test(
+        three_atom_fiber(), s=math.inf, n_samples=8),
+    "invariance-s-nan": lambda: sigma_invariance_test(
+        three_atom_fiber(), s=math.nan, n_samples=8),
+    "observations-grid-nan": lambda: simulate_observations(
+        three_atom_fiber(), np.array([0.5, math.nan]), n_paths=8),
+    "observations-grid-inf": lambda: simulate_observations(
+        three_atom_fiber(), np.array([0.5, math.inf]), n_paths=8),
+    "posterior-s-nan": lambda: posterior_estimator(
+        three_atom_fiber(), math.nan, [0.0]),
+    "posterior-s-inf": lambda: posterior_estimator(
+        three_atom_fiber(), math.inf, [0.0]),
+    "restart-s-nan": lambda: restart_posterior(
+        three_atom_fiber().measure, np.zeros(3), [0.0], [0.0], math.nan,
+        [0.0]),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_TIMES.values(),
+                         ids=NON_FINITE_TIMES.keys())
+def test_non_finite_times_are_refused(call):
+    with pytest.raises(StructuralError):
+        call()
 
 
 def test_restart_posterior_is_again_a_tilted_fiber(rng):
