@@ -27,24 +27,20 @@ Every stream here follows the rule of ``dynamics._stream``: SFC64 seeded by
 SeedSequence(seed, spawn_key=key). Observations and the exact side of the
 cross-check read the root stream, key (); the invariance test's j-th
 volatility reads key (1, j). The Euler paths of the cross-check run in
-fixed blocks of ``_EULER_BLOCK`` paths, one task each on a thread pool as
-wide as the cores the process may use: block 0 continues the root stream
-after the exact side's draws, and block b >= 1 reads key (2, b). A block
-reads its bytes as raw 64-bit words, eight bytes a word (see
-``_euler_block``). The blocks are joined in order, so the report is the
-same on one core as on many, and a run of at most one block reads one
-serial loop's stream. Measured as in ``dynamics``, a whole Euler step
-took 3-5 ns per path-step on one thread, and the 40,000-path, 4000-step
-check 4-5 ns per path-step (0.6-0.8 s) on both cores; an SFC64
-``standard_normal`` draw alone costs 15-18 ns.
+fixed blocks of ``_EULER_BLOCK`` paths, one after another: block 0
+continues the root stream after the exact side's draws, and block b >= 1
+reads key (2, b). A block reads its bytes as raw 64-bit words, eight
+bytes a word (see ``_euler_block``). The blocks are joined in order, and
+a run of at most one block reads one serial loop's stream. Measured as in
+``dynamics``, a whole Euler step took 3-5 ns per path-step on one thread;
+an SFC64 ``standard_normal`` draw alone costs 15-18 ns. At that cost a
+thread pool over the blocks bought nothing: the 40,000-path, 4000-step
+check took 0.37-0.42 s on one core and 0.37-0.43 s on two.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +52,7 @@ from .measures import _softmax
 from .solver import inner_dual_solve
 from .stats import ks_distance
 
-# Euler paths per block, the unit of work of the Wonham thread pool; fixed,
-# so the random streams do not depend on the number of cores
+# Euler paths per block; block b >= 1 reads the stream of key (_BLOCK_KEY, b)
 _EULER_BLOCK = 10_000
 # Euler steps whose increments one random_raw call draws
 _DRAW_STEPS = 4
@@ -219,14 +214,6 @@ class WonhamReport:
     n_paths: int
 
 
-def _cores():
-    """Cores this process may run on; the one source of the pool size."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask outside Linux
-        return os.cpu_count() or 1
-
-
 def _euler_block(rng, n_paths, n_steps, sqrt_ds, marks):
     """Euler paths of dZ = Z (1 - Z) dB from Z_0 = 1/2, clamped to [0, 1].
 
@@ -245,8 +232,7 @@ def _euler_block(rng, n_paths, n_steps, sqrt_ds, marks):
 
     ``marks`` holds, in checkpoint order, the step after which each
     snapshot is taken. Returns the snapshots and the number of clamped
-    excursions. Runs on a worker thread and calls nothing but numpy, which
-    releases the GIL in the draws, the gather and the in-place ufuncs.
+    excursions.
     """
     table = sqrt_ds * _QUANTILES
     may_leave = np.abs(table).max() > 1.0
@@ -291,13 +277,11 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     8.37 s_max), and compares the two laws at the checkpoints, plus the
     frequency of ending in the upper half. s_max must be finite.
 
-    The Euler paths run in blocks of ``_EULER_BLOCK`` on a thread pool with
-    one worker per available core (at most one per block). Block 0
-    continues the root stream after the exact side's draws; block b >= 1
-    draws from the stream of spawn key (2, b), independent of the root
-    stream and of the invariance test's streams of the same seed (see the
-    module notes). The blocks are joined in order, so the report does not
-    depend on the number of cores, and a run of at most one block draws
+    The Euler paths run in blocks of ``_EULER_BLOCK``. Block 0 continues
+    the root stream after the exact side's draws; block b >= 1 draws from
+    the stream of spawn key (2, b), independent of the root stream and of
+    the invariance test's streams of the same seed (see the module notes).
+    The blocks are joined in order, and a run of at most one block draws
     exactly what a single serial loop would. The seed must lie in
     [0, 2**64).
     """
@@ -330,10 +314,8 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
              for lo in range(0, n_paths, _EULER_BLOCK)]
     streams = [rng] + [_stream(seed, (_BLOCK_KEY, b))
                        for b in range(1, len(sizes))]
-    kernel = functools.partial(_euler_block, n_steps=n_steps,
-                               sqrt_ds=math.sqrt(ds), marks=marks)
-    with ThreadPoolExecutor(min(len(sizes), _cores())) as pool:
-        blocks = list(pool.map(kernel, streams, sizes))
+    blocks = [_euler_block(stream, size, n_steps, math.sqrt(ds), marks)
+              for stream, size in zip(streams, sizes)]
     z_euler = {c: np.concatenate([snaps[k] for snaps, _ in blocks])
                for k, c in enumerate(order)}
 

@@ -715,15 +715,6 @@ def test_wonham_blocks_reproduce_the_per_block_reference_loop():
     assert report.terminal_freq_euler == freq
 
 
-def test_wonham_report_does_not_depend_on_the_worker_count(monkeypatch):
-    reports = []
-    for cores in (1, 2):
-        monkeypatch.setattr(filtering, "_cores", lambda cores=cores: cores)
-        reports.append(wonham_sde_crosscheck(
-            n_paths=2 * filtering._EULER_BLOCK + 17, n_steps=200, seed=5))
-    assert reports[0] == reports[1]
-
-
 @pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**64 - 1])
 def test_every_stream_has_its_own_spawn_key_and_draws(monkeypatch, seed):
     # the invariance test's three volatilities, then the Wonham root stream
