@@ -44,13 +44,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .dynamics import _atoms_at, _fiber_posterior, _stream
 from .errors import StructuralError
 from .measures import _softmax
 from .solver import inner_dual_solve
-from .stats import ks_distance
+from .stats import ks_distance, norm_ppf
 
 # Euler paths per block; block b >= 1 reads the stream of key (_BLOCK_KEY, b)
 _EULER_BLOCK = 10_000
@@ -68,7 +67,7 @@ def _quantile_table():
     The upper half is mirrored, so the table is odd bit for bit (mean and
     third moment zero), and it is rescaled to second moment one.
     """
-    upper = ndtri((np.arange(128, 256) + 0.5) / 256)
+    upper = norm_ppf((np.arange(128, 256) + 0.5) / 256)
     return (np.concatenate([-upper[::-1], upper])
             / math.sqrt(math.fsum(upper ** 2) / 128))
 

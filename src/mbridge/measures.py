@@ -11,7 +11,9 @@ Summary of what lives here:
 * ``_softmax``: the one in-place Gibbs normalizer, shared by the solver's
   conditionals, the simulator's posterior and the filter.
 * ``check_convex_order``: LP feasibility of a martingale coupling,
-  returning a witness when one exists.
+  returning a witness when one exists. Every LP goes through ``linprog``,
+  which imports scipy on its first call, so that no happy path pays for
+  scipy.
 * ``mcov_discrete``: maximal covariance between two discrete measures
   (quantile pairing in one dimension, a transport LP otherwise).
 * ``gaussian_reference_identity_check``: residual of the change-of-reference
@@ -30,8 +32,6 @@ import json
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import StructuralError
 
@@ -41,6 +41,17 @@ MAX_DIMENSION = 512
 # HiGHS rejects feasibility tolerances below 1e-10
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-9}
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``optimize.linprog``, imported on the first LP.
+
+    Only the library LPs and the solver's failure diagnosis in d >= 2 call
+    it; importing scipy.optimize costs more than a whole happy path of the
+    command line, so no import of this package pays for it.
+    """
+    from scipy.optimize import linprog as highs
+    return highs(*args, **kwargs)
 
 
 def _float_array(value, what):
@@ -306,6 +317,7 @@ def coupling_constraints(x, y, columns=True, barycenters=True):
     barycenter rows sum_j p_ij (y_j - x_i)[k], by i then k (if
     ``barycenters``). CSC without stored zeros: the matrix linprog builds
     from the same rows given densely, so HiGHS sees identical input."""
+    from scipy import sparse
     n, m = x.shape[0], y.shape[0]
     blocks = [sparse.kron(sparse.eye_array(n), np.ones((1, m)))]
     if columns:

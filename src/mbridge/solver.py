@@ -57,13 +57,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import (DegenerateFiber, DualDivergence, NotConverged,
                      NotInConvexOrder, NotIrreducible, StructuralError)
 from .measures import (Coupling, DiscreteMeasure, _softmax, check_convex_order,
-                       coupling_constraints, mcov_discrete, primal_value)
+                       coupling_constraints, linprog, mcov_discrete,
+                       primal_value)
 
 HESSIAN_CONDITION_CAP = 1e14
 # a fiber whose |h| exceeds this bound is diverging toward the boundary of
@@ -183,6 +182,7 @@ def _in_relative_interior(points, nu):
     n, m = points.shape[0], nu.n
     if m == 1:
         return np.linalg.norm(points - nu.atoms[0], axis=1) <= 1e-12
+    from scipy import sparse
     a_eq = coupling_constraints(points, nu.atoms, columns=False)
     a_eq = sparse.hstack([a_eq, sparse.csc_array((a_eq.shape[0], n))])
     b_eq = np.concatenate([np.ones(n), np.zeros(a_eq.shape[0] - n)])

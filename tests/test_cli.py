@@ -361,17 +361,84 @@ def test_simulate_study_instance_passes_the_law_checks(tmp_path, study_files,
     assert report["max_mean_dev_se"] <= 5.0
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.6 s to import; the law checks use
-    # scipy.special only
+def fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    mbridge; return its stdout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mbridge.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return done.stdout.strip()
+
+
+# prints, as JSON on its last line, the exit code of each run given as RUNS
+# and then the scipy modules loaded
+RUN_AND_LIST_SCIPY = """
+import json, sys
+from mbridge.cli import main
+codes = [main(argv) for argv in RUNS]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.6 s to import; no command needs it
+    assert fresh_python(
+        "import sys, mbridge.cli; print('scipy.stats' in sys.modules)") \
+        == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs several times numpy's import; it is loaded only by the
+    # LPs, which no happy path runs
+    assert fresh_python(
+        "import sys, mbridge.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])") \
+        == "[]"
+
+
+def test_happy_paths_load_no_scipy(tmp_path, study_files):
+    mu, nu = study_files
+    mu2, nu2, _ = random_instance(np.random.default_rng(7), n=6, m=8, d=2)
+    mu2, nu2 = (write_measure(tmp_path / f"{name}.json", m.atoms, m.weights)
+                for name, m in (("mu2", mu2), ("nu2", nu2)))
+    out = str(tmp_path / "run")
+    runs = [
+        ["solve", "--mu", mu, "--nu", nu, "--out", out],
+        ["certify", "--mu", mu, "--nu", nu, "--out", out],
+        ["certify", "--mu", mu2, "--nu", nu2, "--out", out],
+        ["simulate", "--mu", mu, "--nu", nu, "--paths", "60",
+         "--grid-points", "11", "--out", out],
+        ["simulate", "--delta", "[[2.0,0.3],[0.3,1.5]]", "--paths", "60",
+         "--grid-points", "11", "--out", out],
+        ["filter", "--paths", "200", "--steps", "20", "--out", out],
+        ["threepoint", "--p1", "0.40", "--q1", "0.46", "--p2", "0.43",
+         "--q2", "0.27", "--out", out],
+        ["gaussian", "--sigma0", "1.0", "--sigma1", "2.0", "--out", out],
+    ]
+    codes, scipy = json.loads(fresh_python(
+        f"RUNS = {runs!r}\n{RUN_AND_LIST_SCIPY}").splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert scipy == []
+
+
+def test_infeasible_d2_certify_exits_three_through_the_lazy_lp(tmp_path):
+    # mu atom 0 sits at a vertex of conv(supp nu): a martingale coupling
+    # exists, but the atom is not in the relative interior, which only the
+    # LP diagnosis can tell in d = 2
+    mu = write_measure(tmp_path / "mu.json", [[-1.0, -1.0], [1 / 9, 1 / 9]],
+                       [0.1, 0.9])
+    nu = write_measure(tmp_path / "nu.json",
+                       [[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]],
+                       [0.25] * 4)
+    runs = [["certify", "--mu", mu, "--nu", nu,
+             "--out", str(tmp_path / "run")]]
+    codes, scipy = json.loads(fresh_python(
+        f"RUNS = {runs!r}\n{RUN_AND_LIST_SCIPY}").splitlines()[-1])
+    assert codes == [3]
+    assert "scipy.optimize" in scipy
 
 
 def test_simulate_flag_conflicts(tmp_path, study_files, capsys):

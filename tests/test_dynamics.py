@@ -792,3 +792,23 @@ def test_law_checks_on_a_gaussian_fiber():
     assert report.passing and report.terminal_binom_min_p is None
     ens.M[:, 1:-1] += 0.3
     assert not law_checks(ens).passing
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 16, 17, 100, 1000, 10_000,
+                               99_999, 100_000])
+def test_binomial_tails_match_scipy(n):
+    # the law checks' exact two-sided tails, against scipy's bdtr/bdtrc,
+    # at every count near each tail and across the bulk
+    from scipy.special import bdtr, bdtrc
+    rng = np.random.default_rng(n)
+    for p in (1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.77, 0.99, 1.0 - 1e-6, 1.0):
+        spread = math.sqrt(n * p * (1.0 - p))
+        counts = np.unique(np.clip(np.concatenate([
+            np.arange(21), n - np.arange(21), rng.integers(0, n + 1, 30),
+            np.round(n * p + spread * np.linspace(-40.0, 40.0, 81))]),
+            0, n).astype(int))
+        ref = np.minimum(bdtr(counts, n, p), bdtrc(counts - 1, n, p))
+        ours = dynamics._binomial_tails(counts, n, np.full(counts.size, p))
+        shown = ref > 1e-300
+        assert np.all(np.abs(ours - ref)[shown] <= 1e-9 * ref[shown]), p
+        assert np.all(ours[~shown] <= 1e-290), p

@@ -139,6 +139,15 @@ def test_euler_increment_table_is_odd_with_unit_variance():
     assert math.fsum(q * q * q) == 0.0
 
 
+def test_euler_increment_table_matches_scipy_ndtri():
+    from scipy.special import ndtri
+    upper = ndtri((np.arange(128, 256) + 0.5) / 256)
+    ref = (np.concatenate([-upper[::-1], upper])
+           / math.sqrt(math.fsum(upper ** 2) / 128))
+    q = filtering._QUANTILES
+    assert np.all(np.abs(q - ref) <= 8 * np.spacing(np.abs(ref)))
+
+
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_wonham_law_has_no_lattice_bias_on_a_coarse_grid(seed):
     # a two-point increment law puts the Euler paths of 100 steps on a

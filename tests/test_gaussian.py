@@ -14,6 +14,7 @@ from mbridge import (
     gaussian_msb_closed_form,
     weighted_energy_quadrature,
 )
+from mbridge import gaussian
 
 
 def random_spd(rng, d, scale=1.0):
@@ -112,6 +113,42 @@ def test_bridge_and_flat_schedules_agree_through_the_time_change(rng):
         tau = comp.time_change(np.array([0.0, 1.0]))
         assert np.max(np.abs(tau[0])) < 1e-15
         assert np.max(np.abs(tau[1] - 1.0)) < 1e-15
+
+
+# eigenvalues of D from 1e-4 to 1e4, one of them 1 and two a rounding away
+SPECTRUM = np.concatenate([np.logspace(-4.0, 4.0, 33),
+                           [1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52]])
+
+
+def test_energy_rule_matches_scipy_quad():
+    from scipy.integrate import quad
+    assert 1.0 in SPECTRUM
+    for lam in SPECTRUM:
+        ours = weighted_energy_quadrature([[lam]])
+        ref, _ = quad(lambda t, lam=lam: gaussian._energy_integrand(lam, t),
+                      0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert abs(ours - 0.5 * ref) <= 1e-13 * (1.0 + 0.5 * ref), lam
+
+
+def test_isometry_rule_matches_scipy_quad():
+    from scipy.integrate import quad
+    grid = np.array([0.0, 0.01, 0.3, 0.77, 1.0])
+    ours, _ = gaussian._schedule_integral(gaussian._isometry_integrand,
+                                          SPECTRUM, grid[:, None])
+    for k, lam in enumerate(SPECTRUM):
+        for g, t in enumerate(grid):
+            ref, _ = quad(
+                lambda s, lam=lam: gaussian._isometry_integrand(lam, s),
+                0.0, t, epsabs=1e-14, epsrel=1e-13, limit=200)
+            assert abs(ours[g, k] - ref) <= 1e-12 * ref + 1e-15, (lam, t)
+
+
+def test_energy_quadrature_refuses_a_rule_too_short(monkeypatch):
+    # two nodes cannot resolve the integrand at lam = 50: the gap between
+    # the two rules exceeds the 1e-9 tolerance
+    monkeypatch.setattr(gaussian, "_QUADRATURE_NODES", 2)
+    with pytest.raises(StructuralError, match="tolerance"):
+        weighted_energy_quadrature(np.diag([2.0, 50.0]))
 
 
 def test_convex_order_and_validation_failures():

@@ -41,6 +41,24 @@ def test_ppf_endpoints_and_validation():
         norm_ppf(1.1)
 
 
+def test_cdf_matches_reference():
+    x = np.linspace(-37.0, 9.0, 20001)
+    ours = norm_cdf(x)
+    ref = special.ndtr(x)
+    shown = ref > 1e-300
+    assert np.all(np.abs(ours - ref)[shown] <= 1e-12 * ref[shown])
+    assert np.all(ours[~shown] <= 1e-290)
+
+
+def test_ppf_within_a_few_ulp_of_ndtri():
+    q = np.concatenate([np.logspace(-300, -1, 3000),
+                        np.linspace(0.1, 0.9, 8001),
+                        1.0 - np.logspace(-16, -1, 1000)])
+    ours = norm_ppf(q)
+    ref = special.ndtri(q)
+    assert np.all(np.abs(ours - ref) <= 8 * np.spacing(np.abs(ref)))
+
+
 def test_pdf_cdf_consistency():
     # numerical derivative of the cdf reproduces the density
     x = np.linspace(-5, 5, 101)
