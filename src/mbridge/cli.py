@@ -85,8 +85,8 @@ def _write_json(outdir, name, doc):
 def _write_csv(outdir, name, header, rows):
     with open(Path(outdir) / name, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in rows.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _outdir(args):
@@ -250,12 +250,10 @@ def cmd_gaussian(args):
               + [f"sigma_{i}{j}" for i in range(d) for j in range(d)]
               + [f"{name}_{k}" for name in ("tau", "bridge", "flat")
                  for k in range(d)])
-    rows = []
-    taus = comp.time_change(grid)
-    for g, t in enumerate(grid):
-        sig_t = follmer_volatility_gaussian(sol.delta, t)
-        rows.append([t, *sig_t.ravel(), *taus[g], *comp.bridge_schedule[g],
-                     *comp.flat_schedule[g]])
+    sigma = follmer_volatility_gaussian(sol.delta, grid)
+    rows = np.column_stack([grid, sigma.reshape(len(grid), d * d),
+                            comp.time_change(grid), comp.bridge_schedule,
+                            comp.flat_schedule])
     out = _outdir(args)
     _write_csv(out, "schedules.csv", header, rows)
 

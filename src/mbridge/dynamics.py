@@ -260,19 +260,19 @@ class PathEnsemble:
     def to_csv(self, path, max_paths=None):
         """Long-format export: path_id, t, M..., X..., fiber."""
         d = self.terminal.shape[1]
-        times = self.stored_times
+        times = [repr(t) for t in self.stored_times.tolist()]
         count = self.n_paths if max_paths is None else min(self.n_paths,
                                                            int(max_paths))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             m_cols = ",".join(f"M_{k}" for k in range(d)) if d > 1 else "M"
             x_cols = ",".join(f"X_{k}" for k in range(d)) if d > 1 else "X"
             fh.write(f"path_id,t,{m_cols},{x_cols},fiber\n")
-            for p in range(count):
-                fib = int(self.fiber_index[p])
-                for k, t in enumerate(times):
-                    mv = ",".join(repr(float(v)) for v in self.M[p, k])
-                    xv = ",".join(repr(float(v)) for v in self.X[p, k])
-                    fh.write(f"{p},{repr(float(t))},{mv},{xv},{fib}\n")
+            # one path at a time: Python floats take four times the bytes
+            for p, fib in enumerate(self.fiber_index[:count].tolist()):
+                for t, mv, xv in zip(times, self.M[p].tolist(),
+                                     self.X[p].tolist()):
+                    fh.write(f"{p},{t},{','.join(map(repr, mv))},"
+                             f"{','.join(map(repr, xv))},{fib}\n")
 
 
 def _gaussian_vol_energy_increments(delta, grid):

@@ -9,7 +9,9 @@ Summary of what lives here:
 * ``relative_entropy``: H(p|q) with a +inf sentinel when p is not
   absolutely continuous with respect to q; ``primal_value`` is H(m|mu x nu).
 * ``_softmax``: the one in-place Gibbs normalizer, shared by the solver's
-  conditionals, the simulator's posterior and the filter.
+  conditionals, the simulator's posterior and the filter. Its first half,
+  ``_log_partition`` (shift, exp, sum), serves values that need no
+  normalized weights, such as the trial points of the fiber line search.
 * ``check_convex_order``: LP feasibility of a martingale coupling,
   returning a witness when one exists. Every LP goes through ``linprog``,
   which imports scipy on its first call, so that no happy path pays for
@@ -96,17 +98,27 @@ def _spd_matrix(value, name):
     return mat
 
 
-def _softmax(logits, axis):
-    """Normalize exp(logits) along ``axis`` in place; return (top, total).
+def _log_partition(logits, axis):
+    """Overwrite ``logits`` with exp(logits - top) and return (top, total).
 
-    Shifts by the maximum, takes one exp per entry and divides once. Both
-    returned arrays keep ``axis`` with length one; the log-sum-exp of the
-    input is top + log(total). A -inf entry comes out as an exact 0.
+    ``top`` is the maximum along ``axis`` and ``total`` the sum of the
+    shifted exponentials, both kept with length one along ``axis``; the
+    log-sum-exp of the input is top + log(total). A value needs only this,
+    the normalized weights need ``_softmax``.
     """
     top = logits.max(axis=axis, keepdims=True)
     logits -= top
     np.exp(logits, out=logits)
-    total = logits.sum(axis=axis, keepdims=True)
+    return top, logits.sum(axis=axis, keepdims=True)
+
+
+def _softmax(logits, axis):
+    """Normalize exp(logits) along ``axis`` in place; return (top, total).
+
+    ``_log_partition`` followed by one divide: the log-sum-exp of the input
+    is top + log(total), and a -inf entry comes out as an exact 0.
+    """
+    top, total = _log_partition(logits, axis)
     logits /= total
     return top, total
 

@@ -13,7 +13,12 @@ Eliminating the fiber potentials leaves one concave dual in psi alone,
 whose gradient is nu - cols, the defect of the column sums. Each phi_i and
 its maximizer h_i come from a batched damped Newton solve per mu atom
 (``_fiber_newton``), which makes the row mass and the conditional barycenter
-exact; every conditional is normalized by ``measures._softmax``. The psi dual is climbed by one safeguarded Newton kernel,
+exact; every conditional is normalized by ``measures._softmax``. Its Armijo
+line search scores trial points by value alone (``measures._log_partition``,
+no conditionals or gradient) and backtracks over the step lengths 2^-k in
+stacked batches of up to ``_BATCH`` lengths; each fiber takes its first
+passing length, exactly as sequential halving would. The psi dual is
+climbed by one safeguarded Newton kernel,
 ``_psi_newton``: the negative Hessian is diag(cols) - sum_i mu_i c_i c_i'
 minus the curvature of the eliminated h block, made solvable by adding the
 nu-weighted affine gauge, and the step is damped by an Armijo line search
@@ -60,9 +65,9 @@ import numpy as np
 
 from .errors import (DegenerateFiber, DualDivergence, NotConverged,
                      NotInConvexOrder, NotIrreducible, StructuralError)
-from .measures import (Coupling, DiscreteMeasure, _softmax, check_convex_order,
-                       coupling_constraints, linprog, mcov_discrete,
-                       primal_value)
+from .measures import (Coupling, DiscreteMeasure, _log_partition, _softmax,
+                       check_convex_order, coupling_constraints, linprog,
+                       mcov_discrete, primal_value)
 
 HESSIAN_CONDITION_CAP = 1e14
 # a fiber whose |h| exceeds this bound is diverging toward the boundary of
@@ -83,6 +88,11 @@ _NEWTON_MAX_STEPS = 50
 _NEWTON_GRADIENT_TOLERANCE = 1e-12
 _ARMIJO = 1e-4
 _LINE_SEARCH_STEPS = 30
+# The fiber line search: step lengths 2^-k for k < _LINE_SEARCH_LENGTHS, up
+# to _BATCH of them per stacked trial evaluation.
+_LINE_SEARCH_LENGTHS = 60
+_STEP_LENGTHS = np.ldexp(1.0, -np.arange(_LINE_SEARCH_LENGTHS))
+_BATCH = 8
 _SP_MAX_ITERATIONS = 200_000
 _FAILURES = (NotIrreducible, DualDivergence, DegenerateFiber, NotConverged)
 
@@ -311,6 +321,16 @@ def _fiber_newton(geom, x_red, psi, z0=None):
 
     Maximizes g(z) = <z, x> - log sum_j nu_j exp(psi_j + <z, y_j>) in reduced
     coordinates for every row of ``x_red``. Returns (z, phi, conditionals).
+
+    The Armijo line search tries the step lengths 2^-k,
+    k < ``_LINE_SEARCH_LENGTHS``, and takes each fiber's first length that
+    passes, as sequential halving would. Trial points need only the value,
+    so they skip the normalized conditionals, barycenter and gradient. The
+    full step is tried for every active fiber at once; ``_backtrack`` tries
+    the shorter lengths for the fibers that reject it, up to ``_BATCH`` per
+    stacked evaluation and never more trial rows than there are active
+    fibers. A trial row takes the same arithmetic as under sequential
+    halving (2^-k is exact), so the iterates do not depend on the batching.
     """
     n = x_red.shape[0]
     r = geom.rank
@@ -318,6 +338,10 @@ def _fiber_newton(geom, x_red, psi, z0=None):
     base = geom.log_nu + psi  # (m,)
 
     z = np.zeros((n, r)) if z0 is None else np.array(z0, dtype=float)
+
+    def value(zc, xs):
+        top, total = _log_partition(base[None, :] + zc @ yr.T, axis=1)
+        return np.einsum("nr,nr->n", zc, xs) - (top + np.log(total))[:, 0]
 
     def value_grad(zc, xs):
         cond = base[None, :] + zc @ yr.T
@@ -327,13 +351,13 @@ def _fiber_newton(geom, x_red, psi, z0=None):
         return val, xs - bary, cond, bary
 
     val, grad, cond, bary = value_grad(z, x_red)
-    grad_norm = np.linalg.norm(grad, axis=1) if r else np.zeros(n)
-    active = grad_norm > _NEWTON_GRADIENT_TOLERANCE
+    active = _row_norms(grad) > _NEWTON_GRADIENT_TOLERANCE
 
     for _ in range(_NEWTON_MAX_STEPS):
-        if not np.any(active):
+        if not active.any():
             break
         idx = np.nonzero(active)[0]
+        z_a, x_a, val_a, grad_a = z[idx], x_red[idx], val[idx], grad[idx]
         cond_a = cond[idx]
         bary_a = bary[idx]
         cov = np.einsum("nm,mi,mj->nij", cond_a, yr, yr) \
@@ -341,49 +365,77 @@ def _fiber_newton(geom, x_red, psi, z0=None):
         eigs = np.linalg.eigvalsh(cov)
         bad = (eigs[:, 0] <= 0) | (eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300)
                                    > HESSIAN_CONDITION_CAP)
-        if np.any(bad):
+        if bad.any():
             fiber = int(idx[np.nonzero(bad)[0][0]])
             raise DegenerateFiber(
                 f"fiber {fiber}: conditional covariance condition number "
                 f"exceeds {HESSIAN_CONDITION_CAP:.0e}")
-        step = np.linalg.solve(cov, grad[idx][:, :, None])[:, :, 0]
-        descent = np.einsum("nr,nr->n", grad[idx], step)
+        step = np.linalg.solve(cov, grad_a[:, :, None])[:, :, 0]
+        descent = np.einsum("nr,nr->n", grad_a, step)
 
         # once the predicted gain falls below the fp resolution of the
         # objective the Armijo test is meaningless; take the pure Newton step
-        alpha = np.ones(len(idx))
-        accepted = descent <= 1e-14 * (1.0 + np.abs(val[idx]))
-        z_new = z[idx] + step
-        for _ in range(60):
-            trial = z[idx] + alpha[:, None] * step
-            tv, _, _, _ = value_grad(trial, x_red[idx])
-            ok = tv >= val[idx] + _ARMIJO * alpha * descent
-            newly = ok & ~accepted
-            z_new[newly] = trial[newly]
-            accepted |= ok
-            if np.all(accepted):
-                break
-            alpha[~accepted] *= 0.5
-        if not np.all(accepted):
-            raise NotConverged("inner Newton line search stalled")
+        z_new = z_a + step
+        accepted = descent <= 1e-14 * (1.0 + np.abs(val_a))
+        accepted |= value(z_new, x_a) >= val_a + _ARMIJO * descent
+        rejected = ~accepted
+        if rejected.any():
+            z_new[rejected] = _backtrack(
+                value, z_a[rejected], step[rejected], x_a[rejected],
+                val_a[rejected], descent[rejected], len(idx))
         z[idx] = z_new
 
-        hn = np.linalg.norm(z[idx], axis=1)
-        if np.any(hn > H_DIVERGENCE_BOUND):
+        hn = _row_norms(z_new)
+        if (hn > H_DIVERGENCE_BOUND).any():
             fiber = int(idx[np.argmax(hn)])
             raise DualDivergence(
                 f"fiber {fiber}: |h| exceeded divergence bound "
                 f"{H_DIVERGENCE_BOUND:.0e}")
 
         val, grad, cond, bary = value_grad(z, x_red)
-        grad_norm = np.linalg.norm(grad, axis=1)
-        active = grad_norm > _NEWTON_GRADIENT_TOLERANCE
+        active = _row_norms(grad) > _NEWTON_GRADIENT_TOLERANCE
 
-    if np.any(active):
+    if active.any():
         raise NotConverged(
             f"inner Newton did not reach gradient tolerance within "
             f"{_NEWTON_MAX_STEPS} steps")
     return z, val, cond
+
+
+def _backtrack(value, z, step, x, val, descent, max_rows):
+    """The points z + 2^-k step at each row's first k >= 1 that passes the
+    Armijo test against ``val`` and ``descent``.
+
+    ``value(points, x)`` scores stacked trial points; each call holds up to
+    ``_BATCH`` lengths of every row still searching, and never more than
+    ``max_rows`` trial rows. NotConverged if a row passes at no length
+    below ``_LINE_SEARCH_LENGTHS``.
+    """
+    r = z.shape[1]
+    out = np.empty_like(z)
+    rows = np.arange(len(z))
+    k = 1
+    while rows.size:
+        if k == _LINE_SEARCH_LENGTHS:
+            raise NotConverged("inner Newton line search stalled")
+        count = min(_BATCH, max_rows // rows.size, _LINE_SEARCH_LENGTHS - k)
+        alpha = _STEP_LENGTHS[k:k + count, None]
+        trial = z + alpha[:, :, None] * step
+        tv = value(trial.reshape(-1, r), np.concatenate((x,) * count))
+        ok = tv.reshape(count, -1) >= val + _ARMIJO * alpha * descent
+        k += count
+        passed = ok.any(axis=0)
+        if passed.any():
+            out[rows[passed]] = trial[ok.argmax(axis=0)[passed], passed]
+            keep = ~passed
+            rows, z, step, x, val, descent = (
+                a[keep] for a in (rows, z, step, x, val, descent))
+    return out
+
+
+def _row_norms(a):
+    """Euclidean norm of each row, as ``np.linalg.norm(a, axis=1)``."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 def inner_dual_solve(x, psi, nu, h0=None):

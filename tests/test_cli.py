@@ -271,6 +271,13 @@ def test_gaussian_command_unit_increment(tmp_path):
     assert np.max(np.abs(sig - 1.0)) == 0.0
 
 
+def test_gaussian_command_accepts_a_large_increment(tmp_path):
+    # the energy quadrature's tolerance is relative to the value
+    code = main(["gaussian", "--sigma0", "1", "--sigma1", "100001",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+
+
 def test_threepoint_command_artifacts(tmp_path):
     out = tmp_path / "run"
     code = main(["threepoint", "--p1", "0.40", "--q1", "0.46",

@@ -95,6 +95,18 @@ def test_volatility_schedule_endpoints_and_monotone_eigenvalues(rng):
         follmer_volatility_gaussian(delta, 1.5)
 
 
+def test_volatility_schedule_on_a_grid_equals_the_pointwise_calls(rng):
+    grid = np.linspace(0.0, 1.0, 11)
+    for k in range(200):
+        delta = random_spd(rng, 1 + k % 3, rng.uniform(0.1, 10.0))
+        stacked = follmer_volatility_gaussian(delta, grid)
+        assert stacked.shape == (grid.size,) + delta.shape
+        for t, sigma in zip(grid, stacked):
+            assert np.array_equal(sigma, follmer_volatility_gaussian(delta, t))
+    with pytest.raises(StructuralError):
+        follmer_volatility_gaussian(delta, np.array([0.5, np.nan]))
+
+
 def test_bridge_and_flat_schedules_agree_through_the_time_change(rng):
     for s0, s1 in [
         (np.eye(1), 3.0 * np.eye(1)),
@@ -141,6 +153,15 @@ def test_isometry_rule_matches_scipy_quad():
                 lambda s, lam=lam: gaussian._isometry_integrand(lam, s),
                 0.0, t, epsabs=1e-14, epsrel=1e-13, limit=200)
             assert abs(ours[g, k] - ref) <= 1e-12 * ref + 1e-15, (lam, t)
+
+
+def test_energy_quadrature_accepts_a_large_converged_integral():
+    # at lam = 1e5 the energy is about 5e4, and the gap between two
+    # converged rules (3.6e-9) is rounding, far below 1e-9 of the value
+    delta = [[1e5]]
+    energy = weighted_energy_quadrature(delta)
+    closed = gaussian_energy_closed_form(delta)
+    assert abs(energy - closed) <= 1e-13 * closed
 
 
 def test_energy_quadrature_refuses_a_rule_too_short(monkeypatch):

@@ -35,8 +35,13 @@ from mbridge import (
     sinkhorn_msb,
     vp_value,
 )
+import mbridge.solver as solver
 from mbridge.cli import main
-from mbridge.solver import _diagnose
+from mbridge.measures import _log_partition, _softmax
+from mbridge.solver import (_ARMIJO, _NEWTON_GRADIENT_TOLERANCE,
+                            _NEWTON_MAX_STEPS, H_DIVERGENCE_BOUND,
+                            HESSIAN_CONDITION_CAP, _diagnose)
+from mbridge.solver import _fiber_newton as fiber_newton
 from conftest import (golden_section, peacock, random_instance,
                       study_instance, two_by_three_family)
 
@@ -446,3 +451,224 @@ def test_certify_passes_where_the_classical_floor_lies_above_1e13(tmp_path):
     code = main(["certify", "--mu", paths[0], "--nu", paths[1],
                  "--out", str(tmp_path / "run")])
     assert code == 0
+
+
+# The fiber line search. ``_reference_fiber_newton`` is the solver's fiber
+# Newton as it stood with the line search as sequential halving, copied
+# verbatim; the batched search must reproduce its iterates bit for bit.
+
+FIBER_FAILURES = (DegenerateFiber, DualDivergence, NotConverged)
+SOLVE_FAILURES = FIBER_FAILURES + (NotInConvexOrder, NotIrreducible)
+
+
+def _reference_fiber_newton(geom, x_red, psi, z0=None):
+    """The fiber Newton whose line search halves every rejected step and
+    evaluates the conditionals of every active fiber at each trial."""
+    n = x_red.shape[0]
+    r = geom.rank
+    yr = geom.y_red
+    base = geom.log_nu + psi  # (m,)
+
+    z = np.zeros((n, r)) if z0 is None else np.array(z0, dtype=float)
+
+    def value_grad(zc, xs):
+        cond = base[None, :] + zc @ yr.T
+        top, total = _softmax(cond, axis=1)
+        val = np.einsum("nr,nr->n", zc, xs) - (top + np.log(total))[:, 0]
+        bary = cond @ yr
+        return val, xs - bary, cond, bary
+
+    val, grad, cond, bary = value_grad(z, x_red)
+    grad_norm = np.linalg.norm(grad, axis=1) if r else np.zeros(n)
+    active = grad_norm > _NEWTON_GRADIENT_TOLERANCE
+
+    for _ in range(_NEWTON_MAX_STEPS):
+        if not np.any(active):
+            break
+        idx = np.nonzero(active)[0]
+        cond_a = cond[idx]
+        bary_a = bary[idx]
+        cov = np.einsum("nm,mi,mj->nij", cond_a, yr, yr) \
+            - np.einsum("ni,nj->nij", bary_a, bary_a)
+        eigs = np.linalg.eigvalsh(cov)
+        bad = (eigs[:, 0] <= 0) | (eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300)
+                                   > HESSIAN_CONDITION_CAP)
+        if np.any(bad):
+            fiber = int(idx[np.nonzero(bad)[0][0]])
+            raise DegenerateFiber(
+                f"fiber {fiber}: conditional covariance condition number "
+                f"exceeds {HESSIAN_CONDITION_CAP:.0e}")
+        step = np.linalg.solve(cov, grad[idx][:, :, None])[:, :, 0]
+        descent = np.einsum("nr,nr->n", grad[idx], step)
+
+        # once the predicted gain falls below the fp resolution of the
+        # objective the Armijo test is meaningless; take the pure Newton step
+        alpha = np.ones(len(idx))
+        accepted = descent <= 1e-14 * (1.0 + np.abs(val[idx]))
+        z_new = z[idx] + step
+        for _ in range(60):
+            trial = z[idx] + alpha[:, None] * step
+            tv, _, _, _ = value_grad(trial, x_red[idx])
+            ok = tv >= val[idx] + _ARMIJO * alpha * descent
+            newly = ok & ~accepted
+            z_new[newly] = trial[newly]
+            accepted |= ok
+            if np.all(accepted):
+                break
+            alpha[~accepted] *= 0.5
+        if not np.all(accepted):
+            raise NotConverged("inner Newton line search stalled")
+        z[idx] = z_new
+
+        hn = np.linalg.norm(z[idx], axis=1)
+        if np.any(hn > H_DIVERGENCE_BOUND):
+            fiber = int(idx[np.argmax(hn)])
+            raise DualDivergence(
+                f"fiber {fiber}: |h| exceeded divergence bound "
+                f"{H_DIVERGENCE_BOUND:.0e}")
+
+        val, grad, cond, bary = value_grad(z, x_red)
+        grad_norm = np.linalg.norm(grad, axis=1)
+        active = grad_norm > _NEWTON_GRADIENT_TOLERANCE
+
+    if np.any(active):
+        raise NotConverged(
+            f"inner Newton did not reach gradient tolerance within "
+            f"{_NEWTON_MAX_STEPS} steps")
+    return z, val, cond
+
+
+def _fiber_calls(monkeypatch, mu, nu):
+    """The arguments of every fiber solve along ``sinkhorn_msb(mu, nu)``."""
+    calls = []
+
+    def record(geom, x_red, psi, z0=None):
+        calls.append((geom, x_red, psi.copy(),
+                      None if z0 is None else np.array(z0)))
+        return fiber_newton(geom, x_red, psi, z0)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_fiber_newton", record)
+        try:
+            sinkhorn_msb(mu, nu, SolverConfig(max_outer_iterations=200))
+        except SOLVE_FAILURES:
+            pass
+    return calls
+
+
+def _outcome(newton, call):
+    """(z, phi, cond), or the type and message of the failure."""
+    try:
+        return newton(*call)
+    except FIBER_FAILURES as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(a, b):
+    if isinstance(a[0], type):
+        return a == b
+    return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+def _evaluations(monkeypatch, call, batch=None):
+    """Rows of each value-only evaluation of one fiber solve, one list per
+    Newton step: first the full step of every active fiber, then one entry
+    per batch of shorter steps."""
+    steps = []
+
+    def trial(logits, axis):
+        steps[-1].append(logits.shape[0])
+        return _log_partition(logits, axis)
+
+    def full(logits, axis):
+        steps.append([])
+        return _softmax(logits, axis)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_log_partition", trial)
+        m.setattr(solver, "_softmax", full)
+        if batch is not None:
+            m.setattr(solver, "_BATCH", batch)
+        _outcome(fiber_newton, call)
+    return [rows for rows in steps if rows]
+
+
+def _benchmark_peacock(a):
+    # the benchmark's n = 10 peacock at its seed-1 translation
+    shift = float(np.random.default_rng([1, 7]).uniform(-0.5, 0.5))
+    mu, nu = peacock(10, a)
+    return (DiscreteMeasure(mu.atoms + shift, mu.weights),
+            DiscreteMeasure(nu.atoms + shift, nu.weights))
+
+
+def _random_calls(monkeypatch, rng, d):
+    """Fiber solves along the solves of random pairs, and cold solves at
+    random psi, whose full Newton steps overshoot."""
+    calls = []
+    for _ in range(4):
+        mu, nu, _ = random_instance(rng, d=d)
+        geom = solver._FiberGeometry(nu)
+        x_red = geom.reduce_points(mu.atoms)
+        calls.append((geom, x_red, rng.normal(scale=3.0, size=nu.n), None))
+        calls.extend(_fiber_calls(monkeypatch, mu, nu))
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_batched_line_search_matches_sequential_halving_on_random_pairs(
+        monkeypatch, rng, d):
+    calls = _random_calls(monkeypatch, rng, d)
+    assert len(calls) > 8
+    for call in calls:
+        assert _same_outcome(_outcome(fiber_newton, call),
+                             _outcome(_reference_fiber_newton, call))
+
+
+def test_batched_line_search_matches_sequential_halving_on_peacocks(
+        monkeypatch):
+    halvings = 0
+    for a in (0.1, 0.05):
+        calls = _fiber_calls(monkeypatch, *_benchmark_peacock(a))
+        assert len(calls) > 20
+        for call in calls:
+            assert _same_outcome(_outcome(fiber_newton, call),
+                                 _outcome(_reference_fiber_newton, call))
+            # with one step length per batch, a Newton step makes one
+            # evaluation per halving after the full step
+            steps = _evaluations(monkeypatch, call, batch=1)
+            halvings = max(halvings, *(len(rows) - 1 for rows in steps))
+    # some fiber backtracks past the first batch of lengths
+    assert halvings > 9
+
+
+def test_line_search_batches_hold_no_more_rows_than_active_fibers(
+        monkeypatch):
+    calls = _fiber_calls(monkeypatch, *_benchmark_peacock(0.1))
+    batched = sequential = 0
+    for call in calls:
+        steps = _evaluations(monkeypatch, call)
+        for active, *batches in steps:
+            assert all(rows <= active for rows in batches)
+        batched += sum(map(len, steps))
+        sequential += sum(map(len, _evaluations(monkeypatch, call, batch=1)))
+    assert batched < sequential
+
+
+def test_line_search_stalls_when_no_step_length_passes(monkeypatch, rng):
+    mu, nu, _ = random_instance(rng, d=2)
+    geom = solver._FiberGeometry(nu)
+    x_red = geom.reduce_points(mu.atoms)
+    psi = rng.normal(size=nu.n)
+    lengths = []
+
+    def rejected(logits, axis):
+        # every trial value comes out -inf, below any Armijo bound
+        lengths.append(logits.shape[0])
+        top, total = _log_partition(logits, axis)
+        return top, np.full_like(total, np.inf)
+
+    monkeypatch.setattr(solver, "_log_partition", rejected)
+    with pytest.raises(NotConverged, match="line search stalled"):
+        fiber_newton(geom, x_red, psi)
+    # the full step, then every shorter length up to the cap
+    assert sum(lengths) == mu.n * 60
