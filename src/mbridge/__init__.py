@@ -8,9 +8,10 @@ from .dynamics import (BijectionReport, FiberModel, LawCheckReport,
                        PathEnsemble, backward_posterior, fiber_coefficients,
                        law_checks, phi_bijection_check, randomize_over_mu,
                        simulate_follmer_martingale)
-from .errors import (DegenerateFiber, DualDivergence, InfeasibleParameters,
-                     MbridgeError, NotConverged, NotInConvexOrder,
-                     NotIrreducible, StructuralError, TerminalAmbiguity)
+from .errors import (DegenerateFiber, DualDivergence, Infeasible,
+                     InfeasibleParameters, MbridgeError, NotConverged,
+                     NotInConvexOrder, NotIrreducible, StructuralError,
+                     TerminalAmbiguity)
 from .filtering import (RestartReport, SigmaInvarianceReport, WonhamReport,
                         info_time_change, inverse_info_time,
                         posterior_estimator, restart_posterior,
@@ -42,9 +43,10 @@ __all__ = [
     "backward_posterior", "fiber_coefficients", "law_checks",
     "phi_bijection_check", "randomize_over_mu",
     "simulate_follmer_martingale", "DegenerateFiber", "DualDivergence",
-    "InfeasibleParameters", "MbridgeError", "NotConverged", "NotInConvexOrder",
-    "NotIrreducible", "StructuralError", "TerminalAmbiguity", "RestartReport",
-    "SigmaInvarianceReport", "WonhamReport", "info_time_change",
+    "Infeasible", "InfeasibleParameters", "MbridgeError", "NotConverged",
+    "NotInConvexOrder", "NotIrreducible", "StructuralError",
+    "TerminalAmbiguity", "RestartReport", "SigmaInvarianceReport",
+    "WonhamReport", "info_time_change",
     "inverse_info_time", "posterior_estimator", "restart_posterior",
     "sigma_invariance_test", "simulate_observations", "wonham_sde_crosscheck",
     "BassComparison", "GaussianMsb", "bass_comparison_gaussian",

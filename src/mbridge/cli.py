@@ -9,10 +9,13 @@ output directory; every artifact embeds its run manifest. Artifacts contain
 only reproducible fields, so identical invocations give byte-identical
 files; wall-clock timing goes to stderr.
 
-Exit codes: 0 success, 1 structural problems (bad flags, malformed files),
-2 not converged (a degenerate fiber Hessian included, once the solver's
-diagnosis has ruled out infeasibility) or a failing law check, 3 infeasible
-inputs.
+Exit codes follow the failure taxonomy of ``errors``: 0 success, 3
+``Infeasible`` (proved: not in convex order, an atom on the boundary of
+conv(supp nu), an empty three-point polygon), 2 ``NotConverged`` (no answer
+found where one may exist: the iteration cap, a degenerate fiber Hessian or
+a diverging inner dual once the solver's diagnosis has ruled out
+infeasibility) or a failing check, 1 any other ``MbridgeError`` (bad flags,
+malformed files).
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ from . import __version__
 from .dynamics import SEED_BOUND, FiberModel, \
     _gaussian_drift_energy_increments, law_checks, phi_bijection_check, \
     randomize_over_mu, simulate_follmer_martingale
-from .errors import DegenerateFiber, DualDivergence, InfeasibleParameters, \
-    MbridgeError, NotConverged, NotInConvexOrder, NotIrreducible, \
-    StructuralError
+from .errors import Infeasible, MbridgeError, NotConverged, StructuralError
 from .filtering import _volatilities, sigma_invariance_test, \
     wonham_sde_crosscheck
 from .gaussian import bass_comparison_gaussian, follmer_volatility_gaussian, \
@@ -47,8 +48,6 @@ from .solver import SolverConfig, classical_sinkhorn_sp, extract_base_measure, \
 from .threepoint import ThreePointInstance, bass_minimize, entropy_minimize
 
 SCHEMA = "mbridge/1"
-_INFEASIBLE = (NotInConvexOrder, NotIrreducible, InfeasibleParameters,
-               DualDivergence)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -463,9 +462,10 @@ def build_parser():
             p.add_argument("--seed", type=int, default=42)
 
     def solver_flags(p):
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-outer", type=int, default=10_000,
-                       dest="max_outer")
+        defaults = SolverConfig()
+        p.add_argument("--tol", type=float, default=defaults.tolerance)
+        p.add_argument("--max-outer", type=int,
+                       default=defaults.max_outer_iterations, dest="max_outer")
 
     for name, handler, text in (
             ("solve", cmd_solve, "solve one discrete instance"),
@@ -530,10 +530,10 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         code = args.handler(args)
-    except _INFEASIBLE as exc:
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (NotConverged, DegenerateFiber) as exc:
+    except NotConverged as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         return 2
     except MbridgeError as exc:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The class of a failure says what was proved, and the CLI's exit code is
+read off it alone: ``Infeasible`` (exit 3) when the inputs admit no answer,
+``NotConverged`` (exit 2) when none was found although one may exist, and
+any other ``MbridgeError`` (exit 1) for malformed input and misuse.
+"""
 
 
 class MbridgeError(Exception):
@@ -9,29 +15,33 @@ class StructuralError(MbridgeError):
     """Malformed input: shape mismatch, bad schema, inconsistent data."""
 
 
-class NotInConvexOrder(MbridgeError):
+class Infeasible(MbridgeError):
+    """The inputs admit no answer: no solver, however run, could give one."""
+
+
+class NotInConvexOrder(Infeasible):
     """No martingale coupling exists between the requested marginals."""
 
 
-class NotIrreducible(MbridgeError):
+class NotIrreducible(Infeasible):
     """A start point lies outside the relative interior of conv(supp nu)."""
 
 
-class DualDivergence(MbridgeError):
-    """An inner dual variable exceeded the divergence bound."""
-
-
-class DegenerateFiber(MbridgeError):
-    """A fiber Hessian is numerically singular beyond the conditioning cap."""
+class InfeasibleParameters(Infeasible):
+    """Coupling parameters outside the feasible polygon."""
 
 
 class NotConverged(MbridgeError):
-    """An iterative scheme hit its iteration cap before reaching tolerance."""
+    """An iterative scheme gave no answer where one may exist."""
+
+
+class DualDivergence(NotConverged):
+    """An inner dual variable exceeded the divergence bound."""
+
+
+class DegenerateFiber(NotConverged):
+    """A fiber Hessian is numerically singular beyond the conditioning cap."""
 
 
 class TerminalAmbiguity(MbridgeError):
     """Backward posterior queried at t = 1 away from every atom."""
-
-
-class InfeasibleParameters(MbridgeError):
-    """Coupling parameters outside the feasible polygon."""

@@ -389,17 +389,16 @@ def _comonotone_pairing(alpha, beta):
     return matrix
 
 
-def mcov_discrete(alpha, beta, force_lp=False):
+def mcov_discrete(alpha, beta):
     """Maximal covariance sup_pi \\int <x, y> dpi over couplings of (alpha, beta).
 
     In one dimension the optimum is the comonotone (quantile) pairing; in
-    higher dimension it is a transport LP with cost -<x, y>. ``force_lp``
-    routes one-dimensional instances through the LP as a cross-check of the
-    two code paths. Returns (value, optimal Coupling).
+    higher dimension it is a transport LP with cost -<x, y>. Returns
+    (value, optimal Coupling).
     """
     if alpha.dim != beta.dim:
         raise StructuralError("mcov_discrete needs equal dimensions")
-    if alpha.dim == 1 and not force_lp:
+    if alpha.dim == 1:
         matrix = _comonotone_pairing(alpha, beta)
     else:
         cost = -(alpha.atoms @ beta.atoms.T)

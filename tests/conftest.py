@@ -46,6 +46,17 @@ def peacock(n, a, shift=0.0):
             DiscreteMeasure(y[:, None], np.full(2 * n, 0.5 / n)))
 
 
+def lifted(measure):
+    """The measure with a zero coordinate appended to every atom, (x, 0).
+
+    Couplings, marginal constraints and the pairing <x, y> are those of the
+    original measure, so ``mcov_discrete`` of lifted measures solves the
+    transport LP of the original pair even on the line.
+    """
+    atoms = np.column_stack([measure.atoms, np.zeros(measure.n)])
+    return DiscreteMeasure(atoms, measure.weights)
+
+
 def study_instance():
     mu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.40, 0.46, 0.14])
     nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.43, 0.27, 0.30])

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbridge import DegenerateFiber, DiscreteMeasure, cli, dynamics, \
-    filtering, measure_to_json
+from mbridge import DegenerateFiber, DiscreteMeasure, check_convex_order, \
+    cli, dynamics, errors, filtering, measure_to_json
 from mbridge.cli import build_parser, main
 from conftest import random_instance
 
@@ -112,6 +112,71 @@ def test_degenerate_fiber_exits_two(tmp_path, study_files, monkeypatch,
                  "--out", str(tmp_path / "run")])
     assert code == 2
     assert "fiber 0" in capsys.readouterr().err
+
+
+# the exit code of every error class: 3 infeasible (proved), 2 no answer
+# found where one may exist, 1 malformed input or misuse
+EXIT_CODES = {
+    errors.MbridgeError: 1, errors.StructuralError: 1,
+    errors.TerminalAmbiguity: 1, errors.Infeasible: 3,
+    errors.NotInConvexOrder: 3, errors.NotIrreducible: 3,
+    errors.InfeasibleParameters: 3, errors.NotConverged: 2,
+    errors.DualDivergence: 2, errors.DegenerateFiber: 2,
+}
+
+
+def test_every_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys):
+    declared = {obj for obj in vars(errors).values() if isinstance(obj, type)
+                and issubclass(obj, errors.MbridgeError)}
+    assert declared == set(EXIT_CODES)
+    prefix = {1: "error", 2: "not converged", 3: "infeasible"}
+    for cls, expected in EXIT_CODES.items():
+        def fail(*args, cls=cls):
+            raise cls("planted")
+        monkeypatch.setattr("mbridge.cli.ThreePointInstance", fail)
+        code = main(["threepoint", "--p1", "0.40", "--q1", "0.46",
+                     "--p2", "0.43", "--q2", "0.27",
+                     "--out", str(tmp_path / "run")])
+        assert code == expected, cls.__name__
+        assert capsys.readouterr().err.startswith(
+            f"{prefix[expected]}: planted\n")
+
+
+def test_feasible_pairs_at_micro_scale_never_exit_three(tmp_path):
+    # scaled by 1e-6, these pairs stay in convex order with every atom
+    # interior, but the inner duals outgrow the |h| bound: that is a failure
+    # to converge, not a proof of infeasibility
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        mu, nu, _ = random_instance(rng)
+        mu, nu = (DiscreteMeasure(m.atoms * 1e-6, m.weights) for m in (mu, nu))
+        assert check_convex_order(mu, nu)[0]
+        code = main(["certify",
+                     "--mu", write_measure(tmp_path / "mu.json", mu.atoms,
+                                           mu.weights),
+                     "--nu", write_measure(tmp_path / "nu.json", nu.atoms,
+                                           nu.weights),
+                     "--out", str(tmp_path / "run")])
+        assert code in (0, 2)
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1e-8"])
+def test_a_converged_solve_meets_its_own_tolerance(tmp_path, tol):
+    # draw 2 (n = m = 6, d = 2) stops with a column defect above 1e-10 but
+    # below either tolerance: a correct answer at the requested tolerance
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        mu, nu, _ = random_instance(rng)
+    out = tmp_path / "run"
+    code = main(["solve", "--tol", tol,
+                 "--mu", write_measure(tmp_path / "mu.json", mu.atoms,
+                                       mu.weights),
+                 "--nu", write_measure(tmp_path / "nu.json", nu.atoms,
+                                       nu.weights),
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["converged"] and report["marginal_residual"] < float(tol)
 
 
 def test_malformed_json_exits_one_with_single_diagnostic(tmp_path, capsys):

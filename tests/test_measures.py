@@ -23,7 +23,7 @@ from mbridge import (
     relative_entropy,
 )
 from mbridge.measures import _softmax
-from conftest import random_instance
+from conftest import lifted, random_instance
 
 
 def test_duplicate_atoms_merge_on_construction():
@@ -182,7 +182,7 @@ def test_mcov_one_dimensional_matches_lp(rng):
         a = DiscreteMeasure(rng.normal(size=(5, 1)), rng.dirichlet(np.ones(5)) + 0.0)
         b = DiscreteMeasure(rng.normal(size=(4, 1)), rng.dirichlet(np.ones(4)) + 0.0)
         v1, _ = mcov_discrete(a, b)
-        v2, _ = mcov_discrete(a, b, force_lp=True)
+        v2, _ = mcov_discrete(lifted(a), lifted(b))
         assert abs(v1 - v2) < 1e-10
 
 
