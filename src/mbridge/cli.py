@@ -145,13 +145,16 @@ def _check_sampling(args, minimums):
                               f"got {args.seed}")
 
 
+def _config(args):
+    return SolverConfig(tolerance=args.tol,
+                        max_outer_iterations=args.max_outer)
+
+
 def _solve(args):
     """Load --mu and --nu and solve them under the solver flags."""
     mu = _load_discrete(args.mu, "--mu")
     nu = _load_discrete(args.nu, "--nu")
-    config = SolverConfig(tolerance=args.tol,
-                          max_outer_iterations=args.max_outer)
-    return mu, nu, sinkhorn_msb(mu, nu, config)
+    return mu, nu, sinkhorn_msb(mu, nu, _config(args))
 
 
 def _solve_payload(args, command, report):
@@ -210,7 +213,7 @@ def cmd_certify(args):
     gap = max(abs(primal - vp), abs(primal - sp_value - upper))
     checks = {
         "converged": report.converged,
-        "duality_gap": abs(primal - dual) <= 1e-8 * (1.0 + abs(primal)),
+        "duality_gap": abs(primal - dual) <= _config(args).gap_bound(primal),
         "variational_gap": gap <= 1e-7,
         "schroedinger_system": max(ss1, ss2) < 1e-10,
         "reference_identity": payload["identity_residual"] < 1e-10,

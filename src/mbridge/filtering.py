@@ -24,18 +24,13 @@ table's 0.004-0.012 (40,000 paths). As |q| <= q_max = 2.893, a path can
 leave [0, 1] only when n_steps < s_max q_max^2 (33.5 at s_max = 4).
 
 Every stream here follows the rule of ``dynamics._stream``: SFC64 seeded by
-SeedSequence(seed, spawn_key=key). Observations and the exact side of the
-cross-check read the root stream, key (); the invariance test's j-th
-volatility reads key (1, j). The Euler paths of the cross-check run in
-fixed blocks of ``_EULER_BLOCK`` paths, one after another: block 0
-continues the root stream after the exact side's draws, and block b >= 1
-reads key (2, b). A block reads its bytes as raw 64-bit words, eight
-bytes a word (see ``_euler_block``). The blocks are joined in order, and
-a run of at most one block reads one serial loop's stream. Measured as in
-``dynamics``, a whole Euler step took 3-5 ns per path-step on one thread;
-an SFC64 ``standard_normal`` draw alone costs 15-18 ns. At that cost a
-thread pool over the blocks bought nothing: the 40,000-path, 4000-step
-check took 0.37-0.42 s on one core and 0.37-0.43 s on two.
+SeedSequence(seed, spawn_key=key). Observations and the cross-check read
+the root stream, key (): the Euler paths continue it after the exact
+side's draws, reading its bytes as raw 64-bit words, eight bytes a word
+(see ``_euler_block``). The invariance test's j-th volatility reads key
+(1, j). Measured as in ``dynamics``, a whole Euler step took 3-5 ns per
+path-step on one thread; an SFC64 ``standard_normal`` draw alone costs
+15-18 ns.
 """
 
 from __future__ import annotations
@@ -51,14 +46,11 @@ from .measures import _softmax
 from .solver import inner_dual_solve
 from .stats import ks_distance, norm_ppf
 
-# Euler paths per block; block b >= 1 reads the stream of key (_BLOCK_KEY, b)
-_EULER_BLOCK = 10_000
 # Euler steps whose increments one random_raw call draws
 _DRAW_STEPS = 4
-# spawn-key prefixes beside the root stream: (_VOLATILITY_KEY, j) is the
-# invariance test's j-th volatility, (_BLOCK_KEY, b) Wonham Euler block b
+# the spawn-key prefix beside the root stream: (_VOLATILITY_KEY, j) is the
+# invariance test's j-th volatility
 _VOLATILITY_KEY = 1
-_BLOCK_KEY = 2
 
 
 def _quantile_table():
@@ -276,13 +268,8 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     8.37 s_max), and compares the two laws at the checkpoints, plus the
     frequency of ending in the upper half. s_max must be finite.
 
-    The Euler paths run in blocks of ``_EULER_BLOCK``. Block 0 continues
-    the root stream after the exact side's draws; block b >= 1 draws from
-    the stream of spawn key (2, b), independent of the root stream and of
-    the invariance test's streams of the same seed (see the module notes).
-    The blocks are joined in order, and a run of at most one block draws
-    exactly what a single serial loop would. The seed must lie in
-    [0, 2**64).
+    The Euler paths continue the root stream after the exact side's draws
+    (see the module notes). The seed must lie in [0, 2**64).
     """
     s_max = float(s_max)
     checkpoints = tuple(float(c) for c in checkpoints)
@@ -309,14 +296,9 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     order = sorted(checkpoints)
     ends = np.arange(1, n_steps + 1) * ds
     marks = [int(np.searchsorted(ends, c - 1e-12)) for c in order]
-    sizes = [min(_EULER_BLOCK, n_paths - lo)
-             for lo in range(0, n_paths, _EULER_BLOCK)]
-    streams = [rng] + [_stream(seed, (_BLOCK_KEY, b))
-                       for b in range(1, len(sizes))]
-    blocks = [_euler_block(stream, size, n_steps, math.sqrt(ds), marks)
-              for stream, size in zip(streams, sizes)]
-    z_euler = {c: np.concatenate([snaps[k] for snaps, _ in blocks])
-               for k, c in enumerate(order)}
+    snapshots, violations = _euler_block(rng, n_paths, n_steps,
+                                         math.sqrt(ds), marks)
+    z_euler = dict(zip(order, snapshots))
 
     ks = {c: float(ks_distance(z_exact[c], z_euler[c])) for c in checkpoints}
     last = max(checkpoints)
@@ -324,7 +306,7 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
         checkpoints=checkpoints, ks_by_checkpoint=ks,
         terminal_freq_exact=float(np.mean(z_exact[last] > 0.5)),
         terminal_freq_euler=float(np.mean(z_euler[last] > 0.5)),
-        clamp_violations=sum(v for _, v in blocks), n_paths=n_paths)
+        clamp_violations=violations, n_paths=n_paths)
 
 
 @dataclass(frozen=True)

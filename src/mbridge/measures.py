@@ -18,11 +18,16 @@ Summary of what lives here:
   scipy.
 * ``mcov_discrete``: maximal covariance between two discrete measures
   (quantile pairing in one dimension, a transport LP otherwise).
+* ``_frame``: nu's barycenter and whitening basis, the one unit system of
+  the solver. Both the objective H(m | mu x nu) and the martingale
+  constraint survive an affine map applied to both marginals, so every
+  tolerance that decides "small" is read in the coordinates where nu is
+  centred with unit covariance.
 * ``gaussian_reference_identity_check``: residual of the change-of-reference
   identity H(m|mu x nu) + H(nu|gamma) = H(m|mu.gamma) + m2(mu)/2, where the
   gamma terms score atoms against the standard normal density. It is
-  evaluated in its cancelled form, with no logarithm of m: a marginal defect
-  plus a weighted martingale residual.
+  evaluated for the pair mapped into nu's frame, in its cancelled form with
+  no logarithm of m: a marginal defect plus a weighted martingale residual.
 
 All arrays are float64 and frozen after validation; the public operations
 never mutate their inputs.
@@ -413,14 +418,39 @@ def mcov_discrete(alpha, beta):
     return value, Coupling(matrix, alpha, beta, check=False)
 
 
+def _frame(nu):
+    """nu's frame: (center, basis, inverse) of its whitened coordinates.
+
+    The center is nu's barycenter c. With the SVD U S V' of
+    (sqrt(nu_j) (y_j - c))_j', the r axes of U whose singular value exceeds
+    1e-13 times the largest span the differences of the atoms, and each
+    singular value is nu's spread (standard deviation) along its axis:
+    basis = U / S maps a centred point to coordinates in which nu has unit
+    covariance, and inverse = U S maps them back onto that span. A point
+    mass has r = 0. Both marginals mapped by x -> (x - c) basis are the
+    pair under an affine map, which leaves the entropic martingale problem
+    unchanged; every tolerance of the solver is read in this frame.
+    """
+    center = nu.weights @ nu.atoms
+    axes, s, _ = np.linalg.svd(
+        (np.sqrt(nu.weights)[:, None] * (nu.atoms - center)).T,
+        full_matrices=False)
+    rank = int(np.sum(s > 1e-13 * s[0]))
+    axes, s = axes[:, :rank], s[:rank]
+    return center, axes / s, axes * s
+
+
 def gaussian_reference_identity_check(m):
     """Residual of H(m|mu x nu) + H(nu|gamma) = H(m|mu.gamma) + m2(mu)/2.
 
-    gamma is the standard normal reference, scored at each nu atom by its
-    density; mu.gamma is the product of mu with the normal density
-    recentered at each mu atom. The log m terms appear on both sides, so
-    with row and column sums ``row`` and ``col`` of m the residual is,
-    exactly and for any coupling,
+    The identity is evaluated for the pair mapped into nu's frame
+    (``_frame``): x_i and y_j below are the whitened atoms and d the rank
+    of the frame, so the residual does not depend on the units or the
+    position of the atoms. gamma is the standard normal reference, scored
+    at each nu atom by its density; mu.gamma is the product of mu with the
+    normal density recentered at each mu atom. The log m terms appear on
+    both sides, so with row and column sums ``row`` and ``col`` of m the
+    residual is, exactly and for any coupling,
 
         |sum_j (nu_j - col_j) (log nu_j + (d/2) log 2 pi + |y_j|^2 / 2)
          + sum_i <x_i, sum_j m_ij (y_j - x_i)>
@@ -432,10 +462,12 @@ def gaussian_reference_identity_check(m):
     if not isinstance(m, Coupling):
         raise StructuralError("expected a Coupling")
     mu, nu = m.mu, m.nu
-    x, y = mu.atoms, nu.atoms
+    center, basis, _ = _frame(nu)
+    x, y = (mu.atoms - center) @ basis, (nu.atoms - center) @ basis
     row = m.matrix.sum(axis=1)
     col = m.matrix.sum(axis=0)
-    score = (np.log(nu.weights) + 0.5 * mu.dim * math.log(2.0 * math.pi)
+    score = (np.log(nu.weights)
+             + 0.5 * basis.shape[1] * math.log(2.0 * math.pi)
              + 0.5 * np.sum(y**2, axis=1))
     drift = m.matrix @ y - row[:, None] * x
     sq = np.sum(x**2, axis=1)

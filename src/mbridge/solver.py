@@ -28,6 +28,17 @@ psi_j <- psi_j - log(cols_j / nu_j), a block-ascent step, so the dual still
 rises. Once a step neither raises the dual nor lowers the marginal defect,
 the iterate sits at the floating-point floor and the kernel stops.
 
+The fibers live in nu's frame (``measures._frame``): the atoms centred at
+nu's barycenter and whitened to unit nu-covariance on the span of their
+differences. The problem and its constraints survive an affine map of both
+marginals, so every tolerance that decides what is small is read there:
+the fiber gradient tolerance, ``H_DIVERGENCE_BOUND`` and
+``HESSIAN_CONDITION_CAP``, the martingale half of the stop rule (so the
+reported ``martingale_residual`` is in units of nu's spread), the off-hull
+test of ``_FiberGeometry.reduce_points`` and the slack of the convex-order
+test on the line. Two things still see the translation: the inputs round
+at |b| eps, and the classical chain below runs in input coordinates.
+
 The classical Schroedinger system of ``classical_sinkhorn_sp`` is the same
 dual without the h block: phi_i(psi) is a closed-form row log-sum-exp and
 the gauge is the constant alone.
@@ -65,13 +76,16 @@ import numpy as np
 
 from .errors import (DegenerateFiber, DualDivergence, NotConverged,
                      NotInConvexOrder, NotIrreducible, StructuralError)
-from .measures import (Coupling, DiscreteMeasure, _log_partition, _softmax,
-                       check_convex_order, coupling_constraints, linprog,
-                       mcov_discrete, primal_value)
+from .measures import (Coupling, DiscreteMeasure, _frame, _log_partition,
+                       _softmax, check_convex_order, coupling_constraints,
+                       linprog, mcov_discrete, primal_value)
 
+# The fiber bounds act in nu's frame (``measures._frame``), so they are
+# relative: the cap bounds the condition number of a conditional covariance
+# measured against nu's covariance, and a fiber whose whitened dual |z|
+# exceeds the divergence bound is diverging toward the boundary of
+# conv(supp nu).
 HESSIAN_CONDITION_CAP = 1e14
-# a fiber whose |h| exceeds this bound is diverging toward the boundary of
-# conv(supp nu)
 H_DIVERGENCE_BOUND = 1e6
 # A fiber on the boundary of conv(supp nu) meets the 1e-12 inner Newton
 # tolerance only with off-face mass near 1e-12 / (distance to the face), far
@@ -79,11 +93,12 @@ H_DIVERGENCE_BOUND = 1e6
 CONDITIONAL_FLOOR = 1e-8
 # The diagnosis: a point is interior when the relative-interior LP's smallest
 # weight exceeds the cut; on the line, convex order holds up to the
-# convex-order LP's feasibility tolerance, relative to the atom scale.
+# convex-order LP's feasibility tolerance, relative to nu's extent.
 _INTERIOR_CUT = 1e-12
 _ORDER_SLACK = 1e-10
-# The fiber Newton: step cap and gradient tolerance per fiber. Both Newton
-# kernels use the Armijo constant and halve the step on a rejection.
+# The fiber Newton: step cap and gradient tolerance per fiber; the gradient
+# is the barycenter defect in nu's frame, in units of nu's spread. Both
+# Newton kernels use the Armijo constant and halve the step on a rejection.
 _NEWTON_MAX_STEPS = 50
 _NEWTON_GRADIENT_TOLERANCE = 1e-12
 _ARMIJO = 1e-4
@@ -102,7 +117,8 @@ class SolverConfig:
     """Stopping rule and iteration cap of the psi-dual Newton solver.
 
     A solve converges once both the L1 marginal defect and the largest
-    conditional drift fall below ``tolerance``.
+    conditional drift, measured in nu's frame, fall below ``tolerance``,
+    and its duality gap lies within ``gap_bound``.
     """
 
     tolerance: float = 1e-10
@@ -111,6 +127,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.tolerance <= 0.0:
             raise StructuralError("tolerance must be positive")
+
+    def gap_bound(self, primal):
+        """The largest |P - D| of a converged solve with primal value P.
+
+        The gap shrinks with the marginal defect the stop rule allows, so
+        the bound follows ``tolerance``, but never below 1e-8 (1 + |P|).
+        """
+        return max(1e-8, self.tolerance) * (1.0 + abs(primal))
 
 
 @dataclass(frozen=True)
@@ -140,6 +164,9 @@ class PotentialTriple:
 
 @dataclass
 class SolveReport:
+    """A solve's coupling, potentials and values; ``martingale_residual``
+    is the largest conditional barycenter drift in nu's frame."""
+
     coupling: Coupling
     potentials: PotentialTriple
     primal_value: float
@@ -229,13 +256,14 @@ def _convex_order_1d(mu, nu):
     A martingale coupling exists iff the means agree and u_mu <= u_nu. The
     difference u_nu - u_mu is piecewise linear with kinks only at the atoms
     and equals the mean difference beyond them, so the atoms of both
-    measures are the only points to test. Both tests allow the LP's
-    feasibility slack ``_ORDER_SLACK`` times the atom scale, which also
-    absorbs the rounding where u_mu = u_nu holds exactly.
+    measures are the only points to test. The atoms are centred at nu's
+    barycenter, and both tests allow the LP's feasibility slack
+    ``_ORDER_SLACK`` times the largest distance of a nu atom from it, which
+    also absorbs the rounding where u_mu = u_nu holds exactly.
     """
-    x, y = mu.atoms[:, 0], nu.atoms[:, 0]
-    slack = _ORDER_SLACK * max(1.0, float(np.abs(x).max()),
-                               float(np.abs(y).max()))
+    center = nu.weights @ nu.atoms[:, 0]
+    x, y = mu.atoms[:, 0] - center, nu.atoms[:, 0] - center
+    slack = _ORDER_SLACK * float(np.abs(y).max())
     if abs(float(mu.weights @ x - nu.weights @ y)) > slack:
         return False
     t = np.concatenate([x, y])
@@ -279,34 +307,27 @@ class _FiberGeometry:
     """Reduced coordinates for the inner problems over a fixed nu.
 
     The Newton direction lives in the span of the centered nu atoms; the
-    complement of h is pinned to zero. Atom coordinates are stored relative
-    to the nu barycenter, projected on an orthonormal basis of that span.
+    complement of h is pinned to zero. Atom coordinates are stored in nu's
+    frame (``measures._frame``): centred at the nu barycenter and whitened,
+    so that nu has unit covariance on that span. The dual z of a point in
+    these coordinates is h = z basis'.
     """
 
     def __init__(self, nu):
-        self.nu = nu
-        y = nu.atoms
-        self.center = nu.weights @ y
-        centered = y - self.center
-        if nu.n == 1:
-            self.basis = np.zeros((y.shape[1], 0))
-        else:
-            u, s, _ = np.linalg.svd(centered.T, full_matrices=False)
-            scale = s[0] if s.size and s[0] > 0 else 1.0
-            rank = int(np.sum(s > 1e-13 * scale))
-            self.basis = u[:, :rank]
+        self.center, self.basis, self.inverse = _frame(nu)
         self.rank = self.basis.shape[1]
-        self.y_red = centered @ self.basis          # (m, r)
+        self.y_red = (nu.atoms - self.center) @ self.basis      # (m, r)
         self.log_nu = np.log(nu.weights)
 
     def reduce_points(self, x):
-        """Map points into reduced coordinates; error if off the affine hull."""
+        """Map points into reduced coordinates; error if one lies off the
+        affine hull by more than 1e-9 of nu's largest spread, the length of
+        the first column of ``inverse``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         centered = x - self.center
         x_red = centered @ self.basis
-        recon = x_red @ self.basis.T
-        off = np.linalg.norm(centered - recon, axis=1)
-        if np.any(off > 1e-9 * max(1.0, float(np.abs(self.nu.atoms).max()))):
+        off = np.linalg.norm(centered - x_red @ self.inverse.T, axis=1)
+        if np.any(off > 1e-9 * np.linalg.norm(self.inverse[:, :1])):
             bad = int(np.argmax(off))
             raise NotIrreducible(
                 f"point {bad} lies off the affine hull of supp(nu)")
@@ -365,12 +386,18 @@ def _fiber_newton(geom, x_red, psi, z0=None):
         eigs = np.linalg.eigvalsh(cov)
         bad = (eigs[:, 0] <= 0) | (eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300)
                                    > HESSIAN_CONDITION_CAP)
+        if not bad.any():
+            try:
+                step = np.linalg.solve(cov, grad_a[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                # LAPACK may find singular, of unbounded condition number,
+                # a covariance whose eigenvalues passed
+                bad = eigs[:, 0] == eigs[:, 0].min()
         if bad.any():
             fiber = int(idx[np.nonzero(bad)[0][0]])
             raise DegenerateFiber(
                 f"fiber {fiber}: conditional covariance condition number "
                 f"exceeds {HESSIAN_CONDITION_CAP:.0e}")
-        step = np.linalg.solve(cov, grad_a[:, :, None])[:, :, 0]
         descent = np.einsum("nr,nr->n", grad_a, step)
 
         # once the predicted gain falls below the fp resolution of the
@@ -443,10 +470,10 @@ def inner_dual_solve(x, psi, nu, h0=None):
 
     Returns (h, phi_x, conditional) where phi_x is the supremum value and the
     conditional is the tilted measure nu_j exp(psi_j + <h, y_j>) normalized,
-    whose barycenter equals x within the Newton gradient tolerance. The
-    relative-interior test (closed form on the line, an LP in dimension two
-    or more) runs only when Newton fails or leaves a conditional at
-    ``CONDITIONAL_FLOOR``.
+    whose barycenter equals x within the Newton gradient tolerance times
+    nu's spread. The relative-interior test (closed form on the line, an LP
+    in dimension two or more) runs only when Newton fails or leaves a
+    conditional at ``CONDITIONAL_FLOOR``.
     """
     nu_ = nu if isinstance(nu, DiscreteMeasure) else DiscreteMeasure(*nu)
     x = np.asarray(x, dtype=float).ravel()
@@ -458,7 +485,7 @@ def inner_dual_solve(x, psi, nu, h0=None):
     geom = _FiberGeometry(nu_)
     x_red = geom.reduce_points(x[None, :])
     z0 = None if h0 is None else (np.asarray(h0, float).reshape(1, -1)
-                                  @ geom.basis)
+                                  @ geom.inverse)
     try:
         z, phi, cond = _fiber_newton(geom, x_red, psi, z0=z0)
     except _FAILURES:
@@ -650,7 +677,7 @@ def _fixed_point(mu, nu, config):
         return phi, cond, z, curvature
 
     def residuals(cols, cond):
-        drift = cond @ nu.atoms - mu.atoms
+        drift = cond @ geom.y_red - x_red
         return (float(np.abs(cols - nu.weights).sum()),
                 float(np.max(np.linalg.norm(drift, axis=1))))
 
@@ -675,7 +702,7 @@ def _fixed_point(mu, nu, config):
 
     p_val = primal_value(coupling)
     d_val = float(dual_trace[-1])
-    if converged and abs(p_val - d_val) > 1e-8 * (1.0 + abs(p_val)):
+    if converged and abs(p_val - d_val) > config.gap_bound(p_val):
         converged = False
     return SolveReport(coupling=coupling, potentials=triple,
                        primal_value=p_val, dual_value=d_val,

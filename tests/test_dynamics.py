@@ -668,48 +668,13 @@ def test_wonham_euler_reproduces_the_reference_loop(n_paths, n_steps):
     assert (violations > 0) == _clamp_can_fire(n_steps, 4.0)
 
 
-def _reference_wonham_blocks(n_paths, n_steps, s_max, checkpoints, seed,
-                             block):
-    # the same plain loop, run block by block: block 0 continues the root
-    # stream, block b >= 1 draws from the seed sequence with spawn key (2, b)
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
-    yp = np.where(rng.random(n_paths) < 0.5, -0.5, 0.5)
-    z_exact = {}
-    for c in checkpoints:
-        r = c * yp + math.sqrt(c) * rng.standard_normal(n_paths)
-        z_exact[c] = 1.0 / (1.0 + np.exp(-r))
-    ds = s_max / n_steps
-    table = math.sqrt(ds) * filtering._QUANTILES
-    parts = {c: [] for c in checkpoints}
-    violations = 0
-    for b, lo in enumerate(range(0, n_paths, block)):
-        if b > 0:
-            rng = np.random.Generator(np.random.SFC64(
-                np.random.SeedSequence(seed, spawn_key=(2, b))))
-        z = np.full(min(block, n_paths - lo), 0.5)
-        levels = _reference_levels(rng, n_steps, z.size)
-        taken = set()
-        for step in range(1, n_steps + 1):
-            z = z + z * (1.0 - z) * table[levels[step - 1]]
-            violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))
-            z = np.clip(z, 0.0, 1.0)
-            for c in checkpoints:
-                if c not in taken and step * ds >= c - 1e-12:
-                    taken.add(c)
-                    parts[c].append(z.copy())
-    z_euler = {c: np.concatenate(parts[c]) for c in checkpoints}
-    ks = {c: ks_distance(z_exact[c], z_euler[c]) for c in checkpoints}
-    return ks, violations, float(np.mean(z_euler[max(checkpoints)] > 0.5))
-
-
 def test_wonham_blocks_reproduce_the_per_block_reference_loop():
-    # three blocks, the last one short; the coarse steps make paths clamp
-    block = filtering._EULER_BLOCK
-    n_paths = 2 * block + block // 3
+    # more paths than the 10,000 of the former blocks, which now all read
+    # the root stream in one loop; the coarse steps make paths clamp
+    n_paths = 23_333
     report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=33,
                                    checkpoints=(1.0, 4.0), seed=8)
-    ks, violations, freq = _reference_wonham_blocks(n_paths, 33, 4.0,
-                                                    (1.0, 4.0), 8, block)
+    ks, violations, freq = _reference_wonham(n_paths, 33, 4.0, (1.0, 4.0), 8)
     assert report.ks_by_checkpoint == ks
     assert report.clamp_violations == violations > 0
     assert report.terminal_freq_euler == freq
@@ -717,8 +682,8 @@ def test_wonham_blocks_reproduce_the_per_block_reference_loop():
 
 @pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**64 - 1])
 def test_every_stream_has_its_own_spawn_key_and_draws(monkeypatch, seed):
-    # the invariance test's three volatilities, then the Wonham root stream
-    # and four more Euler blocks of four paths each
+    # the invariance test's three volatilities, then the Wonham root stream,
+    # which its Euler paths continue
     made = []
 
     def spy(seed, key=()):
@@ -726,14 +691,13 @@ def test_every_stream_has_its_own_spawn_key_and_draws(monkeypatch, seed):
         return made[-1]
 
     monkeypatch.setattr(filtering, "_stream", spy)
-    monkeypatch.setattr(filtering, "_EULER_BLOCK", 4)
     filtering.sigma_invariance_test(bernoulli_fiber(), n_samples=8, seed=seed)
     wonham_sde_crosscheck(n_paths=20, n_steps=2, seed=seed)
     assert all(isinstance(rng.bit_generator, np.random.SFC64) for rng in made)
     seqs = [rng.bit_generator.seed_seq for rng in made]
     assert all(sq.entropy == seed for sq in seqs)
     keys = [sq.spawn_key for sq in seqs]
-    assert keys == [(1, 0), (1, 1), (1, 2), (), (2, 1), (2, 2), (2, 3), (2, 4)]
+    assert keys == [(1, 0), (1, 1), (1, 2), ()]
     draws = [dynamics._stream(seed, key).standard_normal(1000)
              for key in keys]
     for a in range(len(draws)):

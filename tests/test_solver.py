@@ -108,6 +108,23 @@ def test_inner_dual_divergence_guard_trips_near_the_boundary(monkeypatch):
         inner_dual_solve(np.array([0.99999]), np.zeros(2), nu)
 
 
+def test_a_covariance_lapack_finds_singular_raises_degenerate_fiber(
+        monkeypatch):
+    # LAPACK may refuse a conditional covariance whose eigenvalues passed the
+    # conditioning cap; the fiber Newton names the fiber instead of letting
+    # numpy's LinAlgError escape the solve
+    mu, nu = study_instance()
+    geom = solver._FiberGeometry(nu)
+    x_red = geom.reduce_points(mu.atoms)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(DegenerateFiber, match="^fiber 0: "):
+        fiber_newton(geom, x_red, np.zeros(nu.n))
+
+
 def test_golden_section_oracle_matches_solver_on_the_one_parameter_family():
     mu, nu, family = two_by_three_family()
 
