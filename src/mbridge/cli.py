@@ -146,8 +146,7 @@ def _check_sampling(args, minimums):
 
 
 def _config(args):
-    return SolverConfig(tolerance=args.tol,
-                        max_outer_iterations=args.max_outer)
+    return SolverConfig(tolerance=args.tol)
 
 
 def _solve(args):
@@ -163,7 +162,7 @@ def _solve_payload(args, command, report):
     return {
         "schema": SCHEMA,
         "manifest": _manifest(args, command, {"mu": args.mu, "nu": args.nu},
-                              {"tol": args.tol, "max_outer": args.max_outer,
+                              {"tol": args.tol,
                                "iterations": report.iterations}),
         "converged": report.converged,
         "iterations": report.iterations,
@@ -464,19 +463,13 @@ def build_parser():
         if seed:
             p.add_argument("--seed", type=int, default=42)
 
-    def solver_flags(p):
-        defaults = SolverConfig()
-        p.add_argument("--tol", type=float, default=defaults.tolerance)
-        p.add_argument("--max-outer", type=int,
-                       default=defaults.max_outer_iterations, dest="max_outer")
-
     for name, handler, text in (
             ("solve", cmd_solve, "solve one discrete instance"),
             ("certify", cmd_certify, "value chain on one instance")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--mu", required=True)
         p.add_argument("--nu", required=True)
-        solver_flags(p)
+        p.add_argument("--tol", type=float, default=SolverConfig.tolerance)
         common(p, seed=False)
         p.set_defaults(handler=handler)
 
@@ -500,7 +493,7 @@ def build_parser():
     p.add_argument("--store-every", type=int, default=50, dest="store_every")
     p.add_argument("--method", choices=("bridge", "euler"), default="bridge")
     p.add_argument("--csv-paths", type=int, default=200, dest="csv_paths")
-    solver_flags(p)
+    p.add_argument("--tol", type=float, default=SolverConfig.tolerance)
     common(p)
     p.set_defaults(handler=cmd_simulate)
 

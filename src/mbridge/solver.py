@@ -35,13 +35,20 @@ marginals, so every tolerance that decides what is small is read there:
 the fiber gradient tolerance, ``H_DIVERGENCE_BOUND`` and
 ``HESSIAN_CONDITION_CAP``, the martingale half of the stop rule (so the
 reported ``martingale_residual`` is in units of nu's spread), the off-hull
-test of ``_FiberGeometry.reduce_points`` and the slack of the convex-order
-test on the line. Two things still see the translation: the inputs round
-at |b| eps, and the classical chain below runs in input coordinates.
+test of ``_FiberGeometry.reduce_points``, the slack of the convex-order
+test on the line and the mean test below. Only the rounding of the inputs,
+at |b| eps, still sees a translation b.
 
 The classical Schroedinger system of ``classical_sinkhorn_sp`` is the same
 dual without the h block: phi_i(psi) is a closed-form row log-sum-exp and
-the gauge is the constant alone.
+the gauge is the constant alone. Its pairing runs against nu's barycenter,
+so its exponents do not grow with a translation either.
+
+Both psi-dual solves stop at the fixed cap of ``_MAX_OUTER`` outer
+iterations. The inputs, not a knob, keep the solve from burning them: a
+pair whose means differ by more than the stop rule could leave (a slack
+derived from the tolerance, in nu's frame) is refused with
+NotInConvexOrder before the first fiber solve.
 
 The solve certifies itself, so no LP runs before it. A converged Gibbs
 coupling whose conditionals all exceed ``CONDITIONAL_FLOOR`` is strictly
@@ -53,9 +60,9 @@ coupling exists. Only a solve that does neither (an inner failure, a stall,
 the iteration cap, a conditional at the floor) is diagnosed: convex order
 first, then the relative interior for all mu atoms. On the line both are
 read off the potential functions u(t) = E|X - t| with no LP: convex order
-is equal means and u_mu <= u_nu, and an atom is interior when it lies
-strictly between the extreme nu atoms. In dimension two or more each is
-one LP.
+is u_mu <= u_nu, which at the extreme atoms says the means agree, and an
+atom is interior when it lies strictly between the extreme nu atoms. In
+dimension two or more each is one LP.
 
 The variational identity P = SP(mubar, nu) + MCov(mubar, mu), with the base
 measure mubar = h#mu, is checked from the same potentials. The classical
@@ -108,21 +115,25 @@ _LINE_SEARCH_STEPS = 30
 _LINE_SEARCH_LENGTHS = 60
 _STEP_LENGTHS = np.ldexp(1.0, -np.arange(_LINE_SEARCH_LENGTHS))
 _BATCH = 8
-_SP_MAX_ITERATIONS = 200_000
+# The outer iteration cap of both psi-dual solves. Converged solves of
+# random, peacock and near-boundary pairs took at most 108 (most under 30);
+# unequal means, which ran to any cap, are refused before the solve.
+_MAX_OUTER = 200
 _FAILURES = (NotIrreducible, NotConverged)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule and iteration cap of the psi-dual Newton solver.
+    """Stopping rule of the psi-dual Newton solver.
 
     A solve converges once both the L1 marginal defect and the largest
     conditional drift, measured in nu's frame, fall below ``tolerance``,
-    and its duality gap lies within ``gap_bound``.
+    and its duality gap lies within ``gap_bound``. The tolerance also sets
+    the largest mean gap the solve accepts (see ``_fixed_point``); the
+    outer iteration cap is the fixed ``_MAX_OUTER``.
     """
 
     tolerance: float = 1e-10
-    max_outer_iterations: int = 10_000
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
@@ -181,31 +192,21 @@ class SolveReport:
 def gauge_normalize(triple, mu, nu):
     """Remove the nu-weighted affine component of psi.
 
-    Solves for the affine map a + <b, y> with sum nu_j psi'_j = 0 and
-    sum nu_j psi'_j y_j = 0 after psi' = psi - a - <b, y>; the shift is
-    absorbed as phi_i += a + <b, x_i> and h_i += b so the Gibbs density is
-    unchanged. Falls back to least squares when nu is affinely degenerate.
+    In nu's frame (``measures._frame``) the constant and the whitened atoms
+    y_red are nu-orthonormal, so the component is a + <beta, y_red_j> with
+    a = sum_j nu_j psi_j and beta = sum_j nu_j psi_j y_red_j. After
+    psi' = psi - a - <beta, y_red>, both sum_j nu_j psi'_j and
+    sum_j nu_j psi'_j y_j vanish; with b = basis beta the shift is absorbed
+    as phi_i += a + <b, x_i - c> and h_i += b, so the Gibbs density is
+    unchanged.
     """
-    y = nu.atoms
-    w = nu.weights
-    d = y.shape[1]
-    ybar = w @ y
-    m2 = (y * w[:, None]).T @ y
-    gram = np.zeros((1 + d, 1 + d))
-    gram[0, 0] = 1.0
-    gram[0, 1:] = ybar
-    gram[1:, 0] = ybar
-    gram[1:, 1:] = m2
-    rhs = np.concatenate([[w @ triple.psi], (w * triple.psi) @ y])
-    try:
-        ab = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        ab, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    a, b = ab[0], ab[1:]
-    psi = triple.psi - a - y @ b
-    phi = triple.phi + a + mu.atoms @ b
-    h = triple.h + b
-    return PotentialTriple(phi, psi, h)
+    center, basis, _ = _frame(nu)
+    y_red = (nu.atoms - center) @ basis
+    weighted = nu.weights * triple.psi
+    a, beta = weighted.sum(), weighted @ y_red
+    b = basis @ beta
+    return PotentialTriple(triple.phi + a + (mu.atoms - center) @ b,
+                           triple.psi - a - y_red @ beta, triple.h + b)
 
 
 def _in_relative_interior(points, nu):
@@ -255,17 +256,16 @@ def _convex_order_1d(mu, nu):
 
     A martingale coupling exists iff the means agree and u_mu <= u_nu. The
     difference u_nu - u_mu is piecewise linear with kinks only at the atoms
-    and equals the mean difference beyond them, so the atoms of both
-    measures are the only points to test. The atoms are centred at nu's
-    barycenter, and both tests allow the LP's feasibility slack
+    and equals +- the mean difference beyond them, so the atoms of both
+    measures are the only points to test, and the test at the two extreme
+    atoms is the test of equal means. The atoms are centred at nu's
+    barycenter, and the test allows the LP's feasibility slack
     ``_ORDER_SLACK`` times the largest distance of a nu atom from it, which
     also absorbs the rounding where u_mu = u_nu holds exactly.
     """
     center = nu.weights @ nu.atoms[:, 0]
     x, y = mu.atoms[:, 0] - center, nu.atoms[:, 0] - center
     slack = _ORDER_SLACK * float(np.abs(y).max())
-    if abs(float(mu.weights @ x - nu.weights @ y)) > slack:
-        return False
     t = np.concatenate([x, y])
     return bool(np.all(_potential(x, mu.weights, t)
                        <= _potential(y, nu.weights, t) + slack))
@@ -586,8 +586,7 @@ class _DualPoint(NamedTuple):
     marg: float
 
 
-def _psi_newton(fibers, mu_w, nu_w, gauge, psi, max_iterations, stop,
-                ceiling=math.inf):
+def _psi_newton(fibers, mu_w, nu_w, gauge, psi, stop, ceiling=math.inf):
     """Safeguarded Newton ascent on D(psi) = <nu, psi> + <mu, phi(psi)>.
 
     ``fibers(psi, prev)`` returns (phi, cond, prev, curvature): the fiber
@@ -599,8 +598,8 @@ def _psi_newton(fibers, mu_w, nu_w, gauge, psi, max_iterations, stop,
     the floating-point floor (predicted gain <= 1e-14 (1 + |D|)) the pure
     Newton step is taken, and when the line search fails the exact column
     scaling is. A step that neither raises D nor lowers the L1 marginal
-    defect ends the ascent unconverged. A dual above ``ceiling`` raises
-    NotInConvexOrder.
+    defect ends the ascent unconverged, as does the ``_MAX_OUTER``-th
+    outer iteration. A dual above ``ceiling`` raises NotInConvexOrder.
 
     Returns the last accepted ``_DualPoint``, the dual trace (one entry per
     outer iteration) and whether ``stop`` accepted the point.
@@ -632,7 +631,7 @@ def _psi_newton(fibers, mu_w, nu_w, gauge, psi, max_iterations, stop,
                 "martingale coupling exists")
         if stop(point.cols, point.cond):
             return point, np.asarray(trace), True
-        if len(trace) >= max_iterations:
+        if len(trace) >= _MAX_OUTER:
             return point, np.asarray(trace), False
 
         grad = nu_w - point.cols
@@ -664,11 +663,24 @@ def _psi_newton(fibers, mu_w, nu_w, gauge, psi, max_iterations, stop,
 
 
 def _fixed_point(mu, nu, config):
-    """The psi-dual Newton solve of ``sinkhorn_msb``, without diagnosis."""
+    """The psi-dual Newton solve of ``sinkhorn_msb``, without diagnosis.
+
+    Unequal means are refused before the first fiber solve. A solve that
+    passes the stop rule leaves a mean gap below the drift tolerance plus
+    the L1 column defect times the largest atom, both measured in nu's
+    frame; a larger gap proves that no martingale coupling exists. The mean
+    of nu is read from its whitened atoms, not taken as 0, since the
+    barycenter itself rounds at |c| eps.
+    """
     # weak duality: the dual never exceeds the primal <= min(H(mu), H(nu))
     bound = min(float(-(w @ np.log(w))) for w in (mu.weights, nu.weights))
     geom = _FiberGeometry(nu)
     x_red = geom.reduce_points(mu.atoms)
+    gap = np.linalg.norm(mu.weights @ x_red - nu.weights @ geom.y_red)
+    if gap > config.tolerance * (1.0 + _row_norms(geom.y_red).max()):
+        raise NotInConvexOrder(
+            f"the means differ by {gap:.3e} of nu's spread: no martingale "
+            "coupling exists")
 
     def fibers(psi, z):
         z, phi, cond = _fiber_newton(geom, x_red, psi, z0=z)
@@ -687,8 +699,7 @@ def _fixed_point(mu, nu, config):
 
     gauge = np.column_stack([np.ones(nu.n), geom.y_red])
     point, dual_trace, converged = _psi_newton(
-        fibers, mu.weights, nu.weights, gauge, np.zeros(nu.n),
-        config.max_outer_iterations, stop,
+        fibers, mu.weights, nu.weights, gauge, np.zeros(nu.n), stop,
         ceiling=bound + 1e-9 * (1.0 + bound))
     marg, mart = residuals(point.cols, point.cond)
 
@@ -722,27 +733,33 @@ def gibbs_coupling(triple, mu, nu):
 def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, psi0=None):
     """Static Schroedinger problem inf H(pi | mu_bar x nu) - int <x_bar, y> dpi.
 
-    Solves the system
+    The pairing runs against nu's barycenter ybar: with
+    k_ij = <x_bar_i, y_j - ybar>, which differs from <x_bar_i, y_j> by a row
+    constant and so leaves the optimal coupling unchanged, it solves the
+    centred system
 
-        sum_j nu_j exp(phibar_i + psi_j + <x_bar_i, y_j>) = 1   for all i,
-        sum_i mubar_i exp(phibar_i + psi_j + <x_bar_i, y_j>) = 1 for all j
+        sum_j nu_j exp(phibar_i + psi_j + k_ij) = 1   for all i,
+        sum_i mubar_i exp(phibar_i + psi_j + k_ij) = 1 for all j
 
     with the psi-dual Newton kernel of ``sinkhorn_msb``, without the h block:
     phibar is the closed-form row log-sum-exp, so the first equation holds
     exactly, and the kernel drives the second below ``tolerance``. The
-    default, max(1e-13, 4 eps max(1, max_ij |<x_bar_i, y_j>|)), sits above
-    the floating-point floor of the exponents; a given tolerance is used as
-    is.
+    default, max(1e-13, 4 eps max(1, max_ij |k_ij|)), sits above the
+    floating-point floor of the exponents, which no longer grows with a
+    translation of both measures; a given tolerance is used as is.
     ``psi0`` warm-starts psi; on the base measure extracted from a martingale
     solve, that solve's psi already solves the system.
 
-    Returns (value, coupling, (phibar, psi)); psi is centered so that
-    sum_j nu_j psi_j = 0. Raises NotConverged at the iteration cap or when
-    the ascent stalls above the tolerance.
+    Returns (value, coupling, (phibar, psi)); phibar is the potential of the
+    centred system, as ``schroedinger_system_residuals`` reads it, and psi
+    is centered so that sum_j nu_j psi_j = 0. The value subtracts
+    sum_i mubar_i <x_bar_i, ybar> once. Raises NotConverged at the
+    ``_MAX_OUTER`` cap or when the ascent stalls above the tolerance.
     """
     if mu_bar.dim != nu.dim:
         raise StructuralError("mu_bar and nu dimensions differ")
-    k = mu_bar.atoms @ nu.atoms.T                      # (n, m)
+    ybar = nu.weights @ nu.atoms
+    k = mu_bar.atoms @ (nu.atoms - ybar).T             # (n, m)
     if tolerance is None:
         tolerance = max(1e-13, 4.0 * np.finfo(float).eps
                         * max(1.0, float(np.abs(k).max())))
@@ -758,12 +775,11 @@ def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, psi0=None):
 
     psi = np.zeros(nu.n) if psi0 is None else np.array(psi0, dtype=float)
     point, trace, converged = _psi_newton(
-        fibers, mu_bar.weights, nu.weights, np.ones((nu.n, 1)), psi,
-        _SP_MAX_ITERATIONS, stop)
+        fibers, mu_bar.weights, nu.weights, np.ones((nu.n, 1)), psi, stop)
     if not converged:
         raise NotConverged(
             "classical Schroedinger Newton "
-            + ("hit its iteration cap" if len(trace) >= _SP_MAX_ITERATIONS
+            + ("hit its iteration cap" if len(trace) >= _MAX_OUTER
                else f"stalled after {len(trace)} iterations"))
 
     # fix the additive gauge
@@ -773,13 +789,15 @@ def classical_sinkhorn_sp(mu_bar, nu, tolerance=None, psi0=None):
 
     coupling = Coupling(mu_bar.weights[:, None] * point.cond, mu_bar, nu,
                         check=False)
-    value = primal_value(coupling) - float(np.sum(coupling.matrix * k))
+    value = (primal_value(coupling) - float(np.sum(coupling.matrix * k))
+             - float(mu_bar.weights @ (mu_bar.atoms @ ybar)))
     return value, coupling, (phibar, psi)
 
 
 def schroedinger_system_residuals(mu_bar, nu, phibar, psi):
-    """Max absolute defect of the two Schroedinger system equations."""
-    k = mu_bar.atoms @ nu.atoms.T
+    """Max absolute defect of the two equations of the centred Schroedinger
+    system of ``classical_sinkhorn_sp``, whose phibar it takes."""
+    k = mu_bar.atoms @ (nu.atoms - nu.weights @ nu.atoms).T
     gibbs = np.exp(phibar[:, None] + psi[None, :] + k)
     first = np.abs(gibbs @ nu.weights - 1.0).max()
     second = np.abs(mu_bar.weights @ gibbs - 1.0).max()

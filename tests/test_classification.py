@@ -16,11 +16,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mbridge import (DiscreteMeasure, NotInConvexOrder, NotIrreducible,
                      SolverConfig, check_convex_order, sinkhorn_msb)
+import mbridge.solver as solver
+from mbridge.measures import _frame
 from mbridge.solver import (_convex_order_1d, _in_relative_interior,
                             _inside_hull_1d)
 from conftest import peacock, random_instance
 
-CONFIG = SolverConfig(max_outer_iterations=200)
+CONFIG = SolverConfig()
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -60,6 +62,31 @@ def test_mean_shifted_pairs_are_not_in_convex_order(seed, d, shift):
     moved = DiscreteMeasure(mu.atoms + shift, mu.weights)
     with pytest.raises(NotInConvexOrder):
         sinkhorn_msb(moved, nu, CONFIG)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=seeds, d=dims, log_shift=st.floats(-6.0, 0.0),
+       log_scale=st.floats(-6.0, 3.0))
+def test_unequal_means_are_refused_before_any_fiber_solve(seed, d, log_shift,
+                                                          log_scale):
+    # mu moves by 10^log_shift of nu's largest spread, then both marginals
+    # are scaled; the stop rule could leave no such mean gap, so the solve
+    # refuses the pair without one fiber solve
+    rng = np.random.default_rng(seed)
+    mu, nu, _ = random_instance(rng, d=d)
+    direction = rng.normal(size=d)
+    spread = np.linalg.norm(_frame(nu)[2][:, :1])
+    shift = 10.0 ** log_shift * spread * direction / np.linalg.norm(direction)
+    scale = 10.0 ** log_scale
+    mu = DiscreteMeasure((mu.atoms + shift) * scale, mu.weights)
+    nu = DiscreteMeasure(nu.atoms * scale, nu.weights)
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_fiber_newton",
+                  lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(NotInConvexOrder):
+            sinkhorn_msb(mu, nu)
+    assert not calls
 
 
 def _line_pair(family, seed, t):

@@ -423,12 +423,12 @@ def test_small_peacocks_stop_well_before_the_cap(a):
     # the optimizers have zeros, so the dual sup need not be attained; the
     # solve must still return or raise long before the iteration cap
     mu, nu = peacock(10, a)
-    config = SolverConfig(max_outer_iterations=200)
+    config = SolverConfig()
     try:
         report = sinkhorn_msb(mu, nu, config)
     except NotConverged:
         return
-    assert report.iterations < config.max_outer_iterations
+    assert report.iterations < solver._MAX_OUTER
 
 
 def test_classical_warm_start_matches_the_cold_solve(rng):
@@ -448,7 +448,7 @@ def test_classical_solve_raises_when_it_stalls_at_the_floor():
     mu_bar = DiscreteMeasure([[-0.7], [0.2], [1.1]], [0.3, 0.5, 0.2])
     nu = DiscreteMeasure([[-2.0], [-0.5], [0.4], [2.0]], [0.2, 0.3, 0.3, 0.2])
     # no float iterate meets this tolerance; the stall rule stops the ascent
-    # long before the 200k iteration cap
+    # long before the iteration cap
     with pytest.raises(NotConverged, match="stalled"):
         classical_sinkhorn_sp(mu_bar, nu, tolerance=1e-30)
 
@@ -565,7 +565,7 @@ def _fiber_calls(monkeypatch, mu, nu):
     with monkeypatch.context() as m:
         m.setattr(solver, "_fiber_newton", record)
         try:
-            sinkhorn_msb(mu, nu, SolverConfig(max_outer_iterations=200))
+            sinkhorn_msb(mu, nu, SolverConfig())
         except (Infeasible, NotConverged):
             pass
     return calls

@@ -91,13 +91,13 @@ def test_certify_does_not_depend_on_an_affine_map_of_both_marginals(
 def test_a_mean_shift_of_a_millionth_is_infeasible_at_every_scale(tmp_path,
                                                                   scale):
     # the means differ by 1e-6 of nu's spread; before nu's frame, the micro
-    # pair stopped on the absolute |h| bound and exited 2. The dual climbs
-    # too slowly to pass its ceiling, so the solve runs to the cap and the
-    # diagnosis decides; a small cap keeps the test short
+    # pair stopped on the absolute |h| bound and exited 2. The mean test
+    # reads the gap in nu's frame, so it refuses the pair before the solve
+    # at every scale
     mu = DiscreteMeasure(np.array([[-1.0], [1.0]]) * scale, [0.5, 0.5])
     nu = DiscreteMeasure((np.array([[-2.0], [0.0], [2.0]]) + 1e-6) * scale,
                          [0.3, 0.4, 0.3])
-    assert _certify(tmp_path, mu, nu, "--max-outer", "200")[0] == 3
+    assert _certify(tmp_path, mu, nu)[0] == 3
 
 
 def test_draw_299_certifies(tmp_path):
@@ -108,4 +108,18 @@ def test_draw_299_certifies(tmp_path):
     for _ in range(300):
         mu, nu, _ = random_instance(rng)
     code, checks, _ = _certify(tmp_path, mu, nu)
+    assert code == 0 and all(checks.values())
+
+
+@pytest.mark.parametrize("draw, shift", [(5, 1e6), (9, 1e6), (13, 1e6),
+                                         (24, 1e5)])
+def test_translated_draws_certify_the_classical_system(tmp_path, draw, shift):
+    # the classical Schroedinger chain pairs x_bar with y - ybar, so its
+    # exponents, and the rounding floor of its residuals, do not grow with
+    # the shift
+    rng = np.random.default_rng(5)
+    for _ in range(draw + 1):
+        mu, nu, _ = random_instance(rng)
+    moved = [DiscreteMeasure(p.atoms + shift, p.weights) for p in (mu, nu)]
+    code, checks, _ = _certify(tmp_path, *moved)
     assert code == 0 and all(checks.values())
