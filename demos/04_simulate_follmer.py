@@ -13,6 +13,7 @@ law.
 import numpy as np
 
 from mbridge import (
+    Coupling,
     DiscreteMeasure,
     FiberModel,
     phi_bijection_check,
@@ -64,16 +65,13 @@ def discrete_fiber_run():
 
 def mixture_run():
     print("\n== mu-randomized start ==")
+    # a martingale coupling of mu and nu: row i is mu_i times the terminal
+    # law of the paths started at mu's atom i, as sinkhorn_msb returns it
     mu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
     nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.3, 0.4, 0.3])
-    fibers = [
-        FiberModel.discrete([-1.0],
-                            DiscreteMeasure(nu.atoms, [0.55, 0.40, 0.05])),
-        FiberModel.discrete([1.0],
-                            DiscreteMeasure(nu.atoms, [0.05, 0.40, 0.55])),
-    ]
-    ens = randomize_over_mu(mu, fibers, n_paths=20000, seed=4, nu=nu,
-                            store_every=100)
+    coupling = Coupling(0.5 * np.array([[0.55, 0.40, 0.05],
+                                        [0.05, 0.40, 0.55]]), mu, nu)
+    ens = randomize_over_mu(coupling, n_paths=20000, seed=4, store_every=100)
     start = ens.M[:, 0]
     print(f"start frequencies at -1/+1: "
           f"{np.mean(np.isclose(start, -1.0)):.4f} / "

@@ -8,21 +8,23 @@ exact at the grid times. The martingale is the conditional mean
 
     M_t = E[Y | X_t] = X_t + (1 - t) u_t(X_t),
 
-where u is the drift of X in its own filtration. The bridge over mu is one
-process started at x_i ~ mu, a single fiber the case of one start. Discrete
-fibers share one table of atoms y_j (weight 0 where a fiber lacks one); by
-Bayes a path started at x_i has the backward posterior
+where u is the drift of X in its own filtration. The bridge over mu runs a
+martingale coupling m of (mu, nu), the discrete MSB of the solve: one
+process started at x_i ~ mu, whose terminal law is row i, m_i / mu_i, on
+the table of nu's atoms y_j; a single discrete fiber is the one-row case.
+By Bayes a path started at x_i has the backward posterior
 
     q_j(t, z)  propto  exp( [ <z - c, y_j - c> - t |y_j - c|^2 / 2 ]
                             / (1 - t)  +  P_ij ),
-    P_ij = log m_{x_i}(y_j) - <x_i - c, y_j - c>,
+    P_ij = log (m_ij / mu_i) - <x_i - c, y_j - c>,
 
-with one center c, the barycenter of mu. The reference process is Brownian
-motion, of unit volatility, as in the paper's energy. Then
-u = (mean(q) - z)/(1 - t) and sigma_t = Cov(q)/(1 - t); for a Gaussian
-fiber both are linear and closed-form. Path energies accumulate the drift
-cost |u|^2/2 and the volatility cost |sigma - I|^2 / (2 (1 - t)), the
-latter exactly per step for a Gaussian fiber.
+with one center c, the barycenter of mu, and P_ij = -inf where m_ij = 0.
+The reference process is Brownian motion, of unit volatility, as in the
+paper's energy. Then u = (mean(q) - z)/(1 - t) and sigma_t = Cov(q)/(1 - t);
+for a Gaussian fiber both are linear and closed-form. Path energies
+accumulate the drift cost |u|^2/2 and the volatility cost
+|sigma - I|^2 / (2 (1 - t)), the latter exactly per step for a Gaussian
+fiber.
 
 Layout of the step kernel: the posterior is atom-major, shape (k, paths),
 and the path state, drift and mean are coordinate-major, shape (d, paths),
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError, TerminalAmbiguity
-from .measures import (DiscreteMeasure, _softmax, _spd_matrix,
+from .measures import (Coupling, DiscreteMeasure, _softmax, _spd_matrix,
                        barycenter_and_moments)
 
 TIME_CLIP = 1.0 - 1e-6
@@ -128,11 +130,12 @@ class FiberModel:
         return FiberModel(x=x, delta=delta)
 
 
-def _atoms_at(measure, u):
-    """Atoms of a discrete measure at the uniforms ``u``, by inverse CDF."""
-    cum = np.cumsum(measure.weights)
+def _atoms_at(atoms, weights, u):
+    """Atoms drawn from ``weights`` at the uniforms ``u``, by inverse CDF
+    in the atoms' order; an atom of weight 0 is never drawn."""
+    cum = np.cumsum(weights)
     idx = np.searchsorted(cum, u, side="right")
-    return measure.atoms[idx.clip(max=len(cum) - 1)]
+    return atoms[idx.clip(max=len(cum) - 1)]
 
 
 def _fiber_posterior(fiber, t, z, scale):
@@ -219,13 +222,14 @@ class PathEnsemble:
     """Simulated paths of (X, M) on a time grid, with path energies.
 
     Trajectories are stored at ``grid[stored_idx]``; energies accumulate over
-    the full grid. ``fiber_index`` labels the fiber each path started from
-    and ``mu_weights`` holds the fibers' weights, [1.0] for a single fiber.
+    the full grid. ``law`` is the simulated law, a Coupling or a Gaussian
+    FiberModel, and ``fiber_index`` labels the start (the coupling's row)
+    each path started from.
     """
 
     grid: np.ndarray
     stored_idx: np.ndarray
-    fibers: list
+    law: object
     fiber_index: np.ndarray
     terminal: np.ndarray
     M: np.ndarray
@@ -234,7 +238,6 @@ class PathEnsemble:
     vol_energy: np.ndarray
     seed: int
     method: str
-    mu_weights: np.ndarray
 
     @property
     def stored_times(self):
@@ -247,11 +250,12 @@ class PathEnsemble:
     def aggregate_energies(self):
         """(drift, volatility) cost of the ensemble.
 
-        The fiber means are combined with the declared marginal weights,
-        which keeps the aggregation exact under stratified path counts.
+        The per-start means are combined with mu's weights, which keeps the
+        aggregation exact under stratified path counts.
         """
+        gaussian = isinstance(self.law, FiberModel)
         drift = vol = 0.0
-        for i, w in enumerate(self.mu_weights):
+        for i, w in enumerate([1.0] if gaussian else self.law.mu.weights):
             sel = self.fiber_index == i
             drift += w * np.mean(self.drift_energy[sel])
             vol += w * np.mean(self.vol_energy[sel])
@@ -313,63 +317,55 @@ def simulate_follmer_martingale(fiber, grid=None, n_paths=10_000, seed=42,
     and its ``terminal`` is the endpoint X. Paths are stored every
     ``store_every`` grid points and at both ends; energies accumulate at
     every step by the left endpoint rule up to t = 1 - 1e-6 (a Gaussian
-    fiber's volatility energy exactly per step).
+    fiber's volatility energy exactly per step). A discrete fiber runs as
+    the one-row coupling of its start and its terminal law.
     """
-    return randomize_over_mu(DiscreteMeasure([fiber.x], [1.0]), [fiber],
-                             grid=grid, n_paths=n_paths, seed=seed,
+    if fiber.kind == "discrete":
+        fiber = Coupling(fiber.measure.weights[None, :],
+                         DiscreteMeasure([fiber.x], [1.0]), fiber.measure)
+    return randomize_over_mu(fiber, grid=grid, n_paths=n_paths, seed=seed,
                              method=method, store_every=store_every)
 
 
-def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
-                      nu=None, method="bridge", store_every=1):
-    """Simulate the bridge started from mu: every path in one time loop.
+def randomize_over_mu(law, grid=None, n_paths=10_000, seed=42,
+                      method="bridge", store_every=1):
+    """Simulate the bridge of a coupling: every path in one time loop.
 
-    Path counts follow mu by largest-remainder rounding, in fiber order, on
-    one atom table and one random stream (see the module notes). Memory
-    and cost grow with that table, the union of the fibers' K atoms: a
-    chunk holds at most _CHUNK * m / K paths, m the most atoms of one
-    fiber, so its (k, chunk) arrays stay within one fiber's, and each step
-    computes on the atoms of the chunk's own fibers only. Fibers that share
-    no atoms therefore run in shorter chunks. A Gaussian fiber runs alone. A passed ``nu`` must match the mixture of the fibers' laws
-    within 1e-9. Otherwise as ``simulate_follmer_martingale``.
+    ``law`` is a Coupling of (mu, nu) whose rows are the martingale
+    conditionals of mu's atoms, as the solve's are; it is not checked
+    again. Paths start at mu's atoms, with counts following mu by
+    largest-remainder rounding in row order, on one random stream (see the
+    module notes). The atom table is nu's m atoms, and a path's log-prior
+    is the log of its row's conditional law, -inf where an entry is 0, so
+    fibers of disjoint atoms run as one block-diagonal coupling on the
+    union of their atoms. A chunk holds at most _CHUNK * s / m paths, s the
+    largest row support, so its (k, chunk) arrays stay within one row's,
+    and each step computes on the atoms its own rows charge. A Gaussian
+    FiberModel runs as its single start. Otherwise as
+    ``simulate_follmer_martingale``.
     """
-    if len(fibers) != mu.n:
-        raise StructuralError("need one fiber per mu atom")
-    for i, fib in enumerate(fibers):
-        if np.max(np.abs(fib.x - mu.atoms[i])) > 1e-12:
-            raise StructuralError(f"fiber {i} does not start at mu atom {i}")
-    gaussian = any(fib.kind == "gaussian" for fib in fibers)
-    if gaussian and (mu.n > 1 or nu is not None):
-        raise StructuralError("mixtures need discrete fibers")
-    chunk = _CHUNK
-    if not gaussian:
-        # the fibers' atoms, each once and in lexsort order, and every
-        # fiber's log-weights on them, -inf where it lacks one
-        atoms, col = np.unique(np.concatenate([f.measure.atoms
-                                               for f in fibers]),
-                               axis=0, return_inverse=True)
-        chunk = max(_CHUNK * max(f.measure.n for f in fibers)
+    gaussian = isinstance(law, FiberModel)
+    if gaussian:
+        starts, mu_w, chunk = law.x[None, :], np.ones(1), _CHUNK
+    else:
+        starts, mu_w = law.mu.atoms, law.mu.weights
+        cond = law.conditionals()
+        # nu's atoms in lexsort order, and every row's log-weights on them
+        order = np.lexsort(law.nu.atoms.T[::-1])
+        atoms = law.nu.atoms[order]
+        with np.errstate(divide="ignore"):
+            log_w = np.log(cond[:, order])
+        chunk = max(_CHUNK * int(np.count_nonzero(cond, axis=1).max())
                     // atoms.shape[0], 1)
-        log_w = np.full((mu.n, atoms.shape[0]), -np.inf)
-        log_w[np.repeat(np.arange(mu.n), [f.measure.n for f in fibers]),
-              col.ravel()] = np.log(np.concatenate([f.measure.weights
-                                                    for f in fibers]))
-    if nu is not None:
-        kb = np.lexsort(nu.atoms.T[::-1])
-        if (atoms.shape != nu.atoms.shape
-                or np.max(np.linalg.norm(atoms - nu.atoms[kb], axis=1)) > 1e-9
-                or np.max(np.abs(mu.weights @ np.exp(log_w)
-                                 - nu.weights[kb])) > 1e-9):
-            raise StructuralError("fiber mixture does not match the declared nu")
 
     n_paths = int(n_paths)
-    base = np.floor(mu.weights * n_paths).astype(int)
+    base = np.floor(mu_w * n_paths).astype(int)
     short = n_paths - base.sum()
     if short > 0:
-        frac = mu.weights * n_paths - base
+        frac = mu_w * n_paths - base
         base[np.argsort(-frac, kind="stable")[:short]] += 1
     if np.any(base == 0):
-        raise StructuralError("n_paths too small to give every fiber a stratum")
+        raise StructuralError("n_paths too small to give every start a stratum")
 
     if grid is None:
         grid = np.linspace(0.0, 1.0, 1001)
@@ -389,23 +385,21 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
         stored_idx = np.append(stored_idx, k_grid - 1)
     stored_pos = {int(g): k for k, g in enumerate(stored_idx)}
 
-    fiber = fibers[0]
-    d = fiber.dim
-    fiber_index = np.repeat(np.arange(mu.n), base)
-    starts = np.array([f.x for f in fibers])
+    d = starts.shape[1]
+    fiber_index = np.repeat(np.arange(starts.shape[0]), base)
     rng = _stream(seed)
 
     if gaussian:
-        chol = np.linalg.cholesky(fiber.delta)
-        drift_mats = [_gaussian_drift_matrix(fiber, min(t, TIME_CLIP))
+        chol = np.linalg.cholesky(law.delta)
+        drift_mats = [_gaussian_drift_matrix(law, min(t, TIME_CLIP))
                       for t in grid]
         # deterministic: every path adds the same increments in order
         gauss_vol = 0.0
-        for inc in _gaussian_vol_energy_increments(fiber.delta, grid):
+        for inc in _gaussian_vol_energy_increments(law.delta, grid):
             gauss_vol += inc
     else:
-        center = mu.weights @ starts
-        # the static part P of the logits, atom-major: one column per fiber
+        center = mu_w @ starts
+        # the static part P of the logits, atom-major: one column per row
         prior = np.ascontiguousarray(
             (log_w - np.dot(starts - center, (atoms - center).T)).T)
         # per-atom outer products a_k a_k', one row per atom
@@ -418,21 +412,21 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
     vol_energy = np.zeros(n_paths)
 
     eye = np.eye(d)
-    x0 = fiber.x[:, None]
+    x0 = starts[0][:, None]
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
         nc = hi - lo
         fi = fiber_index[lo:hi]
         if gaussian:
-            y = fiber.x + rng.standard_normal((nc, d)) @ chol.T
+            y = law.x + rng.standard_normal((nc, d)) @ chol.T
             vol_energy[lo:hi] = gauss_vol
         else:
             u = rng.random(nc)
             y = np.empty((nc, d))
-            for i in range(fi[0], fi[-1] + 1):    # one run per fiber
+            for i in range(fi[0], fi[-1] + 1):    # one run per row
                 a, b = np.searchsorted(fi, [i, i + 1])
-                y[a:b] = _atoms_at(fibers[i].measure, u[a:b])
-            # the atoms of this chunk's fibers, and their log-prior per path
+                y[a:b] = _atoms_at(law.nu.atoms, cond[i], u[a:b])
+            # the atoms this chunk's rows charge, and the log-prior per path
             cols = np.flatnonzero(np.isfinite(prior[:, fi[0]:fi[-1] + 1])
                                   .any(axis=1))
             table, table_outer = atoms[cols], outer[cols]
@@ -505,11 +499,10 @@ def randomize_over_mu(mu, fibers, grid=None, n_paths=10_000, seed=42,
         if method == "euler":
             terminal[lo:hi] = x_cur.T
 
-    return PathEnsemble(grid=grid, stored_idx=stored_idx, fibers=list(fibers),
+    return PathEnsemble(grid=grid, stored_idx=stored_idx, law=law,
                         fiber_index=fiber_index, terminal=terminal, M=M, X=X,
                         drift_energy=drift_energy, vol_energy=vol_energy,
-                        seed=int(seed), method=method,
-                        mu_weights=mu.weights.copy())
+                        seed=int(seed), method=method)
 
 
 @dataclass(frozen=True)
@@ -603,7 +596,7 @@ def _binomial_tails(counts, n, weights):
 
 @dataclass(frozen=True)
 class LawCheckReport:
-    terminal_binom_min_p: float     # None without a discrete bridge fiber
+    terminal_binom_min_p: float     # None without a discrete bridge law
     max_mean_dev_se: float
     passing: bool
 
@@ -611,42 +604,44 @@ class LawCheckReport:
 def law_checks(ensemble):
     """Monte Carlo checks of the ensemble's law that fail when it is wrong.
 
-    Terminal atoms (discrete fibers, bridge ensembles): for each fiber and
-    atom, the two-sided exact binomial tail of the terminal count is at
-    least TERMINAL_MIN_P; a terminal off every atom counts as tail 0. An
-    Euler endpoint lies off the atoms by its discretization error, so Euler
-    ensembles skip this test. Martingale mean (every fiber): at each stored
-    t < 1 and per coordinate,
+    Terminal atoms (a coupling's rows, bridge ensembles): for each start
+    and each atom its row charges, the two-sided exact binomial tail of the
+    terminal count is at least TERMINAL_MIN_P; a terminal off those atoms
+    counts as tail 0. An Euler endpoint lies off the atoms by its
+    discretization error, so Euler ensembles skip this test. Martingale
+    mean (every start): at each stored t < 1 and per coordinate,
     |mean M_t - x| <= 5 std / sqrt(n) + 1e-12 (1 + |x|), with std that of
-    the fiber's terminal law, which bounds the spread of M_t at every t; the
+    the start's terminal law, which bounds the spread of M_t at every t; the
     report gives the largest excess over the 1e-12 slack in standard errors.
     """
+    law = ensemble.law
+    if isinstance(law, FiberModel):
+        rows = [(law.x, None, np.diag(law.delta))]
+    else:
+        atoms = law.nu.atoms
+        rows = [(x, w, w @ (atoms - x) ** 2)
+                for x, w in zip(law.mu.atoms, law.conditionals())]
     min_p = None
     worst = 0.0
     live = ensemble.stored_times < 1.0
-    for i, fib in enumerate(ensemble.fibers):
+    for i, (x, w, var) in enumerate(rows):
         sel = ensemble.fiber_index == i
         n = int(np.count_nonzero(sel))
-        if fib.kind == "discrete":
-            w = fib.measure.weights
-            if ensemble.method == "bridge":
-                term = ensemble.terminal[sel]
-                counts = np.array([np.count_nonzero(np.all(term == a, axis=1))
-                                   for a in fib.measure.atoms])
-                p = float(min(1.0, 2.0 * _binomial_tails(counts, n, w).min()))
-                if counts.sum() != n:
-                    p = 0.0
-                min_p = p if min_p is None else min(min_p, p)
-            var = w @ (fib.measure.atoms - fib.x) ** 2
-        else:
-            var = np.diag(fib.delta)
+        if w is not None and ensemble.method == "bridge":
+            term = ensemble.terminal[sel]
+            pos = w > 0.0
+            counts = np.array([np.count_nonzero(np.all(term == a, axis=1))
+                               for a in atoms[pos]])
+            p = float(min(1.0, 2.0 * _binomial_tails(counts, n, w[pos]).min()))
+            if counts.sum() != n:
+                p = 0.0
+            min_p = p if min_p is None else min(min_p, p)
         # Var M_t <= Var M_1, so the terminal law's spread bounds every t
         se = np.sqrt(var / n)
-        # one GEMV with the fiber's indicator: no copy of the stored paths
+        # one GEMV with the start's indicator: no copy of the stored paths
         flat = sel.astype(float) @ ensemble.M.reshape(len(sel), -1)
         mean = flat.reshape(ensemble.M.shape[1:])[live] / n
-        excess = np.maximum(np.abs(mean - fib.x)
-                            - 1e-12 * (1.0 + np.abs(fib.x)), 0.0)
+        excess = np.maximum(np.abs(mean - x) - 1e-12 * (1.0 + np.abs(x)), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(excess > 0.0, excess / se, 0.0)
         worst = max(worst, float(ratio.max(initial=0.0)))

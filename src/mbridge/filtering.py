@@ -20,8 +20,10 @@ sqrt(ds) q[U] for a uniform byte U and the table ``_QUANTILES`` of the 256
 midpoint normal quantiles, made odd and rescaled to unit variance. A
 two-point law +-sqrt(ds) has the same order but puts coarse grids on a
 lattice: at 100 steps its KS distance to the exact law is about 0.03, the
-table's 0.004-0.012 (40,000 paths). As |q| <= q_max = 2.893, a path can
-leave [0, 1] only when n_steps < s_max q_max^2 (33.5 at s_max = 4).
+table's 0.004-0.012 (40,000 paths). The cross-check compares the laws at
+the observation times ``_CHECKPOINTS``, and its Euler paths run to the
+last of them, s = 4; as |q| <= q_max = 2.893, a path can leave [0, 1]
+only when n_steps < 4 q_max^2 = 33.5.
 
 Every stream here follows the rule of ``dynamics._stream``: SFC64 seeded by
 SeedSequence(seed, spawn_key=key). Observations and the cross-check read
@@ -51,6 +53,9 @@ _DRAW_STEPS = 4
 # the spawn-key prefix beside the root stream: (_VOLATILITY_KEY, j) is the
 # invariance test's j-th volatility
 _VOLATILITY_KEY = 1
+# the observation times at which the Wonham cross-check compares its laws,
+# in increasing order; the Euler paths run to the last
+_CHECKPOINTS = (1.0, 4.0)
 
 
 def _quantile_table():
@@ -92,7 +97,8 @@ def simulate_observations(fiber, s_grid, n_paths=1000, seed=42):
         raise StructuralError("s_grid must be strictly increasing")
     rng = _stream(seed)
     d = fiber.dim
-    y = _atoms_at(fiber.measure, rng.random(n_paths))
+    y = _atoms_at(fiber.measure.atoms, fiber.measure.weights,
+                  rng.random(n_paths))
     r = np.zeros((n_paths, s_grid.size, d))
     prev_s = 0.0
     prev_r = np.zeros((n_paths, d))
@@ -179,7 +185,7 @@ def sigma_invariance_test(fiber, s=1.0, sigmas=(0.5, 1.0, 2.0),
     for j, sig in enumerate(keys):
         rng = _stream(seed, (_VOLATILITY_KEY, j))
         tau = info_time_change(s, sig)
-        y = _atoms_at(fiber.measure, rng.random(n_samples))
+        y = _atoms_at(atoms, fiber.measure.weights, rng.random(n_samples))
         noise = rng.standard_normal((n_samples, 1))
         x_tau = (fiber.x + tau * (y - fiber.x)
                  + sig * math.sqrt(tau * (1.0 - tau)) * noise)
@@ -214,12 +220,12 @@ def _euler_block(rng, n_paths, n_steps, sqrt_ds, marks):
     ceil(D n / 8) words, D steps of n paths, read eight per word, the low
     byte first, step-major and in path order.
 
-    The clamp can fire only if some |xi| > 1, that is n_steps < s_max
-    q_max^2 (33.5 at s_max = 4). When every |xi| <= 1 it cannot, even in
-    rounded arithmetic: the computed fl(fl(fl(1 - Z) Z) xi) is at most
-    min(Z, 1 - Z) in size, as fl(1 - Z) <= 1, and 1 - Z is exact for
-    Z >= 1/2; rounding is monotone and 0 and 1 are floats. The check is
-    skipped there.
+    The clamp can fire only if some |xi| > 1, that is ds q_max^2 > 1
+    (n_steps < 33.5 on the cross-check's horizon of 4). When every
+    |xi| <= 1 it cannot, even in rounded arithmetic: the computed
+    fl(fl(fl(1 - Z) Z) xi) is at most min(Z, 1 - Z) in size, as
+    fl(1 - Z) <= 1, and 1 - Z is exact for Z >= 1/2; rounding is monotone
+    and 0 and 1 are floats. The check is skipped there.
 
     ``marks`` holds, in checkpoint order, the step after which each
     snapshot is taken. Returns the snapshots and the number of clamped
@@ -253,8 +259,7 @@ def _euler_block(rng, n_paths, n_steps, sqrt_ds, marks):
     return snapshots, violations
 
 
-def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
-                          checkpoints=(1.0, 4.0), seed=42):
+def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, seed=42):
     """Exact filter versus Euler on its autonomous SDE, compared in law.
 
     The symmetric two-atom fiber at gap one has posterior probability
@@ -263,20 +268,15 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     by Euler with freshly drawn increments sqrt(ds) q[U], U a uniform byte
     and q the 256-level table ``_QUANTILES``. They have mean 0, variance
     ds and third moment 0, which gives weak order one, enough for a
-    comparison in law. The check clamps excursions outside [0, 1],
-    counting them (possible only when n_steps < s_max q_max^2, about
-    8.37 s_max), and compares the two laws at the checkpoints, plus the
-    frequency of ending in the upper half. s_max must be finite.
+    comparison in law. The Euler paths run from s = 0 to the last of
+    ``_CHECKPOINTS``, s = 4, in n_steps steps. The check clamps excursions
+    outside [0, 1], counting them (possible only when n_steps < 33.5), and
+    compares the two laws at the checkpoints, plus the frequency of ending
+    in the upper half.
 
     The Euler paths continue the root stream after the exact side's draws
     (see the module notes). The seed must lie in [0, 2**64).
     """
-    s_max = float(s_max)
-    checkpoints = tuple(float(c) for c in checkpoints)
-    if not (math.isfinite(s_max)
-            and all(0.0 < c <= s_max for c in checkpoints)):
-        raise StructuralError(
-            "s_max must be finite and the checkpoints lie in (0, s_max]")
     n_paths, n_steps = int(n_paths), int(n_steps)
     if n_paths < 1 or n_steps < 1:
         raise StructuralError("n_paths and n_steps must be positive")
@@ -285,25 +285,24 @@ def wonham_sde_crosscheck(n_paths=20_000, n_steps=4000, s_max=4.0,
     # exact side: R_s = s Y' + W_s with Y' = +-1/2, Z = logistic(R)
     yp = np.where(rng.random(n_paths) < 0.5, -0.5, 0.5)
     z_exact = {}
-    for c in checkpoints:
+    for c in _CHECKPOINTS:
         r = c * yp + math.sqrt(c) * rng.standard_normal(n_paths)
         z_exact[c] = 1.0 / (1.0 + np.exp(-r))
 
     # euler side, independent noise; a checkpoint is taken after the first
     # step whose end (i + 1) ds reaches it, not after a running sum of ds,
-    # which can end short of s_max
-    ds = s_max / n_steps
-    order = sorted(checkpoints)
+    # which can end short of the horizon
+    ds = _CHECKPOINTS[-1] / n_steps
     ends = np.arange(1, n_steps + 1) * ds
-    marks = [int(np.searchsorted(ends, c - 1e-12)) for c in order]
+    marks = [int(np.searchsorted(ends, c - 1e-12)) for c in _CHECKPOINTS]
     snapshots, violations = _euler_block(rng, n_paths, n_steps,
                                          math.sqrt(ds), marks)
-    z_euler = dict(zip(order, snapshots))
+    z_euler = dict(zip(_CHECKPOINTS, snapshots))
 
-    ks = {c: float(ks_distance(z_exact[c], z_euler[c])) for c in checkpoints}
-    last = max(checkpoints)
+    ks = {c: float(ks_distance(z_exact[c], z_euler[c])) for c in _CHECKPOINTS}
+    last = _CHECKPOINTS[-1]
     return WonhamReport(
-        checkpoints=checkpoints, ks_by_checkpoint=ks,
+        checkpoints=_CHECKPOINTS, ks_by_checkpoint=ks,
         terminal_freq_exact=float(np.mean(z_exact[last] > 0.5)),
         terminal_freq_euler=float(np.mean(z_euler[last] > 0.5)),
         clamp_violations=violations, n_paths=n_paths)

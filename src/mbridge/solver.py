@@ -136,8 +136,9 @@ class SolverConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise StructuralError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise StructuralError(
+                f"tolerance must be finite and positive, got {self.tolerance}")
 
     def gap_bound(self, primal):
         """The largest |P - D| of a converged solve with primal value P.

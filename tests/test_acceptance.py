@@ -211,8 +211,7 @@ def test_criterion_7_filtering_invariance_and_wonham():
         [0.0], DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.3, 0.4, 0.3]))
     inv = sigma_invariance_test(fiber, s=1.0, sigmas=(0.5, 1.0, 2.0),
                                 n_samples=100_000, seed=42)
-    won = wonham_sde_crosscheck(n_paths=100_000, n_steps=4000,
-                                checkpoints=(1.0, 4.0), seed=42)
+    won = wonham_sde_crosscheck(n_paths=100_000, n_steps=4000, seed=42)
     elapsed = time.perf_counter() - start
 
     freq_dev = max(abs(won.terminal_freq_exact - 0.5),

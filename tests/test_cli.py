@@ -13,7 +13,7 @@ import pytest
 from mbridge import DegenerateFiber, DiscreteMeasure, check_convex_order, \
     cli, dynamics, errors, filtering, measure_to_json
 from mbridge.cli import build_parser, main
-from conftest import random_instance
+from conftest import peacock, random_instance, study_instance
 
 
 def write_measure(path, atoms, weights):
@@ -197,6 +197,21 @@ def test_the_gap_bound_follows_the_tolerance(tmp_path, draw):
     assert code == 0
     report = json.loads((out / "solve_report.json").read_text())
     assert report["duality_gap"] <= 1e-6 * (1.0 + abs(report["primal_value"]))
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_a_non_finite_tolerance_exits_one(tmp_path, study_files, tol,
+                                           capsys):
+    # an infinite tolerance once reported convergence after one iteration
+    # with a marginal defect of 0.047, and NaN ran on to exit 2
+    mu, nu = study_files
+    out = tmp_path / "run"
+    assert main(["solve", "--tol", tol, "--mu", mu, "--nu", nu,
+                 "--out", str(out)]) == 1
+    err_lines = [line for line in capsys.readouterr().err.split("\n")
+                 if line and "wall-clock" not in line]
+    assert len(err_lines) == 1 and "must be finite" in err_lines[0]
+    assert not out.exists()
 
 
 # two mu atoms and four nu atoms within 1e-9 of each other near
@@ -480,6 +495,47 @@ def test_simulate_study_instance_passes_the_law_checks(tmp_path, study_files,
     assert report["all_pass"] is True
     assert report["terminal_binom_min_p"] >= 1e-7
     assert report["max_mean_dev_se"] <= 5.0
+
+
+def _simulated_pairs():
+    mu, nu = study_instance()
+    pairs = {
+        "study-x1e4": (mu.atoms * 1e4, mu.weights, nu.atoms * 1e4,
+                       nu.weights, "1e-10"),
+        "study-p1e6": (mu.atoms + 1e6, mu.weights, nu.atoms + 1e6,
+                       nu.weights, "1e-10"),
+        "peacock-n10-a0.05": (*(a for m in peacock(10, 0.05)
+                                for a in (m.atoms, m.weights)), "1e-10"),
+    }
+    rng = np.random.default_rng(1)
+    for k in range(7):
+        mu, nu, _ = random_instance(rng)
+        if k in (5, 6):
+            pairs[f"draw{k}-tol1e-6"] = (mu.atoms, mu.weights, nu.atoms,
+                                         nu.weights, "1e-6")
+    return pairs
+
+
+SIMULATED_PAIRS = _simulated_pairs()
+
+
+@pytest.mark.parametrize("case", SIMULATED_PAIRS)
+def test_simulate_runs_every_coupling_the_solve_accepts(tmp_path, case):
+    # the solve's coupling is simulated as it is: a conditional entry that
+    # underflows to 0 (the peacock), row barycenters held to nu's spread
+    # rather than to 1e-10 absolute (the far and the large pairs), and
+    # column defects up to the tolerance (the draws at 1e-6) once each
+    # exited 1 before any path was drawn
+    mu_a, mu_w, nu_a, nu_w, tol = SIMULATED_PAIRS[case]
+    out = tmp_path / "run"
+    code = main(["simulate", "--tol", tol, "--paths", "2000",
+                 "--grid-points", "101",
+                 "--mu", write_measure(tmp_path / "mu.json", mu_a, mu_w),
+                 "--nu", write_measure(tmp_path / "nu.json", nu_a, nu_w),
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "simulate_report.json").read_text())
+    assert report["all_pass"] is True
 
 
 def fresh_python(code):

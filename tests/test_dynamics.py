@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbridge import (
+    Coupling,
     DiscreteMeasure,
     FiberModel,
     law_checks,
@@ -238,13 +239,9 @@ def test_discrete_volatility_energy_diverges_under_refinement():
 def test_randomized_mixture_reproduces_the_solver_coupling():
     mu, nu, _ = two_by_three_family()
     report = sinkhorn_msb(mu, nu)
-    cond = report.coupling.conditionals()
-    fibers = [FiberModel.discrete(mu.atoms[i],
-                                  DiscreteMeasure(nu.atoms, cond[i]))
-              for i in range(mu.n)]
     n = 100_000
-    ens = randomize_over_mu(mu, fibers, grid=np.linspace(0, 1, 11),
-                            n_paths=n, seed=17, nu=nu, store_every=10)
+    ens = randomize_over_mu(report.coupling, grid=np.linspace(0, 1, 11),
+                            n_paths=n, seed=17, store_every=10)
     # joint law of (M_0, M_1) against the coupling matrix, in total variation
     freq = np.zeros((mu.n, nu.n))
     for i in range(mu.n):
@@ -264,23 +261,10 @@ def test_randomized_mixture_reproduces_the_solver_coupling():
 
 
 def test_randomized_mixture_structural_errors():
-    mu, nu, _ = two_by_three_family()
-    fib_ok = FiberModel.discrete(mu.atoms[0],
-                                 DiscreteMeasure(nu.atoms, [0.6, 0.3, 0.1]))
+    # one path cannot give both starts a stratum
+    mu, nu, matrix = two_by_three_family()
     with pytest.raises(StructuralError):
-        randomize_over_mu(mu, [fib_ok], n_paths=100)
-    fib_other = FiberModel.discrete(mu.atoms[1],
-                                    DiscreteMeasure(nu.atoms,
-                                                    [0.1, 0.3, 0.6]))
-    with pytest.raises(StructuralError):
-        randomize_over_mu(mu, [fib_ok, fib_ok], n_paths=100)
-    # declared nu does not match the pooled mixture
-    wrong_nu = DiscreteMeasure([[-2.0], [0.0], [3.0]], [0.3, 0.4, 0.3])
-    with pytest.raises(StructuralError):
-        randomize_over_mu(mu, [fib_ok, fib_other], n_paths=100,
-                          nu=wrong_nu)
-    with pytest.raises(StructuralError):
-        randomize_over_mu(mu, [fib_ok, fib_other], n_paths=1)
+        randomize_over_mu(Coupling(matrix(0.27), mu, nu), n_paths=1)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -288,12 +272,9 @@ def test_randomized_mixture_structural_errors():
        n_paths=st.integers(40, 400))
 def test_mixture_starts_at_mu_and_ends_on_nu_atoms(seed, d, n_paths):
     mu, nu, _ = random_instance(np.random.default_rng(seed), d=d)
-    cond = sinkhorn_msb(mu, nu).coupling.conditionals()
-    fibers = [FiberModel.discrete(mu.atoms[i],
-                                  DiscreteMeasure(nu.atoms, cond[i]))
-              for i in range(mu.n)]
-    ens = randomize_over_mu(mu, fibers, grid=np.linspace(0, 1, 11),
-                            n_paths=n_paths, seed=seed, nu=nu, store_every=4)
+    ens = randomize_over_mu(sinkhorn_msb(mu, nu).coupling,
+                            grid=np.linspace(0, 1, 11), n_paths=n_paths,
+                            seed=seed, store_every=4)
     assert np.array_equal(ens.M[:, 0], mu.atoms[ens.fiber_index])
     on_atom = np.all(ens.terminal[:, None, :] == nu.atoms[None], axis=2)
     assert np.all(on_atom.sum(axis=1) == 1)
@@ -348,17 +329,27 @@ def _reference_posterior(fiber, t, z):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _reference_table(fibers):
-    # every atom once, sorted by coordinates; -inf where a fiber lacks an
-    # atom
-    atoms = sorted({tuple(a) for fib in fibers for a in fib.measure.atoms})
-    atoms = [np.array(a) for a in atoms]
-    log_w = np.full((len(fibers), len(atoms)), -np.inf)
+def _coupling(mu, fibers):
+    # the coupling of mu's atoms with the fibers' terminal laws, on the
+    # union of their atoms in order of first appearance
+    atoms = []
+    for fib in fibers:
+        atoms += [a for a in fib.measure.atoms.tolist() if a not in atoms]
+    matrix = np.zeros((mu.n, len(atoms)))
     for i, fib in enumerate(fibers):
-        for a, lw in zip(fib.measure.atoms, np.log(fib.measure.weights)):
-            j = next(j for j, b in enumerate(atoms) if np.array_equal(a, b))
-            log_w[i, j] = lw
-    return np.array(atoms), log_w
+        cols = [atoms.index(a) for a in fib.measure.atoms.tolist()]
+        matrix[i, cols] = mu.weights[i] * fib.measure.weights
+    return Coupling(matrix, mu, DiscreteMeasure(atoms, matrix.sum(axis=0)))
+
+
+def _reference_table(coupling):
+    # nu's atoms sorted by coordinates, and every row's log-weights on
+    # them, -inf where a row puts no mass
+    cond = coupling.conditionals()
+    order = sorted(range(coupling.nu.n),
+                   key=lambda j: tuple(coupling.nu.atoms[j]))
+    with np.errstate(divide="ignore"):
+        return coupling.nu.atoms[order], np.log(cond[:, order])
 
 
 def _reference_strata(weights, n_paths):
@@ -370,29 +361,29 @@ def _reference_strata(weights, n_paths):
     return counts
 
 
-def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
+def _reference_chunk(law, fi, grid, rng, method, stored):
     n_paths = fi.size
-    fib = fibers[0]
-    d = fib.dim
+    gaussian = isinstance(law, FiberModel)
+    starts = law.x[None, :] if gaussian else law.mu.atoms
+    d = starts.shape[1]
     eye = np.eye(d)
-    starts = np.array([f.x for f in fibers])
-    gaussian = fib.kind == "gaussian"
     if gaussian:
-        y = fib.x + (rng.standard_normal((n_paths, d))
-                     @ np.linalg.cholesky(fib.delta).T)
-        vol_incs = _gaussian_vol_energy_increments(fib.delta, grid)
+        y = law.x + (rng.standard_normal((n_paths, d))
+                     @ np.linalg.cholesky(law.delta).T)
+        vol_incs = _gaussian_vol_energy_increments(law.delta, grid)
     else:
-        atoms, log_w = _reference_table(fibers)
-        c = weights @ starts
+        atoms, log_w = _reference_table(law)
+        c = law.mu.weights @ starts
         rel = atoms - c
         sq = np.sum(rel ** 2, axis=1)
         prior = log_w - (starts - c) @ rel.T
+        cond = law.conditionals()
         u = rng.random(n_paths)
         y = np.empty((n_paths, d))
         for p in range(n_paths):
-            meas = fibers[fi[p]].measure
-            j = np.searchsorted(np.cumsum(meas.weights), u[p], side="right")
-            y[p] = meas.atoms[min(j, meas.n - 1)]
+            # inverse CDF over nu's atoms in their own order
+            j = np.searchsorted(np.cumsum(cond[fi[p]]), u[p], side="right")
+            y[p] = law.nu.atoms[min(j, law.nu.n - 1)]
     x = starts[fi]
     M, X = [], []
     drift = np.zeros(n_paths)
@@ -403,7 +394,7 @@ def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
             x = y.copy()
             m = y
         elif gaussian:
-            u = (x - fib.x) @ _gaussian_drift_matrix(fib, t_eff).T
+            u = (x - law.x) @ _gaussian_drift_matrix(law, t_eff).T
             m = x + (1.0 - t_eff) * u
         else:
             logits = (((x - c) @ rel.T - 0.5 * t_eff * sq[None, :])
@@ -441,17 +432,18 @@ def _reference_chunk(fibers, weights, fi, grid, rng, method, stored):
             "drift_energy": drift, "vol_energy": vol}
 
 
-def _reference_simulate(fibers, weights, n_paths, grid, seed, method,
-                        store_every, chunk):
-    # the fibers' paths in fiber order, chunk by chunk on one stream
-    fi = np.repeat(np.arange(len(fibers)),
+def _reference_simulate(law, n_paths, grid, seed, method, store_every,
+                        chunk):
+    # the rows' paths in row order, chunk by chunk on one stream
+    weights = [1.0] if isinstance(law, FiberModel) else law.mu.weights
+    fi = np.repeat(np.arange(len(weights)),
                    _reference_strata(weights, n_paths))
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     stored = list(range(0, grid.size, store_every))
     if stored[-1] != grid.size - 1:
         stored.append(grid.size - 1)
-    parts = [_reference_chunk(fibers, weights, fi[lo:lo + chunk], grid, rng,
-                              method, stored)
+    parts = [_reference_chunk(law, fi[lo:lo + chunk], grid, rng, method,
+                              stored)
              for lo in range(0, n_paths, chunk)]
     ref = {name: np.concatenate([p[name] for p in parts])
            for name in parts[0]}
@@ -465,14 +457,11 @@ def _four_atom_plane_fiber():
     return FiberModel.discrete(w @ atoms, DiscreteMeasure(atoms, w))
 
 
-def _study_fibers():
-    # three fibers on the dyadic atoms -2, 0, 2, as the solver gives them
+def _study_coupling():
+    # three rows on the dyadic atoms -2, 0, 2, as the solver gives them
     mu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.40, 0.46, 0.14])
     nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.43, 0.27, 0.30])
-    cond = sinkhorn_msb(mu, nu).coupling.conditionals()
-    return mu, [FiberModel.discrete(mu.atoms[i],
-                                    DiscreteMeasure(nu.atoms, cond[i]))
-                for i in range(mu.n)]
+    return sinkhorn_msb(mu, nu).coupling
 
 
 def _plane_fibers():
@@ -489,18 +478,19 @@ def _plane_fibers():
 
 
 def _kernel_pair(case, method, chunk=32768):
+    # a single fiber runs through simulate_follmer_martingale, a coupling
+    # through randomize_over_mu; the reference reads the same weights
     grid = np.linspace(0.0, 1.0, 201)
     if isinstance(case, FiberModel):
         ens = simulate_follmer_martingale(case, grid=grid, n_paths=500,
                                           seed=13, method=method,
                                           store_every=20)
-        mu, fibers = DiscreteMeasure([case.x], [1.0]), [case]
+        if case.kind == "discrete":
+            case = _coupling(DiscreteMeasure([case.x], [1.0]), [case])
     else:
-        mu, fibers = case
-        ens = randomize_over_mu(mu, fibers, grid=grid, n_paths=500, seed=13,
+        ens = randomize_over_mu(case, grid=grid, n_paths=500, seed=13,
                                 method=method, store_every=20)
-    ref = _reference_simulate(fibers, mu.weights, 500, grid, 13, method, 20,
-                              chunk)
+    ref = _reference_simulate(case, 500, grid, 13, method, 20, chunk)
     return ens, ref
 
 
@@ -510,7 +500,7 @@ def _kernel_pair(case, method, chunk=32768):
     # so only the order of the sums could differ, and it does not
     FiberModel.discrete([-0.26], DiscreteMeasure([[-2.0], [0.0], [2.0]],
                                                  [0.43, 0.27, 0.30])),
-    _study_fibers(),
+    _study_coupling(),
     FiberModel.gaussian([0.4, -0.3], [[2.0, 0.3], [0.3, 1.5]]),
 ], ids=["discrete-3-d1", "mixture-3-d1", "gaussian-d2"])
 def test_kernel_reproduces_the_row_major_reference_exactly(case, method):
@@ -525,7 +515,7 @@ def test_kernel_reproduces_the_row_major_reference_exactly(case, method):
     FiberModel.discrete([0.4 * -1.3 + 0.4 * 0.7 + 0.2 * 2.1],
                         DiscreteMeasure([[-1.3], [0.7], [2.1]],
                                         [0.4, 0.4, 0.2])),
-    _plane_fibers(),
+    _coupling(*_plane_fibers()),
 ], ids=["discrete-4-d2", "discrete-3-d1-generic", "mixture-3-d2"])
 def test_kernel_matches_the_row_major_reference_to_rounding(case, method):
     # the GEMMs and reductions run in another order; the last bits move
@@ -538,24 +528,25 @@ def test_kernel_matches_the_row_major_reference_to_rounding(case, method):
         assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, name
 
 
-def _disjoint_fibers():
-    # two fibers that share no atom: a table of six atoms, three per fiber
+def _disjoint_coupling():
+    # two fibers that share no atom: a table of six atoms, three per row
     rows = [([[-2.0], [0.0], [2.0]], [0.25, 0.5, 0.25]),
             ([[1.0], [3.0], [5.0]], [0.5, 0.25, 0.25])]
     fibers = [FiberModel.discrete(np.asarray(w) @ a, DiscreteMeasure(a, w))
               for a, w in rows]
-    return DiscreteMeasure([f.x for f in fibers], [0.5, 0.5]), fibers
+    return _coupling(DiscreteMeasure([f.x for f in fibers], [0.5, 0.5]),
+                     fibers)
 
 
 @pytest.mark.parametrize("method", ["bridge", "euler"])
 @pytest.mark.parametrize("case, chunk, tol", [
-    # 500 paths in chunks of 64: chunks that hold one fiber and chunks
-    # that hold two; dyadic atoms, so exact
-    (_study_fibers(), 64, 0.0),
-    # six atoms, at most three per fiber: chunks of 64 * 3 // 6 = 32 paths
-    # keep the (k, chunk) arrays at one fiber's size; a chunk drops the
-    # atoms of the fibers it lacks, so the sums move in the last bits
-    (_disjoint_fibers(), 32, 1e-13),
+    # 500 paths in chunks of 64: chunks that hold one row and chunks that
+    # hold two; dyadic atoms, so exact
+    (_study_coupling(), 64, 0.0),
+    # six atoms, at most three per row: chunks of 64 * 3 // 6 = 32 paths
+    # keep the (k, chunk) arrays at one row's size; a chunk drops the atoms
+    # that its rows do not charge, so the sums move in the last bits
+    (_disjoint_coupling(), 32, 1e-13),
 ], ids=["shared-atoms", "disjoint-atoms"])
 def test_chunks_split_fibers_on_one_stream(monkeypatch, case, chunk, tol,
                                            method):
@@ -577,9 +568,9 @@ def test_mixture_of_one_fiber_is_the_single_fiber(fiber, method):
     grid = np.linspace(0.0, 1.0, 101)
     single = simulate_follmer_martingale(fiber, grid=grid, n_paths=700,
                                          seed=3, method=method, store_every=7)
-    mixed = randomize_over_mu(DiscreteMeasure([fiber.x], [1.0]), [fiber],
-                              grid=grid, n_paths=700, seed=3, method=method,
-                              store_every=7)
+    mixed = randomize_over_mu(
+        _coupling(DiscreteMeasure([fiber.x], [1.0]), [fiber]), grid=grid,
+        n_paths=700, seed=3, method=method, store_every=7)
     for name in ("M", "X", "terminal", "drift_energy", "vol_energy",
                  "fiber_index"):
         assert np.array_equal(getattr(mixed, name), getattr(single, name))
@@ -589,8 +580,8 @@ def test_mixture_of_one_fiber_is_the_single_fiber(fiber, method):
 @pytest.mark.parametrize("t", [0.0, 0.5, 0.99, 1.0 - 1e-6])
 def test_posterior_weights_match_the_per_fiber_form(t):
     mu, fibers = _plane_fibers()
-    starts = np.array([f.x for f in fibers])
-    atoms, log_w = _reference_table(fibers)
+    starts = mu.atoms
+    atoms, log_w = _reference_table(_coupling(mu, fibers))
     center = mu.weights @ starts
     prior = (log_w - (starts - center) @ (atoms - center).T).T
     rng = np.random.default_rng(4)
@@ -658,8 +649,7 @@ def test_wonham_euler_reproduces_the_reference_loop(n_paths, n_steps):
     # 30 and 10 steps push paths out of [0, 1] (clamped and counted), 40
     # steps are just too fine to; at 9361 steps a running sum of ds ends
     # more than 1e-12 short of s_max
-    report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=n_steps,
-                                   checkpoints=(1.0, 4.0), seed=8)
+    report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=n_steps, seed=8)
     ks, violations, freq = _reference_wonham(n_paths, n_steps, 4.0,
                                              (1.0, 4.0), 8)
     assert report.ks_by_checkpoint == ks
@@ -672,8 +662,7 @@ def test_wonham_blocks_reproduce_the_per_block_reference_loop():
     # more paths than the 10,000 of the former blocks, which now all read
     # the root stream in one loop; the coarse steps make paths clamp
     n_paths = 23_333
-    report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=33,
-                                   checkpoints=(1.0, 4.0), seed=8)
+    report = wonham_sde_crosscheck(n_paths=n_paths, n_steps=33, seed=8)
     ks, violations, freq = _reference_wonham(n_paths, 33, 4.0, (1.0, 4.0), 8)
     assert report.ks_by_checkpoint == ks
     assert report.clamp_violations == violations > 0
@@ -711,13 +700,9 @@ def test_every_stream_has_its_own_spawn_key_and_draws(monkeypatch, seed):
 def _study_mixture(n_paths, grid_points):
     mu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.40, 0.46, 0.14])
     nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.43, 0.27, 0.30])
-    cond = sinkhorn_msb(mu, nu).coupling.conditionals()
-    fibers = [FiberModel.discrete(mu.atoms[i],
-                                  DiscreteMeasure(nu.atoms, cond[i]))
-              for i in range(mu.n)]
-    return randomize_over_mu(mu, fibers,
+    return randomize_over_mu(sinkhorn_msb(mu, nu).coupling,
                              grid=np.linspace(0, 1, grid_points),
-                             n_paths=n_paths, seed=42, nu=nu, store_every=50)
+                             n_paths=n_paths, seed=42, store_every=50)
 
 
 @pytest.mark.parametrize("n_paths, grid_points", [(10_000, 1001), (60, 11)])
@@ -733,7 +718,7 @@ def test_law_checks_fail_on_tampered_ensembles():
     assert law_checks(ens).passing
     # every terminal reassigned to one atom
     moved = copy.copy(ens)
-    moved.terminal = np.full_like(ens.terminal, ens.fibers[0].measure.atoms[0])
+    moved.terminal = np.full_like(ens.terminal, ens.law.nu.atoms[0])
     report = law_checks(moved)
     assert not report.passing and report.terminal_binom_min_p < 1e-7
     # a terminal off every atom
@@ -746,6 +731,25 @@ def test_law_checks_fail_on_tampered_ensembles():
     drifted.M = ens.M + ens.stored_times[None, :, None]
     report = law_checks(drifted)
     assert not report.passing and report.max_mean_dev_se > 5.0
+
+
+def test_law_checks_read_a_zero_entry_as_an_atom_never_drawn():
+    # row -1 charges no mass on atom 2: the kernel never draws it, the
+    # binomial test runs over the charged atoms only (no log 0 under
+    # -W error), and a terminal moved onto it fails the count
+    mu, nu, matrix = two_by_three_family()
+    ens = randomize_over_mu(Coupling(matrix(0.25), mu, nu),
+                            grid=np.linspace(0, 1, 101), n_paths=2000,
+                            seed=5, store_every=10)
+    first = ens.fiber_index == 0
+    assert not np.any(ens.terminal[first, 0] == 2.0)
+    report = law_checks(ens)
+    assert report.passing and report.terminal_binom_min_p >= 1e-7
+    moved = copy.copy(ens)
+    moved.terminal = ens.terminal.copy()
+    moved.terminal[0] = 2.0
+    report = law_checks(moved)
+    assert not report.passing and report.terminal_binom_min_p == 0.0
 
 
 def test_law_checks_on_a_gaussian_fiber():

@@ -115,14 +115,13 @@ def test_sigma_invariance_needs_two_distinct_positive_volatilities(sigmas):
 
 
 def test_wonham_crosscheck_agrees_in_law():
-    report = wonham_sde_crosscheck(n_paths=20_000, n_steps=2_000,
-                                   s_max=4.0, checkpoints=(1.0, 4.0), seed=3)
+    report = wonham_sde_crosscheck(n_paths=20_000, n_steps=2_000, seed=3)
     assert max(report.ks_by_checkpoint.values()) < 0.025
     assert abs(report.terminal_freq_exact - 0.5) < 0.015
     assert abs(report.terminal_freq_euler - 0.5) < 0.015
     assert report.clamp_violations < 5
-    for bad in ({"checkpoints": (5.0,)}, {"n_paths": 0}, {"n_steps": -3},
-                {"seed": -1}, {"seed": 2**64}):
+    for bad in ({"n_paths": 0}, {"n_steps": -3}, {"seed": -1},
+                {"seed": 2**64}):
         with pytest.raises(StructuralError):
             wonham_sde_crosscheck(**{"n_paths": 16, "n_steps": 4, **bad})
 
@@ -161,12 +160,6 @@ NON_FINITE_TIMES = {
     "time-change-nan": lambda: info_time_change(math.nan),
     "inverse-time-change-nan": lambda: inverse_info_time(
         np.array([0.5, math.nan])),
-    "wonham-s_max-inf": lambda: wonham_sde_crosscheck(
-        n_paths=16, n_steps=4, s_max=math.inf),
-    "wonham-s_max-nan": lambda: wonham_sde_crosscheck(
-        n_paths=16, n_steps=4, s_max=math.nan),
-    "wonham-checkpoint-nan": lambda: wonham_sde_crosscheck(
-        n_paths=16, n_steps=4, checkpoints=(math.nan,)),
     "invariance-s-inf": lambda: sigma_invariance_test(
         three_atom_fiber(), s=math.inf, n_samples=8),
     "invariance-s-nan": lambda: sigma_invariance_test(

@@ -383,6 +383,13 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_solver_config_refuses_a_non_finite_tolerance(tol):
+    # an infinite tolerance accepts any iterate, and NaN none
+    with pytest.raises(StructuralError, match="must be finite"):
+        SolverConfig(tolerance=tol)
+
+
 def test_primal_value_rejects_nothing_but_cross_checks(rng):
     mu, nu, matrix = random_instance(rng)
     coupling = Coupling(matrix, mu, nu, check=False)
