@@ -3,8 +3,10 @@ through a Brownian pinning construction.
 
 A fiber is a start point x together with its terminal conditional law m_x
 (discrete atoms or N(x, Delta)). Conditionally on the terminal draw Y ~ m_x,
-the drifted process X is a Brownian bridge from (0, x) to (1, Y), which is
-exact at the grid times. The martingale is the conditional mean
+the drifted process X is a Brownian bridge from (0, x) to (1, Y). It is
+exact at the grid times for a discrete fiber; for a Gaussian fiber its
+first two moments are (see the draw rule below). The martingale is the
+conditional mean
 
     M_t = E[Y | X_t] = X_t + (1 - t) u_t(X_t),
 
@@ -30,24 +32,38 @@ Layout of the step kernel: the posterior is atom-major, shape (k, paths),
 and the path state, drift and mean are coordinate-major, shape (d, paths),
 so every reduction (softmax, moments, energies) runs over a short leading
 axis while the elementwise work runs along the long contiguous paths axis;
-temporaries are updated in place. The softmax is ``measures._softmax``, the
-normalizer of the solver's conditionals, and a Gaussian fiber's covariance
-passes the one SPD check of ``measures``.
+temporaries are updated in place. A discrete step folds 1/(1 - t) into the
+(k, d) factor and the (k,) offset of the logits l, exponentiates once after
+the max shift, takes the normalizer, the mean and the second moments from
+one product [1; y; vec(y y')] @ exp(l - top) and scales the moments by one
+reciprocal: no array divide. A Gaussian fiber's covariance passes the one
+SPD check of ``measures``, and its drift matrices come from one batched
+inverse.
 
 Random streams: every stream of ``dynamics`` and ``filtering`` is SFC64
 seeded by SeedSequence(seed, spawn_key=key), built by ``_stream``. The
 simulation reads the root stream, key (); a role that needs streams of
-its own (an Euler block, a volatility of the invariance test) takes a key
-prefix of its own. All draws of a simulation come from the root stream,
-chunk by chunk: one uniform per path, in path order, for its terminal atom
-(a Gaussian fiber: one normal row), then one path-major (paths, d) normal
-block per step. With this layout the kernels are bound by the normal
-draws; the Wonham Euler loop of ``filtering`` draws no normals, only one
-byte per path-step into a 256-level quantile table.
-Measured on one thread of a busy 2-core Xeon (Python 3.11, numpy 2.4,
-three runs), an SFC64 ``standard_normal`` draw took 15-18 ns (Philox
-21-27 ns, PCG64DXSM 18-21 ns; fills of (4, 10000)); a bridge step of one
-3-atom fiber 96-114 ns per path-step.
+its own (a volatility of the invariance test) takes a key prefix of its
+own. All draws of a simulation come from the root stream, chunk by chunk:
+first one uniform per path, in path order, for its terminal atom (a
+Gaussian fiber: one exact normal row), then the increments of each step,
+by the fiber's kind.
+
+* Discrete fibers: one path-major (paths, d) normal block per step. Their
+  increments enter the posterior beyond their first two moments, so they
+  stay exact normals, and the bridge is exact at the grid times.
+* Gaussian fibers: d bytes U per path-step from ``_byte_levels``,
+  coordinate-major, and the increment scale_k q[U], with q the 256-level
+  table ``_QUANTILES`` (odd, unit variance) multiplied by the step's scale
+  before the gather. The bridge is linear in the noise, so every mean and
+  covariance of X and M at the grid times is exact; higher moments are
+  the table's.
+
+The Wonham Euler loop of ``filtering`` reads the same bytes and table.
+Measured on one thread of a busy 2-core Xeon (Python 3.11, numpy 2.4), an
+SFC64 ``standard_normal`` draw took 10-11 ns and a table draw 1.3 ns; the
+study mixture (3 atoms, d = 1) ran at 29-32 ns per path-step and the
+2 x 2 Gaussian fiber at 10-11 ns (10,000 paths, 1000 steps).
 """
 
 from __future__ import annotations
@@ -60,6 +76,7 @@ import numpy as np
 from .errors import StructuralError, TerminalAmbiguity
 from .measures import (Coupling, DiscreteMeasure, _softmax, _spd_matrix,
                        barycenter_and_moments)
+from .stats import norm_ppf
 
 TIME_CLIP = 1.0 - 1e-6
 TERMINAL_ATOL = 1e-9
@@ -69,6 +86,37 @@ MEAN_SE_BOUND = 5.0
 # SeedSequence takes any nonnegative integer; a seed stays one unsigned
 # 64-bit word, so every manifest's seed reads back as a 64-bit integer
 SEED_BOUND = 2 ** 64
+# steps whose bytes one random_raw call draws
+_DRAW_STEPS = 4
+
+
+def _quantile_table():
+    """The 256 standard normal quantiles at the midpoints (k + 1/2) / 256.
+
+    The upper half is mirrored, so the table is odd bit for bit (mean and
+    third moment zero), and it is rescaled to second moment one.
+    """
+    upper = norm_ppf((np.arange(128, 256) + 0.5) / 256)
+    return (np.concatenate([-upper[::-1], upper])
+            / math.sqrt(math.fsum(upper ** 2) / 128))
+
+
+# a table increment is scale * _QUANTILES[U] for a uniform byte U
+_QUANTILES = _quantile_table()
+
+
+def _byte_levels(rng, n_steps, n):
+    """Yield the n uniform bytes of each of ``n_steps`` steps, in order.
+
+    The bytes of ``_DRAW_STEPS`` steps come from one ``random_raw`` call of
+    ceil(D n / 8) words, D steps of n bytes, read eight per word, the low
+    byte first, step-major.
+    """
+    for lo in range(0, n_steps, _DRAW_STEPS):
+        steps = min(_DRAW_STEPS, n_steps - lo)
+        words = rng.bit_generator.random_raw((steps * n + 7) // 8)
+        levels = words.astype("<u8", copy=False).view(np.uint8)
+        yield from levels[:steps * n].reshape(steps, n)
 
 
 def _stream(seed, key=()):
@@ -186,9 +234,10 @@ def backward_posterior(fiber, t, z):
 
 
 def _gaussian_drift_matrix(fiber, t):
-    """A_t with u(t, z) = A_t (z - x)."""
-    d = fiber.dim
-    eye = np.eye(d)
+    """A_t with u(t, z) = A_t (z - x); an array of times gives the stack of
+    their matrices from one batched inverse."""
+    eye = np.eye(fiber.dim)
+    t = np.asarray(t, dtype=float)[..., None, None]
     return (fiber.delta - eye) @ np.linalg.inv((1.0 - t) * eye + t * fiber.delta)
 
 
@@ -391,8 +440,7 @@ def randomize_over_mu(law, grid=None, n_paths=10_000, seed=42,
 
     if gaussian:
         chol = np.linalg.cholesky(law.delta)
-        drift_mats = [_gaussian_drift_matrix(law, min(t, TIME_CLIP))
-                      for t in grid]
+        drift_mats = _gaussian_drift_matrix(law, np.minimum(grid, TIME_CLIP))
         # deterministic: every path adds the same increments in order
         gauss_vol = 0.0
         for inc in _gaussian_vol_energy_increments(law.delta, grid):
@@ -429,16 +477,25 @@ def randomize_over_mu(law, grid=None, n_paths=10_000, seed=42,
             # the atoms this chunk's rows charge, and the log-prior per path
             cols = np.flatnonzero(np.isfinite(prior[:, fi[0]:fi[-1] + 1])
                                   .any(axis=1))
-            table, table_outer = atoms[cols], outer[cols]
+            rel = atoms[cols] - center
+            sq = np.sum(rel ** 2, axis=1)
+            # rows 1, y' and vec(y y')' over the atoms: one product gives the
+            # normalizer, the mean and the second moments
+            moments = np.vstack([np.ones(cols.size), atoms[cols].T,
+                                 outer[cols].T])
             log_prior = np.take(prior[cols], fi, axis=1)    # the one (k, chunk)
+            logits = np.empty((cols.size, nc))
+            mom = np.empty((1 + d + d * d, nc))
         # Euler never reads y but draws it all the same, so both methods
         # share one random stream; it reports its own endpoint instead
         if method == "bridge":
             terminal[lo:hi] = y
-        # path state is coordinate-major, (d, nc); noise is drawn path-major
+        # path state is coordinate-major, (d, nc), as are the table bytes;
+        # a discrete fiber's normals are drawn path-major
         y = np.ascontiguousarray(y.T)
         x_cur = np.ascontiguousarray(starts[fi].T)
-        noise = np.empty((nc, d))
+        # a lazy reader: only a Gaussian fiber takes its bytes
+        levels = _byte_levels(rng, k_grid - 1, d * nc)
         step = np.empty((d, nc))
 
         for k, t in enumerate(grid):
@@ -446,21 +503,29 @@ def randomize_over_mu(law, grid=None, n_paths=10_000, seed=42,
             pos = stored_pos.get(k)
             # martingale value and coefficients at the current point
             t_eff = min(t, TIME_CLIP)
+            inv = 1.0 / (1.0 - t_eff)
             if method == "bridge" and t >= 1.0:
                 # terminal pinning: the bridge hits the drawn terminal by
                 # construction, so snap away the last-step rounding
                 x_cur = y.copy()
                 m_cur = y
-                u_cur = None
             elif gaussian:
-                u_cur = drift_mats[k] @ (x_cur - x0)
-                m_cur = x_cur + (1.0 - t_eff) * u_cur
+                u_cur = np.dot(drift_mats[k], x_cur - x0)
+                if pos is not None:
+                    m_cur = x_cur + (1.0 - t_eff) * u_cur
             else:
-                q = _posterior_weights(table, center, log_prior, t_eff,
-                                       x_cur.T, 1.0 - t_eff)
+                # logits <y - c, z - c>/(1-t) - t |y - c|^2 / (2(1-t)) + P
+                np.subtract(x_cur, center[:, None], out=step)
+                np.dot(rel * inv, step, out=logits)
+                logits += (sq * (-0.5 * t_eff * inv))[:, None]
+                logits += log_prior
+                logits -= logits.max(axis=0)
+                np.exp(logits, out=logits)
+                np.dot(moments, logits, out=mom)
+                mom[1:] *= 1.0 / mom[0]
                 # the prior mean is the start itself: take it exactly
-                m_cur = table.T @ q if t > 0.0 else x_cur.copy()
-                u_cur = (m_cur - x_cur) / (1.0 - t_eff)
+                m_cur = mom[1:d + 1] if t > 0.0 else x_cur.copy()
+                u_cur = (m_cur - x_cur) * inv
 
             if pos is not None:
                 M[lo:hi, pos] = m_cur.T
@@ -476,26 +541,26 @@ def randomize_over_mu(law, grid=None, n_paths=10_000, seed=42,
                                                             u_cur, u_cur)
                 if not gaussian:
                     # |Cov/(1-t) - I|^2 from the second moments of q
-                    dev = table_outer.T @ q
+                    dev = mom[d + 1:]
                     dev -= (m_cur[:, None, :]
                             * m_cur[None, :, :]).reshape(d * d, nc)
-                    dev /= 1.0 - t
+                    dev *= inv
                     dev -= eye.reshape(d * d, 1)
-                    vol_energy[lo:hi] += (dt / (2.0 * (1.0 - t))
+                    vol_energy[lo:hi] += (0.5 * dt * inv
                                           * np.einsum("ip,ip->p", dev, dev))
 
-            rng.standard_normal(out=noise)
             if method == "bridge":
                 rem = 1.0 - t
                 np.subtract(y, x_cur, out=step)
                 step *= dt / rem
                 x_cur += step
-                noise *= math.sqrt(dt * (1.0 - grid[k + 1]) / rem)
+                scale = math.sqrt(dt * (1.0 - grid[k + 1]) / rem)
             else:
                 u_cur *= dt
                 x_cur += u_cur
-                noise *= math.sqrt(dt)
-            x_cur += noise.T
+                scale = math.sqrt(dt)
+            x_cur += (np.take(scale * _QUANTILES, next(levels).reshape(d, nc))
+                      if gaussian else scale * rng.standard_normal((nc, d)).T)
         if method == "euler":
             terminal[lo:hi] = x_cur.T
 

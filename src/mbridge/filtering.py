@@ -17,7 +17,9 @@ A comparison in law needs only a weak scheme. Euler whose increments have
 mean 0, variance ds and third moment 0 has weak order one, as Gaussian
 Euler has (Kloeden & Platen 1992, Thm 14.5.2), so each increment is
 sqrt(ds) q[U] for a uniform byte U and the table ``_QUANTILES`` of the 256
-midpoint normal quantiles, made odd and rescaled to unit variance. A
+midpoint normal quantiles, made odd and rescaled to unit variance; the
+table and its byte reader ``_byte_levels`` live in ``dynamics``, whose
+Gaussian fibers draw their increments the same way. A
 two-point law +-sqrt(ds) has the same order but puts coarse grids on a
 lattice: at 100 steps its KS distance to the exact law is about 0.03, the
 table's 0.004-0.012 (40,000 paths). The cross-check compares the laws at
@@ -29,10 +31,10 @@ Every stream here follows the rule of ``dynamics._stream``: SFC64 seeded by
 SeedSequence(seed, spawn_key=key). Observations and the cross-check read
 the root stream, key (): the Euler paths continue it after the exact
 side's draws, reading its bytes as raw 64-bit words, eight bytes a word
-(see ``_euler_block``). The invariance test's j-th volatility reads key
-(1, j). Measured as in ``dynamics``, a whole Euler step took 3-5 ns per
-path-step on one thread; an SFC64 ``standard_normal`` draw alone costs
-15-18 ns.
+(see ``dynamics._byte_levels``). The invariance test's j-th volatility
+reads key (1, j). Measured as in ``dynamics``, a whole Euler step took
+3-5 ns per path-step on one thread; an SFC64 ``standard_normal`` draw
+alone costs 10-11 ns.
 """
 
 from __future__ import annotations
@@ -42,35 +44,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _atoms_at, _fiber_posterior, _stream
+from .dynamics import _QUANTILES, _atoms_at, _byte_levels, _fiber_posterior, \
+    _stream
 from .errors import StructuralError
 from .measures import _softmax
 from .solver import inner_dual_solve
-from .stats import ks_distance, norm_ppf
+from .stats import ks_distance
 
-# Euler steps whose increments one random_raw call draws
-_DRAW_STEPS = 4
 # the spawn-key prefix beside the root stream: (_VOLATILITY_KEY, j) is the
 # invariance test's j-th volatility
 _VOLATILITY_KEY = 1
 # the observation times at which the Wonham cross-check compares its laws,
 # in increasing order; the Euler paths run to the last
 _CHECKPOINTS = (1.0, 4.0)
-
-
-def _quantile_table():
-    """The 256 standard normal quantiles at the midpoints (k + 1/2) / 256.
-
-    The upper half is mirrored, so the table is odd bit for bit (mean and
-    third moment zero), and it is rescaled to second moment one.
-    """
-    upper = norm_ppf((np.arange(128, 256) + 0.5) / 256)
-    return (np.concatenate([-upper[::-1], upper])
-            / math.sqrt(math.fsum(upper ** 2) / 128))
-
-
-# an Euler increment is sqrt(ds) * _QUANTILES[U] for a uniform byte U
-_QUANTILES = _quantile_table()
 
 
 def _observation_time(s):
@@ -216,9 +202,7 @@ def _euler_block(rng, n_paths, n_steps, sqrt_ds, marks):
 
     The increment of a step is Z (1 - Z) xi with xi = sqrt_ds * q[U]: U a
     uniform byte and q the odd, unit-variance table ``_QUANTILES``. The
-    bytes of ``_DRAW_STEPS`` steps come from one ``random_raw`` call of
-    ceil(D n / 8) words, D steps of n paths, read eight per word, the low
-    byte first, step-major and in path order.
+    bytes come from ``dynamics._byte_levels``, n per step in path order.
 
     The clamp can fire only if some |xi| > 1, that is ds q_max^2 > 1
     (n_steps < 33.5 on the cross-check's horizon of 4). When every
@@ -235,21 +219,15 @@ def _euler_block(rng, n_paths, n_steps, sqrt_ds, marks):
     may_leave = np.abs(table).max() > 1.0
     z = np.full(n_paths, 0.5)
     inc = np.empty(n_paths)
-    noise = np.empty((_DRAW_STEPS, n_paths))
+    noise = np.empty(n_paths)
     snapshots = []
     violations = 0
-    for i in range(n_steps):
-        k = i % _DRAW_STEPS
-        if k == 0:
-            steps = min(_DRAW_STEPS, n_steps - i)
-            words = rng.bit_generator.random_raw((steps * n_paths + 7) // 8)
-            levels = words.astype("<u8", copy=False).view(np.uint8)
-            # mode="clip" gathers straight into noise; "raise" buffers it
-            np.take(table, levels[:steps * n_paths].reshape(steps, n_paths),
-                    out=noise[:steps], mode="clip")
+    for i, levels in enumerate(_byte_levels(rng, n_steps, n_paths)):
+        # mode="clip" gathers straight into noise; "raise" buffers it
+        np.take(table, levels, out=noise, mode="clip")
         np.subtract(1.0, z, out=inc)
         inc *= z
-        inc *= noise[k]
+        inc *= noise
         z += inc
         if may_leave and (z.min() < 0.0 or z.max() > 1.0):
             violations += int(np.count_nonzero((z < 0.0) | (z > 1.0)))

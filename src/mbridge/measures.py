@@ -351,11 +351,12 @@ def check_convex_order(mu, nu):
     """Decide whether a martingale coupling of (mu, nu) exists.
 
     Feasibility of {m >= 0, row sums = mu, column sums = nu, conditional
-    barycenters = mu atoms} is decided by an LP; on success the raw HiGHS
-    vertex, which meets the equality rows to rounding, is returned as a
-    witness ``Coupling``. The solver calls it only to diagnose a failed
-    solve in dimension two or more; on the line it reads the potential
-    functions instead, and this LP is their reference in the tests.
+    barycenters = mu atoms} is decided by an LP; on success the HiGHS
+    vertex, which meets the equality rows to about 1e-10, is clipped at 0
+    and returned as a witness ``Coupling``. The solver calls it only to
+    diagnose a failed solve in dimension two or more; on the line it reads
+    the potential functions instead, and this LP is their reference in the
+    tests.
     """
     if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
         raise StructuralError("check_convex_order expects two discrete measures")
@@ -367,7 +368,9 @@ def check_convex_order(mu, nu):
                   bounds=(0, None), method="highs", options=dict(_LP_OPTIONS))
     if not res.success:
         return False, None
-    witness = Coupling(res.x.reshape(mu.n, nu.n), mu, nu, check=False)
+    # HiGHS may leave entries a rounding error below its bound 0
+    witness = Coupling(np.maximum(res.x, 0.0).reshape(mu.n, nu.n), mu, nu,
+                       check=False)
     return True, witness
 
 

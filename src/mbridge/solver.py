@@ -58,7 +58,9 @@ dual is at most the primal, a mutual information bounded by
 min(H(mu), H(nu)); a dual iterate above that bound proves that no martingale
 coupling exists. Only a solve that does neither (an inner failure, a stall,
 the iteration cap, a conditional at the floor) is diagnosed: convex order
-first, then the relative interior for all mu atoms. On the line both are
+first, then the relative interior for all mu atoms. A converged coupling
+with a conditional at the floor still witnesses convex order, so only the
+interior question is asked of it. On the line both are
 read off the potential functions u(t) = E|X - t| with no LP: convex order
 is u_mu <= u_nu, which at the extreme atoms says the means agree, and an
 atom is interior when it lies strictly between the extreme nu atoms. In
@@ -530,7 +532,8 @@ def sinkhorn_msb(mu, nu, config=None):
         raise
     if (not report.converged
             or report.coupling.conditionals().min() <= CONDITIONAL_FLOOR):
-        _diagnose(mu.atoms, nu, mu)
+        # a converged coupling witnesses convex order itself
+        _diagnose(mu.atoms, nu, None if report.converged else mu)
     return report
 
 

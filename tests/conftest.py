@@ -37,6 +37,24 @@ def random_instance(rng, n=None, m=None, d=None, spread=2.0):
     return mu, nu, matrix
 
 
+def planted_instance(rng, d=3, spread=3.0):
+    """A pair whose MSB is known: nu's atoms y_j, base weights g_j, fields
+    h_i and mu's weights give cond_ij propto g_j exp(<h_i, y_j>), mu's atoms
+    x_i = sum_j cond_ij y_j and nu_j = sum_i mu_i cond_ij. Returns
+    (mu, nu, matrix)."""
+    n = int(rng.integers(2, 30))
+    m = int(rng.integers(d + 2, 40))
+    y = rng.standard_normal((m, d))
+    g = rng.uniform(0.2, 1.0, m)
+    h = spread * rng.standard_normal((n, d))
+    mu_w = rng.dirichlet(np.ones(n))
+    logits = np.log(g) + h @ y.T
+    cond = np.exp(logits - logits.max(axis=1, keepdims=True))
+    cond /= cond.sum(axis=1, keepdims=True)
+    return (DiscreteMeasure(cond @ y, mu_w), DiscreteMeasure(y, mu_w @ cond),
+            mu_w[:, None] * cond)
+
+
 def peacock(n, a, shift=0.0):
     """mu uniform on n points of [-1, 1]; nu puts half of each atom at +-a;
     both translated by ``shift``."""

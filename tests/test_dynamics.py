@@ -371,6 +371,8 @@ def _reference_chunk(law, fi, grid, rng, method, stored):
         y = law.x + (rng.standard_normal((n_paths, d))
                      @ np.linalg.cholesky(law.delta).T)
         vol_incs = _gaussian_vol_energy_increments(law.delta, grid)
+        # d bytes per path-step, coordinate-major within a step
+        levels = _reference_levels(rng, grid.size - 1, d * n_paths)
     else:
         atoms, log_w = _reference_table(law)
         c = law.mu.weights @ starts
@@ -397,14 +399,17 @@ def _reference_chunk(law, fi, grid, rng, method, stored):
             u = (x - law.x) @ _gaussian_drift_matrix(law, t_eff).T
             m = x + (1.0 - t_eff) * u
         else:
-            logits = (((x - c) @ rel.T - 0.5 * t_eff * sq[None, :])
-                      / (1.0 - t_eff) + prior[fi])
+            # the kernel's scalar formulas: 1/(1 - t) is folded into the
+            # atoms and the offset, and the moments take one reciprocal
+            inv = 1.0 / (1.0 - t_eff)
+            logits = ((x - c) @ (rel * inv).T + sq * (-0.5 * t_eff * inv)
+                      + prior[fi])
             logits -= logits.max(axis=1, keepdims=True)
-            q = np.exp(logits)
-            q = q / q.sum(axis=1, keepdims=True)
+            e = np.exp(logits)
+            r = 1.0 / e.sum(axis=1, keepdims=True)
             # the prior mean is the start
-            m = q @ atoms if t > 0.0 else x.copy()
-            u = (m - x) / (1.0 - t_eff)
+            m = (e @ atoms) * r if t > 0.0 else x.copy()
+            u = (m - x) * inv
         if k in stored:
             M.append(m.copy())
             X.append(x.copy())
@@ -414,19 +419,25 @@ def _reference_chunk(law, fi, grid, rng, method, stored):
         if t <= TIME_CLIP:
             drift += 0.5 * dt * np.sum(u ** 2, axis=1)
             if not gaussian:
-                second = np.einsum("pk,ki,kj->pij", q, atoms, atoms)
-                cov = second - np.einsum("pi,pj->pij", m, m)
-                vol += (dt / (2.0 * (1.0 - t))
-                        * np.sum((cov / (1.0 - t) - eye) ** 2, axis=(1, 2)))
+                second = np.einsum("pk,ki,kj->pij", e, atoms, atoms)
+                cov = second * r[:, :, None] - np.einsum("pi,pj->pij", m, m)
+                vol += (0.5 * dt * inv
+                        * np.sum((cov * inv - eye) ** 2, axis=(1, 2)))
         if gaussian:
             vol += vol_incs[k]
-        noise = rng.standard_normal((n_paths, d))
         if method == "bridge":
             rem = 1.0 - t
-            x = (x + (y - x) * (dt / rem)
-                 + math.sqrt(dt * (1.0 - grid[k + 1]) / rem) * noise)
+            x = x + (y - x) * (dt / rem)
+            scale = math.sqrt(dt * (1.0 - grid[k + 1]) / rem)
         else:
-            x = x + u * dt + math.sqrt(dt) * noise
+            x = x + u * dt
+            scale = math.sqrt(dt)
+        if gaussian:
+            # the byte table scaled to the step, then gathered
+            x = x + (scale * filtering._QUANTILES)[levels[k]].reshape(
+                d, n_paths).T
+        else:
+            x = x + scale * rng.standard_normal((n_paths, d))
     return {"M": np.stack(M, axis=1), "X": np.stack(X, axis=1),
             "terminal": y if method == "bridge" else x,
             "drift_energy": drift, "vol_energy": vol}
@@ -602,13 +613,57 @@ def _reference_levels(rng, n_steps, n_paths):
     # the draw rule: ceil(D n / 8) raw words per D steps, read as bytes, the
     # low byte of each word first, step-major and in path order
     levels = []
-    for lo in range(0, n_steps, filtering._DRAW_STEPS):
-        steps = min(filtering._DRAW_STEPS, n_steps - lo)
+    for lo in range(0, n_steps, dynamics._DRAW_STEPS):
+        steps = min(dynamics._DRAW_STEPS, n_steps - lo)
         words = rng.bit_generator.random_raw(math.ceil(steps * n_paths / 8))
         raw = b"".join(int(w).to_bytes(8, "little") for w in words)
         levels += [list(raw[k * n_paths:(k + 1) * n_paths])
                    for k in range(steps)]
     return np.array(levels)
+
+
+def test_the_table_kernels_read_the_reference_bytes(monkeypatch):
+    # with the identity table q[U] = U every increment gives its byte back:
+    # 13 paths fill no whole word, and 6 steps are one draw and part of one
+    monkeypatch.setattr(dynamics, "_QUANTILES", np.arange(256.0))
+    monkeypatch.setattr(filtering, "_QUANTILES", np.arange(256.0))
+    n_paths, n_steps = 13, 6
+    # Gaussian kernel: A_t = 0 at Delta = I, so an Euler step adds
+    # sqrt(dt) q[U], after the terminal normals; d bytes per path-step,
+    # coordinate-major within a step
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    ens = simulate_follmer_martingale(FiberModel.gaussian([0.0, 0.0],
+                                                          np.eye(2)),
+                                      grid=grid, n_paths=n_paths, seed=7,
+                                      method="euler")
+    got = np.rint(np.diff(ens.X, axis=1) / math.sqrt(grid[1]))
+    rng = dynamics._stream(7)
+    rng.standard_normal((n_paths, 2))
+    ref = _reference_levels(rng, n_steps, 2 * n_paths)
+    assert np.array_equal(got, ref.reshape(n_steps, 2, n_paths)
+                          .transpose(2, 0, 1))
+    # Wonham Euler block: Z += Z (1 - Z) sqrt_ds q[U] from Z = 1/2
+    sqrt_ds = 2.0 ** -12
+    snapshots, violations = filtering._euler_block(
+        dynamics._stream(7), n_paths, n_steps, sqrt_ds, list(range(n_steps)))
+    z = np.array([np.full(n_paths, 0.5)] + snapshots)
+    got = np.rint(np.diff(z, axis=0) / (z[:-1] * (1.0 - z[:-1]) * sqrt_ds))
+    assert violations == 0
+    assert np.array_equal(got, _reference_levels(dynamics._stream(7),
+                                                 n_steps, n_paths))
+
+
+@pytest.mark.parametrize("delta", [
+    [[2.0]], [[2.0, 0.3], [0.3, 1.5]],
+    [[1.0, 0.2, -0.1], [0.2, 0.6, 0.05], [-0.1, 0.05, 2.5]],
+], ids=["d1", "d2", "d3"])
+def test_batched_drift_matrices_equal_the_per_time_calls(delta):
+    fiber = FiberModel.gaussian(np.zeros(len(delta)), delta)
+    times = np.minimum(np.linspace(0.0, 1.0, 1001), TIME_CLIP)
+    stack = _gaussian_drift_matrix(fiber, times)
+    assert stack.shape == (times.size, fiber.dim, fiber.dim)
+    for t, matrix in zip(times.tolist(), stack):
+        assert np.array_equal(matrix, _gaussian_drift_matrix(fiber, t))
 
 
 def _reference_wonham(n_paths, n_steps, s_max, checkpoints, seed):

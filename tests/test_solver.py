@@ -40,11 +40,12 @@ import mbridge.solver as solver
 from mbridge.cli import main
 from mbridge.measures import _log_partition, _softmax
 from mbridge.solver import (_ARMIJO, _NEWTON_GRADIENT_TOLERANCE,
-                            _NEWTON_MAX_STEPS, H_DIVERGENCE_BOUND,
-                            HESSIAN_CONDITION_CAP, _diagnose)
+                            _NEWTON_MAX_STEPS, CONDITIONAL_FLOOR,
+                            H_DIVERGENCE_BOUND, HESSIAN_CONDITION_CAP,
+                            _diagnose)
 from mbridge.solver import _fiber_newton as fiber_newton
-from conftest import (golden_section, lifted, peacock, random_instance,
-                      study_instance, two_by_three_family)
+from conftest import (golden_section, lifted, peacock, planted_instance,
+                      random_instance, study_instance, two_by_three_family)
 
 
 def entropy_of(matrix, mu, nu):
@@ -322,6 +323,27 @@ def test_weak_duality_refutes_an_equal_mean_pair_without_an_lp(monkeypatch):
     nu = DiscreteMeasure([[-1.5], [0.0], [1.5]], [0.1, 0.8, 0.1])
     with pytest.raises(NotInConvexOrder, match="exceeds min"):
         sinkhorn_msb(mu, nu)
+
+
+def test_a_converged_solve_is_not_overturned_by_the_convex_order_lp(
+        monkeypatch):
+    # planted draw 4 of default_rng(0) (n = 15, m = 6, d = 3) converges
+    # with a conditional near 4e-14, below the floor, so it is diagnosed;
+    # HiGHS's convex-order vertex for it held an entry of -4.6e-11, which
+    # the witness Coupling refused. The converged coupling is its own
+    # witness of convex order, so only the interior question is asked
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        mu, nu, matrix = planted_instance(rng)
+    assert (mu.n, nu.n) == (15, 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the convex-order LP ran")
+    monkeypatch.setattr("mbridge.solver.check_convex_order", refuse)
+    report = sinkhorn_msb(mu, nu)
+    assert report.converged
+    assert report.coupling.conditionals().min() <= CONDITIONAL_FLOOR
+    assert np.abs(report.coupling.matrix - matrix).sum() < 1e-9
 
 
 def test_peacock_certify_runs_no_lp(tmp_path, monkeypatch):
