@@ -176,8 +176,18 @@ def _solve_payload(args, command, report):
     }
 
 
+def _solve_work(command, report):
+    """The solve's outer iterations, inner Newton steps and backtracks, on
+    stderr beside the wall clock: like timing, they never enter an
+    artifact."""
+    print(f"[{command}] {report.iterations} outer iterations, "
+          f"{report.inner_steps} inner Newton steps, "
+          f"{report.backtracks} backtracks", file=sys.stderr)
+
+
 def cmd_solve(args):
     _, nu, report = _solve(args)
+    _solve_work("solve", report)
     out = _outdir(args)
 
     _write_csv(out, "coupling.csv",
@@ -193,6 +203,7 @@ def cmd_solve(args):
 
 def cmd_certify(args):
     _, nu, report = _solve(args)
+    _solve_work("certify", report)
 
     base = extract_base_measure(report)
     sp_value, _, (phibar, psi) = classical_sinkhorn_sp(

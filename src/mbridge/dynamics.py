@@ -446,12 +446,21 @@ def randomize_over_mu(law, grid=None, n_paths=10_000, seed=42,
         for inc in _gaussian_vol_energy_increments(law.delta, grid):
             gauss_vol += inc
     else:
+        # mu's barycenter on the grid of the largest power of two within
+        # the atoms' extent about it: the centred atoms keep every digit,
+        # and atoms on that grid stay exact
         center = mu_w @ starts
+        extent = float(np.abs(atoms - center).max())
+        if extent > 0.0:
+            grid_step = 2.0 ** math.floor(math.log2(extent))
+            center = grid_step * np.round(center / grid_step)
+        shifted = atoms - center
         # the static part P of the logits, atom-major: one column per row
         prior = np.ascontiguousarray(
-            (log_w - np.dot(starts - center, (atoms - center).T)).T)
-        # per-atom outer products a_k a_k', one row per atom
-        outer = (atoms[:, :, None] * atoms[:, None, :]).reshape(-1, d * d)
+            (log_w - np.dot(starts - center, shifted.T)).T)
+        # per-atom outer products of the centred atoms, one row per atom:
+        # centred moments do not cancel at large offsets
+        outer = (shifted[:, :, None] * shifted[:, None, :]).reshape(-1, d * d)
 
     M = np.empty((n_paths, stored_idx.size, d))
     X = np.empty((n_paths, stored_idx.size, d))
@@ -477,12 +486,11 @@ def randomize_over_mu(law, grid=None, n_paths=10_000, seed=42,
             # the atoms this chunk's rows charge, and the log-prior per path
             cols = np.flatnonzero(np.isfinite(prior[:, fi[0]:fi[-1] + 1])
                                   .any(axis=1))
-            rel = atoms[cols] - center
+            rel = shifted[cols]
             sq = np.sum(rel ** 2, axis=1)
-            # rows 1, y' and vec(y y')' over the atoms: one product gives the
-            # normalizer, the mean and the second moments
-            moments = np.vstack([np.ones(cols.size), atoms[cols].T,
-                                 outer[cols].T])
+            # rows 1, (y - c)' and vec((y - c)(y - c)')' over the atoms: one
+            # product gives the normalizer, the mean and the second moments
+            moments = np.vstack([np.ones(cols.size), rel.T, outer[cols].T])
             log_prior = np.take(prior[cols], fi, axis=1)    # the one (k, chunk)
             logits = np.empty((cols.size, nc))
             mom = np.empty((1 + d + d * d, nc))
@@ -523,9 +531,12 @@ def randomize_over_mu(law, grid=None, n_paths=10_000, seed=42,
                 np.exp(logits, out=logits)
                 np.dot(moments, logits, out=mom)
                 mom[1:] *= 1.0 / mom[0]
-                # the prior mean is the start itself: take it exactly
-                m_cur = mom[1:d + 1] if t > 0.0 else x_cur.copy()
-                u_cur = (m_cur - x_cur) * inv
+                # the mean m - c; the prior mean is the start itself: take
+                # it exactly
+                m_rel = mom[1:d + 1] if t > 0.0 else step
+                u_cur = (m_rel - step) * inv
+                if pos is not None:
+                    m_cur = m_rel + center[:, None] if t > 0.0 else x_cur
 
             if pos is not None:
                 M[lo:hi, pos] = m_cur.T
@@ -540,10 +551,10 @@ def randomize_over_mu(law, grid=None, n_paths=10_000, seed=42,
                 drift_energy[lo:hi] += 0.5 * dt * np.einsum("ip,ip->p",
                                                             u_cur, u_cur)
                 if not gaussian:
-                    # |Cov/(1-t) - I|^2 from the second moments of q
+                    # |Cov/(1-t) - I|^2 from the centred moments of q
                     dev = mom[d + 1:]
-                    dev -= (m_cur[:, None, :]
-                            * m_cur[None, :, :]).reshape(d * d, nc)
+                    dev -= (m_rel[:, None, :]
+                            * m_rel[None, :, :]).reshape(d * d, nc)
                     dev *= inv
                     dev -= eye.reshape(d * d, 1)
                     vol_energy[lo:hi] += (0.5 * dt * inv

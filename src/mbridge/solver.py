@@ -15,12 +15,17 @@ its maximizer h_i come from a batched damped Newton solve per mu atom
 (``_fiber_newton``), which makes the row mass and the conditional barycenter
 exact; every conditional is normalized by ``measures._softmax``. Its Armijo
 line search scores trial points by value alone (``measures._log_partition``,
-no conditionals or gradient) and backtracks over the step lengths 2^-k in
-stacked batches of up to ``_BATCH`` lengths; each fiber takes its first
-passing length, exactly as sequential halving would. The psi dual is
-climbed by one safeguarded Newton kernel,
-``_psi_newton``: the negative Hessian is diag(cols) - sum_i mu_i c_i c_i'
-minus the curvature of the eliminated h block, made solvable by adding the
+no conditionals or gradient) and halves the rejected steps one length at a
+time. The fibers of a trial psi start where the accepted point's h block
+predicts them: a solved fiber keeps its conditional barycenter at x_i, so
+Cov_i dz_i + sum_j c_ij (y_j - b_i) dpsi_j = 0, and the move psi_0 -> psi
+shifts z_i by dz_i = -Cov_i^-1 sum_j c_ij (y_j - b_i) (psi_j - psi_0j), the
+h half of the joint (psi, h) Newton step (``_predicted_start``). The inner
+solve still runs to its gradient tolerance; only its start moves.
+
+The psi dual is climbed by one safeguarded Newton kernel, ``_psi_newton``:
+the negative Hessian is diag(cols) - sum_i mu_i c_i c_i' minus the
+curvature of the eliminated h block, made solvable by adding the
 nu-weighted affine gauge, and the step is damped by an Armijo line search
 that treats a failing fiber solve as a rejected step. When the line search
 fails, the kernel falls back to the exact column scaling
@@ -76,6 +81,7 @@ at the optimum. No transport LP runs; ``vp_value`` keeps one for library use.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -112,11 +118,8 @@ _NEWTON_MAX_STEPS = 50
 _NEWTON_GRADIENT_TOLERANCE = 1e-12
 _ARMIJO = 1e-4
 _LINE_SEARCH_STEPS = 30
-# The fiber line search: step lengths 2^-k for k < _LINE_SEARCH_LENGTHS, up
-# to _BATCH of them per stacked trial evaluation.
+# The fiber line search: step lengths 2^-k for k < _LINE_SEARCH_LENGTHS.
 _LINE_SEARCH_LENGTHS = 60
-_STEP_LENGTHS = np.ldexp(1.0, -np.arange(_LINE_SEARCH_LENGTHS))
-_BATCH = 8
 # The outer iteration cap of both psi-dual solves. Converged solves of
 # random, peacock and near-boundary pairs took at most 108 (most under 30);
 # unequal means, which ran to any cap, are refused before the solve.
@@ -190,6 +193,9 @@ class SolveReport:
     martingale_residual: float
     converged: bool
     dual_trace: np.ndarray = field(repr=False, default=None)
+    # summed over every fiber solve that returned, trial points included
+    inner_steps: int = 0
+    backtracks: int = 0
 
 
 def gauge_normalize(triple, mu, nu):
@@ -340,21 +346,27 @@ class _FiberGeometry:
         return z @ self.basis.T
 
 
+class _FiberSolve(NamedTuple):
+    """The duals, values and conditionals of one batched fiber solve, with
+    its Newton steps and the value evaluations of its backtracking."""
+
+    z: np.ndarray
+    phi: np.ndarray
+    cond: np.ndarray
+    steps: int
+    backtracks: int
+
+
 def _fiber_newton(geom, x_red, psi, z0=None):
     """Batched damped Newton for the inner duals over one nu.
 
     Maximizes g(z) = <z, x> - log sum_j nu_j exp(psi_j + <z, y_j>) in reduced
-    coordinates for every row of ``x_red``. Returns (z, phi, conditionals).
+    coordinates for every row of ``x_red``. Returns a ``_FiberSolve``.
 
-    The Armijo line search tries the step lengths 2^-k,
-    k < ``_LINE_SEARCH_LENGTHS``, and takes each fiber's first length that
-    passes, as sequential halving would. Trial points need only the value,
-    so they skip the normalized conditionals, barycenter and gradient. The
-    full step is tried for every active fiber at once; ``_backtrack`` tries
-    the shorter lengths for the fibers that reject it, up to ``_BATCH`` per
-    stacked evaluation and never more trial rows than there are active
-    fibers. A trial row takes the same arithmetic as under sequential
-    halving (2^-k is exact), so the iterates do not depend on the batching.
+    The Armijo line search tries the full step for every active fiber at
+    once, then ``_backtrack`` halves it for the fibers that reject it. Trial
+    points need only the value, so they skip the normalized conditionals,
+    barycenter and gradient.
     """
     n = x_red.shape[0]
     r = geom.rank
@@ -377,9 +389,11 @@ def _fiber_newton(geom, x_red, psi, z0=None):
     val, grad, cond, bary = value_grad(z, x_red)
     active = _row_norms(grad) > _NEWTON_GRADIENT_TOLERANCE
 
+    steps = backtracks = 0
     for _ in range(_NEWTON_MAX_STEPS):
         if not active.any():
             break
+        steps += 1
         idx = np.nonzero(active)[0]
         z_a, x_a, val_a, grad_a = z[idx], x_red[idx], val[idx], grad[idx]
         cond_a = cond[idx]
@@ -410,9 +424,10 @@ def _fiber_newton(geom, x_red, psi, z0=None):
         accepted |= value(z_new, x_a) >= val_a + _ARMIJO * descent
         rejected = ~accepted
         if rejected.any():
-            z_new[rejected] = _backtrack(
+            z_new[rejected], halvings = _backtrack(
                 value, z_a[rejected], step[rejected], x_a[rejected],
-                val_a[rejected], descent[rejected], len(idx))
+                val_a[rejected], descent[rejected])
+            backtracks += halvings
         z[idx] = z_new
 
         hn = _row_norms(z_new)
@@ -429,38 +444,31 @@ def _fiber_newton(geom, x_red, psi, z0=None):
         raise NotConverged(
             f"inner Newton did not reach gradient tolerance within "
             f"{_NEWTON_MAX_STEPS} steps")
-    return z, val, cond
+    return _FiberSolve(z, val, cond, steps, backtracks)
 
 
-def _backtrack(value, z, step, x, val, descent, max_rows):
+def _backtrack(value, z, step, x, val, descent):
     """The points z + 2^-k step at each row's first k >= 1 that passes the
-    Armijo test against ``val`` and ``descent``.
+    Armijo test against ``val`` and ``descent``, and the number of halvings.
 
-    ``value(points, x)`` scores stacked trial points; each call holds up to
-    ``_BATCH`` lengths of every row still searching, and never more than
-    ``max_rows`` trial rows. NotConverged if a row passes at no length
-    below ``_LINE_SEARCH_LENGTHS``.
+    ``value(points, x)`` scores the rows still searching, once per halving.
+    NotConverged if a row passes at no length below
+    ``_LINE_SEARCH_LENGTHS``.
     """
-    r = z.shape[1]
     out = np.empty_like(z)
     rows = np.arange(len(z))
-    k = 1
-    while rows.size:
-        if k == _LINE_SEARCH_LENGTHS:
-            raise NotConverged("inner Newton line search stalled")
-        count = min(_BATCH, max_rows // rows.size, _LINE_SEARCH_LENGTHS - k)
-        alpha = _STEP_LENGTHS[k:k + count, None]
-        trial = z + alpha[:, :, None] * step
-        tv = value(trial.reshape(-1, r), np.concatenate((x,) * count))
-        ok = tv.reshape(count, -1) >= val + _ARMIJO * alpha * descent
-        k += count
-        passed = ok.any(axis=0)
-        if passed.any():
-            out[rows[passed]] = trial[ok.argmax(axis=0)[passed], passed]
-            keep = ~passed
-            rows, z, step, x, val, descent = (
-                a[keep] for a in (rows, z, step, x, val, descent))
-    return out
+    alpha = 1.0
+    for k in range(1, _LINE_SEARCH_LENGTHS):
+        alpha *= 0.5
+        trial = z + alpha * step
+        ok = value(trial, x) >= val + _ARMIJO * alpha * descent
+        out[rows[ok]] = trial[ok]
+        if ok.all():
+            return out, k
+        keep = ~ok
+        rows, z, step, x, val, descent = (
+            a[keep] for a in (rows, z, step, x, val, descent))
+    raise NotConverged("inner Newton line search stalled")
 
 
 def _row_norms(a):
@@ -490,7 +498,7 @@ def inner_dual_solve(x, psi, nu, h0=None):
     z0 = None if h0 is None else (np.asarray(h0, float).reshape(1, -1)
                                   @ geom.inverse)
     try:
-        z, phi, cond = _fiber_newton(geom, x_red, psi, z0=z0)
+        z, phi, cond, _, _ = _fiber_newton(geom, x_red, psi, z0=z0)
     except _FAILURES:
         _diagnose(x[None, :], nu_)
         raise
@@ -504,7 +512,7 @@ def dual_value(psi, mu, nu):
     psi = np.asarray(psi, dtype=float).ravel()
     geom = _FiberGeometry(nu)
     x_red = geom.reduce_points(mu.atoms)
-    _, phi, _ = _fiber_newton(geom, x_red, psi)
+    phi = _fiber_newton(geom, x_red, psi).phi
     return float(nu.weights @ psi + mu.weights @ phi)
 
 
@@ -537,21 +545,48 @@ def sinkhorn_msb(mu, nu, config=None):
     return report
 
 
-def _h_block_rows(mu_w, cond, y_red):
-    """Rows R with R'R = sum_i mu_i (C_i Yc_i) Cov_i^-1 (C_i Yc_i)', the
-    curvature that the eliminated h block adds to the psi dual.
+def _h_block(cond, y_red):
+    """The factored h block of the psi dual: (L^-1, G), both (n, r, .).
 
     C_i = diag(c_i), Yc_i holds the atoms centered at fiber i's barycenter
-    and Cov_i = Yc_i' C_i Yc_i; each fiber contributes the r rows
-    sqrt(mu_i) L_i^-1 (C_i Yc_i)' with Cov_i = L_i L_i'.
+    and Cov_i = Yc_i' C_i Yc_i = L_i L_i'; G_i = L_i^-1 (C_i Yc_i)'. The
+    rows sqrt(mu_i) G_i give the curvature the eliminated block adds to
+    the dual, sum_i mu_i G_i' G_i, and (L_i^-1)' G_i dpsi = Cov_i^-1
+    (C_i Yc_i)' dpsi is the move of fiber i's dual under dpsi
+    (``_predicted_start``). No other code forms Cov_i at an accepted point.
     """
-    n, m = cond.shape
     centered = y_red[None, :, :] - (cond @ y_red)[:, None, :]   # (n, m, r)
-    weighted = cond[:, :, None] * centered
-    cov = weighted.transpose(0, 2, 1) @ centered                 # (n, r, r)
-    rows = np.linalg.inv(np.linalg.cholesky(cov)) \
-        @ (np.sqrt(mu_w)[:, None, None] * weighted.transpose(0, 2, 1))
-    return rows.reshape(n * y_red.shape[1], m)
+    weighted = (cond[:, :, None] * centered).transpose(0, 2, 1)  # (n, r, m)
+    factor = np.linalg.inv(np.linalg.cholesky(weighted @ centered))
+    return factor, factor @ weighted
+
+
+class _WarmStart(NamedTuple):
+    """An accepted psi, its fibers' duals z and their lazily factored h
+    block (a cached ``_h_block``; None when nu has rank 0)."""
+
+    psi: np.ndarray
+    z: np.ndarray
+    block: object
+
+
+def _predicted_start(prev, psi):
+    """The fiber duals at ``psi`` to first order from the accepted ``prev``.
+
+    A solved fiber keeps its barycenter at x_i, so the move dpsi = psi -
+    prev.psi shifts z_i by dz_i = -Cov_i^-1 (C_i Yc_i)' dpsi, the h half of
+    the joint (psi, h) Newton step. Fibers whose prediction is not finite,
+    and all of them when there is no block or it has no factor, keep prev.z.
+    """
+    if prev.block is None:
+        return prev.z
+    try:
+        factor, gain = prev.block()
+    except np.linalg.LinAlgError:
+        return prev.z
+    with np.errstate(all="ignore"):
+        dz = np.einsum("nri,nr->ni", factor, gain @ (prev.psi - psi))
+    return prev.z + np.where(np.isfinite(dz).all(axis=1)[:, None], dz, 0.0)
 
 
 def _newton_direction(mu_w, cond, cols, curvature, gauge_cols, grad):
@@ -596,14 +631,15 @@ def _psi_newton(fibers, mu_w, nu_w, gauge, psi, stop, ceiling=math.inf):
     ``fibers(psi, prev)`` returns (phi, cond, prev, curvature): the fiber
     values, the (n, m) conditionals, the warm start of the next call and a
     callable giving the curvature rows of an eliminated block (None if
-    there is none; see ``_newton_direction``). ``gauge`` holds the (m, k) affine directions that leave D
-    unchanged; ``stop(cols, cond)`` says when the iterate is solved. Steps
-    are Armijo-damped, and a trial point whose fibers fail is rejected; at
-    the floating-point floor (predicted gain <= 1e-14 (1 + |D|)) the pure
-    Newton step is taken, and when the line search fails the exact column
-    scaling is. A step that neither raises D nor lowers the L1 marginal
-    defect ends the ascent unconverged, as does the ``_MAX_OUTER``-th
-    outer iteration. A dual above ``ceiling`` raises NotInConvexOrder.
+    there is none; see ``_newton_direction``). ``gauge`` holds the (m, k)
+    affine directions that leave D unchanged; ``stop(cols, cond)`` says
+    when the iterate is solved. Steps are Armijo-damped, and a trial point
+    whose fibers fail is rejected; at the floating-point floor (predicted
+    gain <= 1e-14 (1 + |D|)) the pure Newton step is taken, and when the
+    line search fails the exact column scaling is. A step that neither
+    raises D nor lowers the L1 marginal defect ends the ascent unconverged,
+    as does the ``_MAX_OUTER``-th outer iteration. A dual above ``ceiling``
+    raises NotInConvexOrder.
 
     Returns the last accepted ``_DualPoint``, the dual trace (one entry per
     outer iteration) and whether ``stop`` accepted the point.
@@ -686,11 +722,20 @@ def _fixed_point(mu, nu, config):
             f"the means differ by {gap:.3e} of nu's spread: no martingale "
             "coupling exists")
 
-    def fibers(psi, z):
-        z, phi, cond = _fiber_newton(geom, x_red, psi, z0=z)
-        curvature = (lambda: _h_block_rows(mu.weights, cond, geom.y_red)) \
-            if geom.rank else None
-        return phi, cond, z, curvature
+    sqrt_mu = np.sqrt(mu.weights)[:, None, None]
+    work = [0, 0]   # inner Newton steps and backtracks
+
+    def fibers(psi, prev):
+        z0 = None if prev is None else _predicted_start(prev, psi)
+        solve = _fiber_newton(geom, x_red, psi, z0=z0)
+        work[0] += solve.steps
+        work[1] += solve.backtracks
+        if not geom.rank:
+            # nu is one point: no h block, so nothing to predict
+            return solve.phi, solve.cond, _WarmStart(psi, solve.z, None), None
+        block = functools.cache(lambda: _h_block(solve.cond, geom.y_red))
+        return (solve.phi, solve.cond, _WarmStart(psi, solve.z, block),
+                lambda: (sqrt_mu * block()[1]).reshape(-1, nu.n))
 
     def residuals(cols, cond):
         drift = cond @ geom.y_red - x_red
@@ -707,7 +752,7 @@ def _fixed_point(mu, nu, config):
         ceiling=bound + 1e-9 * (1.0 + bound))
     marg, mart = residuals(point.cols, point.cond)
 
-    h = geom.embed(point.prev)
+    h = geom.embed(point.prev.z)
     matrix = mu.weights[:, None] * point.cond
     triple = gauge_normalize(PotentialTriple(point.phi, point.psi, h), mu, nu)
     # rows are softmax-normalized, and the stop rule already holds the L1
@@ -723,7 +768,8 @@ def _fixed_point(mu, nu, config):
                        primal_value=p_val, dual_value=d_val,
                        iterations=len(dual_trace), marginal_residual=marg,
                        martingale_residual=mart, converged=converged,
-                       dual_trace=dual_trace)
+                       dual_trace=dual_trace, inner_steps=work[0],
+                       backtracks=work[1])
 
 
 def gibbs_coupling(triple, mu, nu):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,24 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path, study_files, capsys):
     assert abs(matrix.sum() - 1.0) < 1e-12
     err = capsys.readouterr().err
     assert "wall-clock" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_solve_work_goes_to_stderr_only(tmp_path, study_files, capsys,
+                                        command):
+    mu, nu = study_files
+    out = tmp_path / "run"
+    assert main([command, "--mu", mu, "--nu", nu, "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().err.split("\n")
+             if "outer iterations" in line]
+    assert len(lines) == 1
+    found = re.fullmatch(rf"\[{command}\] (\d+) outer iterations, (\d+) "
+                         r"inner Newton steps, (\d+) backtracks", lines[0])
+    report = json.loads((out / f"{command}_report.json").read_text())
+    assert int(found[1]) == report["iterations"]
+    assert int(found[2]) > 0
+    assert "inner" not in json.dumps(report)
+    assert "backtrack" not in json.dumps(report)
 
 
 def test_identical_runs_produce_byte_identical_artifacts(tmp_path, study_files):

@@ -376,6 +376,9 @@ def _reference_chunk(law, fi, grid, rng, method, stored):
     else:
         atoms, log_w = _reference_table(law)
         c = law.mu.weights @ starts
+        # mu's barycenter on the power-of-two grid of the atoms' extent
+        grid_step = 2.0 ** math.floor(math.log2(np.abs(atoms - c).max()))
+        c = grid_step * np.round(c / grid_step)
         rel = atoms - c
         sq = np.sum(rel ** 2, axis=1)
         prior = log_w - (starts - c) @ rel.T
@@ -400,7 +403,8 @@ def _reference_chunk(law, fi, grid, rng, method, stored):
             m = x + (1.0 - t_eff) * u
         else:
             # the kernel's scalar formulas: 1/(1 - t) is folded into the
-            # atoms and the offset, and the moments take one reciprocal
+            # atoms and the offset, and the moments, centred at c, take one
+            # reciprocal
             inv = 1.0 / (1.0 - t_eff)
             logits = ((x - c) @ (rel * inv).T + sq * (-0.5 * t_eff * inv)
                       + prior[fi])
@@ -408,8 +412,9 @@ def _reference_chunk(law, fi, grid, rng, method, stored):
             e = np.exp(logits)
             r = 1.0 / e.sum(axis=1, keepdims=True)
             # the prior mean is the start
-            m = (e @ atoms) * r if t > 0.0 else x.copy()
-            u = (m - x) * inv
+            m_rel = (e @ rel) * r if t > 0.0 else x - c
+            u = (m_rel - (x - c)) * inv
+            m = m_rel + c if t > 0.0 else x.copy()
         if k in stored:
             M.append(m.copy())
             X.append(x.copy())
@@ -419,8 +424,9 @@ def _reference_chunk(law, fi, grid, rng, method, stored):
         if t <= TIME_CLIP:
             drift += 0.5 * dt * np.sum(u ** 2, axis=1)
             if not gaussian:
-                second = np.einsum("pk,ki,kj->pij", e, atoms, atoms)
-                cov = second * r[:, :, None] - np.einsum("pi,pj->pij", m, m)
+                second = np.einsum("pk,ki,kj->pij", e, rel, rel)
+                cov = (second * r[:, :, None]
+                       - np.einsum("pi,pj->pij", m_rel, m_rel))
                 vol += (0.5 * dt * inv
                         * np.sum((cov * inv - eye) ** 2, axis=(1, 2)))
         if gaussian:
@@ -566,6 +572,23 @@ def test_chunks_split_fibers_on_one_stream(monkeypatch, case, chunk, tol,
     for name, value in ref.items():
         scale = max(1.0, float(np.max(np.abs(value))))
         assert np.max(np.abs(getattr(ens, name) - value)) <= tol * scale, name
+
+
+def test_the_volatility_energy_does_not_move_with_a_translation():
+    # the study pair shifted by 1e6: second moments of the raw atoms cancel
+    # there (cost_mart moved by 1.3e-5 relative), centred ones keep the
+    # digits up to the paths' own rounding at that offset
+    grid = np.linspace(0.0, 1.0, 101)
+    costs = []
+    for shift in (0.0, 1e6):
+        mu = DiscreteMeasure(np.array([[-1.0], [0.0], [1.0]]) + shift,
+                             [0.40, 0.46, 0.14])
+        nu = DiscreteMeasure(np.array([[-2.0], [0.0], [2.0]]) + shift,
+                             [0.43, 0.27, 0.30])
+        ens = randomize_over_mu(sinkhorn_msb(mu, nu).coupling, grid=grid,
+                                n_paths=2000, seed=1)
+        costs.append(phi_bijection_check(ens).cost_mart)
+    assert abs(costs[1] - costs[0]) <= 1e-9 * abs(costs[0])
 
 
 @pytest.mark.parametrize("method", ["bridge", "euler"])

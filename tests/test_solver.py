@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbridge import (
     Coupling,
@@ -14,6 +15,7 @@ from mbridge import (
     DiscreteMeasure,
     DualDivergence,
     Infeasible,
+    MbridgeError,
     NotConverged,
     NotInConvexOrder,
     NotIrreducible,
@@ -502,7 +504,7 @@ def test_certify_passes_where_the_classical_floor_lies_above_1e13(tmp_path):
 
 # The fiber line search. ``_reference_fiber_newton`` is the solver's fiber
 # Newton as it stood with the line search as sequential halving, copied
-# verbatim; the batched search must reproduce its iterates bit for bit.
+# verbatim; the value-only search must reproduce its iterates bit for bit.
 
 
 def _reference_fiber_newton(geom, x_red, psi, z0=None):
@@ -582,8 +584,9 @@ def _reference_fiber_newton(geom, x_red, psi, z0=None):
     return z, val, cond
 
 
-def _fiber_calls(monkeypatch, mu, nu):
-    """The arguments of every fiber solve along ``sinkhorn_msb(mu, nu)``."""
+def _fiber_calls(monkeypatch, mu, nu, predict=True):
+    """The arguments of every fiber solve along ``sinkhorn_msb(mu, nu)``;
+    with ``predict=False`` each trial starts at the accepted point's duals."""
     calls = []
 
     def record(geom, x_red, psi, z0=None):
@@ -593,6 +596,8 @@ def _fiber_calls(monkeypatch, mu, nu):
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_fiber_newton", record)
+        if not predict:
+            m.setattr(solver, "_predicted_start", lambda prev, psi: prev.z)
         try:
             sinkhorn_msb(mu, nu, SolverConfig())
         except (Infeasible, NotConverged):
@@ -614,10 +619,10 @@ def _same_outcome(a, b):
     return all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
-def _evaluations(monkeypatch, call, batch=None):
+def _evaluations(monkeypatch, call):
     """Rows of each value-only evaluation of one fiber solve, one list per
     Newton step: first the full step of every active fiber, then one entry
-    per batch of shorter steps."""
+    per halving."""
     steps = []
 
     def trial(logits, axis):
@@ -631,8 +636,6 @@ def _evaluations(monkeypatch, call, batch=None):
     with monkeypatch.context() as m:
         m.setattr(solver, "_log_partition", trial)
         m.setattr(solver, "_softmax", full)
-        if batch is not None:
-            m.setattr(solver, "_BATCH", batch)
         _outcome(fiber_newton, call)
     return [rows for rows in steps if rows]
 
@@ -670,32 +673,60 @@ def test_batched_line_search_matches_sequential_halving_on_random_pairs(
 
 def test_batched_line_search_matches_sequential_halving_on_peacocks(
         monkeypatch):
+    # the predicted starts leave these fibers nothing to backtrack, so the
+    # calls are harvested from warm starts at the accepted duals
     halvings = 0
     for a in (0.1, 0.05):
-        calls = _fiber_calls(monkeypatch, *_benchmark_peacock(a))
+        calls = _fiber_calls(monkeypatch, *_benchmark_peacock(a),
+                             predict=False)
         assert len(calls) > 20
         for call in calls:
             assert _same_outcome(_outcome(fiber_newton, call),
                                  _outcome(_reference_fiber_newton, call))
-            # with one step length per batch, a Newton step makes one
-            # evaluation per halving after the full step
-            steps = _evaluations(monkeypatch, call, batch=1)
+            # a Newton step makes one evaluation per halving after the
+            # full step
+            steps = _evaluations(monkeypatch, call)
             halvings = max(halvings, *(len(rows) - 1 for rows in steps))
-    # some fiber backtracks past the first batch of lengths
+    # some fiber backtracks past the first nine halvings
     assert halvings > 9
 
 
-def test_line_search_batches_hold_no_more_rows_than_active_fibers(
-        monkeypatch):
-    calls = _fiber_calls(monkeypatch, *_benchmark_peacock(0.1))
-    batched = sequential = 0
-    for call in calls:
-        steps = _evaluations(monkeypatch, call)
-        for active, *batches in steps:
-            assert all(rows <= active for rows in batches)
-        batched += sum(map(len, steps))
-        sequential += sum(map(len, _evaluations(monkeypatch, call, batch=1)))
-    assert batched < sequential
+# The predicted fiber starts (``solver._predicted_start``).
+
+
+@pytest.mark.parametrize("a", [0.1, 0.05])
+def test_predicted_starts_leave_few_inner_steps_on_peacocks(a):
+    # started from the accepted duals these solves took 9.1 (a = 0.1) and
+    # 6.3 (a = 0.05) inner Newton steps per outer iteration
+    report = sinkhorn_msb(*_benchmark_peacock(a))
+    assert report.inner_steps <= 3 * report.iterations
+
+
+def _verdict(mu, nu):
+    """The converged flag and coupling of a solve, or its failure type."""
+    try:
+        report = sinkhorn_msb(mu, nu)
+    except MbridgeError as exc:
+        return type(exc), None
+    return report.converged, report.coupling.matrix
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+       spread=st.sampled_from([None, 1.0, 2.0, 3.0, 5.0]))
+def test_predicted_starts_give_the_verdicts_of_accepted_duals(seed, d,
+                                                              spread):
+    # spread None draws a random pair, otherwise a planted one
+    rng = np.random.default_rng(seed)
+    mu, nu, _ = (random_instance(rng, d=d) if spread is None
+                 else planted_instance(rng, d=d, spread=spread))
+    predicted = _verdict(mu, nu)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_predicted_start", lambda prev, psi: prev.z)
+        accepted = _verdict(mu, nu)
+    assert predicted[0] == accepted[0]
+    if predicted[0] is True:
+        assert np.abs(predicted[1] - accepted[1]).sum() <= 1e-9
 
 
 def test_line_search_stalls_when_no_step_length_passes(monkeypatch, rng):
