@@ -40,7 +40,7 @@ from .filtering import _volatilities, sigma_invariance_test, \
 from .gaussian import bass_comparison_gaussian, follmer_volatility_gaussian, \
     gaussian_energy_closed_form, gaussian_msb_closed_form, \
     weighted_energy_quadrature
-from .measures import DiscreteMeasure, _float_array, \
+from .measures import DiscreteMeasure, _float_array, _write_json, \
     barycenter_and_moments, gaussian_reference_identity_check, load_measure, \
     measure_to_json
 from .solver import SolverConfig, classical_sinkhorn_sp, extract_base_measure, \
@@ -58,27 +58,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _json_default(obj):
-    """JSON form of the numpy values that ``json`` does not encode itself."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _manifest(args, command, inputs, parameters):
     return {"command": command,
             "inputs": inputs,
             "parameters": parameters,
             "seed": getattr(args, "seed", None),
             "version": __version__}
-
-
-def _write_json(outdir, name, doc):
-    with open(Path(outdir) / name, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=_json_default)
-        fh.write("\n")
 
 
 def _write_csv(outdir, name, header, rows):
@@ -177,12 +162,16 @@ def _solve_payload(args, command, report):
 
 
 def _solve_work(command, report):
-    """The solve's outer iterations, inner Newton steps and backtracks, on
-    stderr beside the wall clock: like timing, they never enter an
-    artifact."""
+    """The solve's outer iterations, inner Newton steps and backtracks, and
+    on a second line its worst fiber Hessian condition number and largest
+    fiber dual |z| (nu's frame), on stderr beside the wall clock: like
+    timing, they never enter an artifact."""
     print(f"[{command}] {report.iterations} outer iterations, "
           f"{report.inner_steps} inner Newton steps, "
           f"{report.backtracks} backtracks", file=sys.stderr)
+    print(f"[{command}] worst fiber Hessian condition "
+          f"{report.fiber_condition:.3e}, largest fiber dual |z| "
+          f"{report.fiber_dual_max:.3e} (nu's frame)", file=sys.stderr)
 
 
 def cmd_solve(args):
@@ -194,7 +183,7 @@ def cmd_solve(args):
                [f"nu_{j}" for j in range(nu.n)], report.coupling.matrix)
     doc = {**_solve_payload(args, "solve", report),
            "coupling_csv": "coupling.csv"}
-    _write_json(out, "solve_report.json", doc)
+    _write_json(out / "solve_report.json", doc)
     print(f"solve: converged={report.converged} "
           f"primal={report.primal_value!r} "
           f"gap={doc['duality_gap']:.3e} iterations={report.iterations}")
@@ -206,21 +195,31 @@ def cmd_certify(args):
     _solve_work("certify", report)
 
     base = extract_base_measure(report)
-    sp_value, _, (phibar, psi) = classical_sinkhorn_sp(
-        base, nu, psi0=report.potentials.psi)
-    ss1, ss2 = schroedinger_system_residuals(base, nu, phibar, psi)
+    # a stalled classical re-solve leaves its values null and its checks
+    # failing; the rest of the report stands
+    sp_value = residuals = vp = gap = None
+    try:
+        sp_value, _, (phibar, psi) = classical_sinkhorn_sp(
+            base, nu, psi0=report.potentials.psi)
+    except NotConverged as exc:
+        print(f"certify: classical Schroedinger re-solve: {exc}",
+              file=sys.stderr)
+    else:
+        residuals = list(schroedinger_system_residuals(base, nu, phibar, psi))
     payload = _solve_payload(args, "certify", report)
 
     primal, dual = report.primal_value, report.dual_value
     # MCov(base, mu) lies in [mcov, upper], so |P - SP - MCov| is at most
     # the larger of the two gaps
     mcov, upper = mcov_bounds(report, base)
-    vp = sp_value + mcov
-    gap = max(abs(primal - vp), abs(primal - sp_value - upper))
+    if sp_value is not None:
+        vp = sp_value + mcov
+        gap = max(abs(primal - vp), abs(primal - sp_value - upper))
     checks = {
         "converged": report.converged,
-        "variational_gap": gap <= 1e-7,
-        "schroedinger_system": max(ss1, ss2) < 1e-10,
+        "variational_gap": gap is not None and gap <= 1e-7,
+        "schroedinger_system": (residuals is not None
+                                and max(residuals) < 1e-10),
         "reference_identity": payload["identity_residual"] < 1e-10,
     }
     doc = {**payload,
@@ -229,11 +228,11 @@ def cmd_certify(args):
            "mcov_value": mcov,
            "vp_value": vp,
            "variational_gap": gap,
-           "schroedinger_residuals": [ss1, ss2],
+           "schroedinger_residuals": residuals,
            "checks": checks,
            "all_pass": all(checks.values())}
     out = _outdir(args)
-    _write_json(out, "certify_report.json", doc)
+    _write_json(out / "certify_report.json", doc)
     print(f"certify: all_pass={doc['all_pass']} "
           f"P={primal!r} D={dual!r} VP={vp!r}")
     return 0 if doc["all_pass"] else 2
@@ -284,7 +283,7 @@ def cmd_gaussian(args):
            "bass_volatility": comp.bass_volatility,
            "max_schedule_discrepancy": comp.max_discrepancy,
            "schedules_csv": "schedules.csv"}
-    _write_json(out, "gaussian_report.json", doc)
+    _write_json(out / "gaussian_report.json", doc)
     print(f"gaussian: entropy={sol.entropy_value!r} "
           f"energy={closed_energy!r} "
           f"schedule_discrepancy={comp.max_discrepancy:.3e}")
@@ -360,7 +359,7 @@ def cmd_simulate(args):
            "terminal_second_moment": float(np.mean(np.sum(term ** 2, axis=1))),
            "all_pass": passing,
            "ensemble_csv": "ensemble.csv"}
-    _write_json(out, "simulate_report.json", doc)
+    _write_json(out / "simulate_report.json", doc)
     print(f"simulate: paths={ensemble.n_paths} "
           f"cost_drift={bij.cost_drift!r} cost_mart={bij.cost_mart!r} "
           f"rel_discrepancy={bij.rel_discrepancy:.3e}")
@@ -422,7 +421,7 @@ def cmd_filter(args):
                       "clamp_violations": won.clamp_violations},
            "all_pass": passing,
            "quantiles_csv": "filter_quantiles.csv"}
-    _write_json(out, "filter_report.json", doc)
+    _write_json(out / "filter_report.json", doc)
     print(f"filter: max_ks={inv.max_ks:.4f} "
           f"wonham_ks={max(won.ks_by_checkpoint.values()):.4f} "
           f"all_pass={passing}")
@@ -454,7 +453,7 @@ def cmd_threepoint(args):
            "bass": vars(bass),
            "optimizer_gap": list(gap),
            "matrices_txt": "threepoint_matrices.txt"}
-    _write_json(out, "threepoint_report.json", doc)
+    _write_json(out / "threepoint_report.json", doc)
     print(f"threepoint: gap=({gap[0]:.6e}, {gap[1]:.6e})")
     return 0
 

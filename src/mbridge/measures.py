@@ -23,6 +23,8 @@ Summary of what lives here:
   constraint survive an affine map applied to both marginals, so every
   tolerance that decides "small" is read in the coordinates where nu is
   centred with unit covariance.
+* ``_write_json``: the one JSON writer of reports and measure files, one
+  top-level key per line, each value a line of json's C encoder.
 * ``gaussian_reference_identity_check``: residual of the change-of-reference
   identity H(m|mu x nu) + H(nu|gamma) = H(m|mu.gamma) + m2(mu)/2, where the
   gamma terms score atoms against the standard normal density. It is
@@ -307,17 +309,27 @@ def _aligned_weight_vectors(p, q):
 
 def relative_entropy(p, q):
     """H(p|q) = sum p log(p/q), with 0 log 0 = 0 and +inf off the support of q."""
-    pw, qw = _aligned_weight_vectors(p, q)
-    mask = pw > 0.0
-    if np.any(qw[mask] <= 0.0):
+    return _entropy_sum(*_aligned_weight_vectors(p, q))
+
+
+def _entropy_sum(pw, qw):
+    """sum p log(p/q) over the entries where p > 0, or +inf where q is not.
+
+    The entries are masked only when some p is not positive, so a strictly
+    positive p is summed over the same elements in the same order."""
+    support = pw > 0.0
+    if not support.all():
+        pw, qw = pw[support], qw[support]
+    if np.any(qw <= 0.0):
         return math.inf
-    return float(np.sum(pw[mask] * np.log(pw[mask] / qw[mask])))
+    return float(np.sum(pw * np.log(pw / qw)))
 
 
 def primal_value(coupling):
-    """H(m | mu x nu)."""
-    return relative_entropy(coupling,
-                            product_coupling(coupling.mu, coupling.nu))
+    """H(m | mu x nu), against the product of the weights, unvalidated."""
+    return _entropy_sum(coupling.matrix.ravel(),
+                        np.outer(coupling.mu.weights,
+                                 coupling.nu.weights).ravel())
 
 
 def barycenter_and_moments(p):
@@ -531,6 +543,29 @@ def load_measure(path):
 
 
 def save_measure(measure, path):
+    _write_json(path, measure_to_json(measure))
+
+
+def _json_default(obj):
+    """JSON form of the numpy values that ``json`` does not encode itself."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+# no indent, so ``encode`` runs json's C encoder
+_ENCODER = json.JSONEncoder(default=_json_default)
+
+
+def _write_json(path, doc):
+    """Write the dict ``doc`` with one top-level key per line, in one write.
+
+    Each value is one line of ``_ENCODER`` (floats as their ``repr``), so
+    ``json.load`` returns the document that ``json.dump`` would have written.
+    """
+    items = ",\n".join(f"  {_ENCODER.encode(key)}: {_ENCODER.encode(value)}"
+                        for key, value in doc.items())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measure_to_json(measure), fh, indent=2)
-        fh.write("\n")
+        fh.write(f"{{\n{items}\n}}\n" if items else "{}\n")

@@ -13,10 +13,14 @@ Eliminating the fiber potentials leaves one concave dual in psi alone,
 whose gradient is nu - cols, the defect of the column sums. Each phi_i and
 its maximizer h_i come from a batched damped Newton solve per mu atom
 (``_fiber_newton``), which makes the row mass and the conditional barycenter
-exact; every conditional is normalized by ``measures._softmax``. Its Armijo
-line search scores trial points by value alone (``measures._log_partition``,
-no conditionals or gradient) and halves the rejected steps one length at a
-time. The fibers of a trial psi start where the accepted point's h block
+exact. Its Armijo line search scores the full step by
+``measures._log_partition`` and keeps the exponentials: a fiber that
+accepts the full step divides them by their total, as ``measures._softmax``
+would, and takes its conditionals, barycenter and gradient from them, so
+each accepted point is exponentiated once. Rejected steps are halved one
+length at a time, trial points scored by value alone, and only those
+fibers are evaluated afresh at their accepted length. The fibers of a
+trial psi start where the accepted point's h block
 predicts them: a solved fiber keeps its conditional barycenter at x_i, so
 Cov_i dz_i + sum_j c_ij (y_j - b_i) dpsi_j = 0, and the move psi_0 -> psi
 shifts z_i by dz_i = -Cov_i^-1 sum_j c_ij (y_j - b_i) (psi_j - psi_0j), the
@@ -196,6 +200,10 @@ class SolveReport:
     # summed over every fiber solve that returned, trial points included
     inner_steps: int = 0
     backtracks: int = 0
+    # the largest over the same solves, in nu's frame: the worst fiber
+    # Hessian condition number a Newton step met and the largest |z| it reached
+    fiber_condition: float = 0.0
+    fiber_dual_max: float = 0.0
 
 
 def gauge_normalize(triple, mu, nu):
@@ -348,13 +356,17 @@ class _FiberGeometry:
 
 class _FiberSolve(NamedTuple):
     """The duals, values and conditionals of one batched fiber solve, with
-    its Newton steps and the value evaluations of its backtracking."""
+    its Newton steps, the value evaluations of its backtracking, the worst
+    Hessian condition number a step met and the largest |z| a step reached
+    (both in nu's frame; 0 when no step ran)."""
 
     z: np.ndarray
     phi: np.ndarray
     cond: np.ndarray
     steps: int
     backtracks: int
+    condition: float
+    dual_max: float
 
 
 def _fiber_newton(geom, x_red, psi, z0=None):
@@ -363,10 +375,12 @@ def _fiber_newton(geom, x_red, psi, z0=None):
     Maximizes g(z) = <z, x> - log sum_j nu_j exp(psi_j + <z, y_j>) in reduced
     coordinates for every row of ``x_red``. Returns a ``_FiberSolve``.
 
-    The Armijo line search tries the full step for every active fiber at
-    once, then ``_backtrack`` halves it for the fibers that reject it. Trial
-    points need only the value, so they skip the normalized conditionals,
-    barycenter and gradient.
+    The Armijo line search scores the full step of every active fiber at
+    once, keeping its exponentials: a fiber that accepts the full step
+    takes its conditionals, barycenter and gradient from them. Only the
+    fibers that reject it are halved by ``_backtrack`` (trial points need
+    only the value) and evaluated afresh at the accepted length. Inactive
+    fibers did not move, so they keep their values.
     """
     n = x_red.shape[0]
     r = geom.rank
@@ -375,9 +389,15 @@ def _fiber_newton(geom, x_red, psi, z0=None):
 
     z = np.zeros((n, r)) if z0 is None else np.array(z0, dtype=float)
 
+    def scored(zc, xs):
+        # the value, the exponentials shifted by each row's top and the totals
+        weights = base[None, :] + zc @ yr.T
+        top, total = _log_partition(weights, axis=1)
+        val = np.einsum("nr,nr->n", zc, xs) - (top + np.log(total))[:, 0]
+        return val, weights, total
+
     def value(zc, xs):
-        top, total = _log_partition(base[None, :] + zc @ yr.T, axis=1)
-        return np.einsum("nr,nr->n", zc, xs) - (top + np.log(total))[:, 0]
+        return scored(zc, xs)[0]
 
     def value_grad(zc, xs):
         cond = base[None, :] + zc @ yr.T
@@ -390,6 +410,7 @@ def _fiber_newton(geom, x_red, psi, z0=None):
     active = _row_norms(grad) > _NEWTON_GRADIENT_TOLERANCE
 
     steps = backtracks = 0
+    condition = dual_max = 0.0
     for _ in range(_NEWTON_MAX_STEPS):
         if not active.any():
             break
@@ -401,8 +422,8 @@ def _fiber_newton(geom, x_red, psi, z0=None):
         cov = np.einsum("nm,mi,mj->nij", cond_a, yr, yr) \
             - np.einsum("ni,nj->nij", bary_a, bary_a)
         eigs = np.linalg.eigvalsh(cov)
-        bad = (eigs[:, 0] <= 0) | (eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300)
-                                   > HESSIAN_CONDITION_CAP)
+        ratio = eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300)
+        bad = (eigs[:, 0] <= 0) | (ratio > HESSIAN_CONDITION_CAP)
         if not bad.any():
             try:
                 step = np.linalg.solve(cov, grad_a[:, :, None])[:, :, 0]
@@ -415,36 +436,45 @@ def _fiber_newton(geom, x_red, psi, z0=None):
             raise DegenerateFiber(
                 f"fiber {fiber}: conditional covariance condition number "
                 f"exceeds {HESSIAN_CONDITION_CAP:.0e}")
+        condition = max(condition, float(ratio.max()))
         descent = np.einsum("nr,nr->n", grad_a, step)
 
         # once the predicted gain falls below the fp resolution of the
         # objective the Armijo test is meaningless; take the pure Newton step
         z_new = z_a + step
+        val_new, cond_new, total = scored(z_new, x_a)
         accepted = descent <= 1e-14 * (1.0 + np.abs(val_a))
-        accepted |= value(z_new, x_a) >= val_a + _ARMIJO * descent
+        accepted |= val_new >= val_a + _ARMIJO * descent
+        # the division of ``_softmax``: the full step's conditionals
+        cond_new /= total
+        bary_new = cond_new @ yr
         rejected = ~accepted
         if rejected.any():
             z_new[rejected], halvings = _backtrack(
                 value, z_a[rejected], step[rejected], x_a[rejected],
                 val_a[rejected], descent[rejected])
             backtracks += halvings
+            (val_new[rejected], _, cond_new[rejected],
+             bary_new[rejected]) = value_grad(z_new[rejected], x_a[rejected])
         z[idx] = z_new
 
         hn = _row_norms(z_new)
+        dual_max = max(dual_max, float(hn.max()))
         if (hn > H_DIVERGENCE_BOUND).any():
             fiber = int(idx[np.argmax(hn)])
             raise DualDivergence(
                 f"fiber {fiber}: |h| exceeded divergence bound "
                 f"{H_DIVERGENCE_BOUND:.0e}")
 
-        val, grad, cond, bary = value_grad(z, x_red)
-        active = _row_norms(grad) > _NEWTON_GRADIENT_TOLERANCE
+        val[idx], cond[idx], bary[idx] = val_new, cond_new, bary_new
+        grad[idx] = x_a - bary_new
+        active[idx] = _row_norms(grad[idx]) > _NEWTON_GRADIENT_TOLERANCE
 
     if active.any():
         raise NotConverged(
             f"inner Newton did not reach gradient tolerance within "
             f"{_NEWTON_MAX_STEPS} steps")
-    return _FiberSolve(z, val, cond, steps, backtracks)
+    return _FiberSolve(z, val, cond, steps, backtracks, condition, dual_max)
 
 
 def _backtrack(value, z, step, x, val, descent):
@@ -498,7 +528,7 @@ def inner_dual_solve(x, psi, nu, h0=None):
     z0 = None if h0 is None else (np.asarray(h0, float).reshape(1, -1)
                                   @ geom.inverse)
     try:
-        z, phi, cond, _, _ = _fiber_newton(geom, x_red, psi, z0=z0)
+        z, phi, cond = _fiber_newton(geom, x_red, psi, z0=z0)[:3]
     except _FAILURES:
         _diagnose(x[None, :], nu_)
         raise
@@ -723,13 +753,16 @@ def _fixed_point(mu, nu, config):
             "coupling exists")
 
     sqrt_mu = np.sqrt(mu.weights)[:, None, None]
-    work = [0, 0]   # inner Newton steps and backtracks
+    # inner Newton steps and backtracks, worst condition and largest |z|
+    work = [0, 0, 0.0, 0.0]
 
     def fibers(psi, prev):
         z0 = None if prev is None else _predicted_start(prev, psi)
         solve = _fiber_newton(geom, x_red, psi, z0=z0)
         work[0] += solve.steps
         work[1] += solve.backtracks
+        work[2] = max(work[2], solve.condition)
+        work[3] = max(work[3], solve.dual_max)
         if not geom.rank:
             # nu is one point: no h block, so nothing to predict
             return solve.phi, solve.cond, _WarmStart(psi, solve.z, None), None
@@ -769,7 +802,8 @@ def _fixed_point(mu, nu, config):
                        iterations=len(dual_trace), marginal_residual=marg,
                        martingale_residual=mart, converged=converged,
                        dual_trace=dual_trace, inner_steps=work[0],
-                       backtracks=work[1])
+                       backtracks=work[1], fiber_condition=work[2],
+                       fiber_dual_max=work[3])
 
 
 def gibbs_coupling(triple, mu, nu):

@@ -14,6 +14,7 @@ import pytest
 from mbridge import DegenerateFiber, DiscreteMeasure, check_convex_order, \
     cli, dynamics, errors, filtering, measure_to_json
 from mbridge.cli import build_parser, main
+from mbridge.solver import sinkhorn_msb
 from conftest import peacock, random_instance, study_instance
 
 
@@ -72,6 +73,50 @@ def test_solve_work_goes_to_stderr_only(tmp_path, study_files, capsys,
     assert int(found[2]) > 0
     assert "inner" not in json.dumps(report)
     assert "backtrack" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_fiber_conditioning_goes_to_stderr_only(tmp_path, study_files, capsys,
+                                                command):
+    mu, nu = study_files
+    out = tmp_path / "run"
+    assert main([command, "--mu", mu, "--nu", nu, "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().err.split("\n")
+             if "fiber" in line]
+    assert len(lines) == 1
+    found = re.fullmatch(rf"\[{command}\] worst fiber Hessian condition "
+                         r"(\S+), largest fiber dual \|z\| (\S+) "
+                         r"\(nu's frame\)", lines[0])
+    report = sinkhorn_msb(*study_instance())
+    assert found[1] == f"{report.fiber_condition:.3e}"
+    assert found[2] == f"{report.fiber_dual_max:.3e}"
+    assert 1.0 <= report.fiber_condition < 1e14
+    assert 0.0 < report.fiber_dual_max < 1e6
+    for artifact in out.iterdir():
+        text = artifact.read_text(encoding="utf-8")
+        assert "Hessian" not in text and "|z|" not in text
+
+
+def test_certify_reports_a_stalled_classical_solve(tmp_path, study_files,
+                                                   capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise errors.NotConverged(
+            "classical Schroedinger Newton stalled after 2 iterations")
+
+    monkeypatch.setattr(cli, "classical_sinkhorn_sp", stalled)
+    mu, nu = study_files
+    out = tmp_path / "run"
+    assert main(["certify", "--mu", mu, "--nu", nu, "--out", str(out)]) == 2
+    assert "stalled after 2 iterations" in capsys.readouterr().err
+    report = json.loads((out / "certify_report.json").read_text())
+    for key in ("sp_value", "vp_value", "variational_gap",
+                "schroedinger_residuals"):
+        assert report[key] is None
+    assert report["checks"] == {"converged": True, "variational_gap": False,
+                                "schroedinger_system": False,
+                                "reference_identity": True}
+    assert report["all_pass"] is False
+    assert math.isfinite(report["mcov_value"])
 
 
 def test_identical_runs_produce_byte_identical_artifacts(tmp_path, study_files):

@@ -22,7 +22,7 @@ from mbridge import (
     product_coupling,
     relative_entropy,
 )
-from mbridge.measures import _frame, _softmax
+from mbridge.measures import _frame, _softmax, _write_json
 from conftest import lifted, planted_instance, random_instance
 
 
@@ -168,6 +168,31 @@ def test_relative_entropy_off_support_is_inf():
     p = Coupling(np.array([[0.5, 0.5]]), mu, nu)
     q = Coupling(np.array([[1.0, 0.0]]), mu, nu, check=False)
     assert math.isinf(relative_entropy(p, q))
+    # the same where p has zeros of its own, which are masked out first
+    nu3 = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
+    p = Coupling(np.array([[0.5, 0.0, 0.5]]), mu, nu3, check=False)
+    q = Coupling(np.array([[1.0, 0.0, 0.0]]), mu, nu3, check=False)
+    assert relative_entropy(p, q) == math.inf
+    # q vanishing only where p does leaves the value finite
+    q = Coupling(np.array([[0.25, 0.0, 0.75]]), mu, nu3, check=False)
+    assert relative_entropy(p, q) == 0.5 * math.log(2.0) + 0.5 * math.log(
+        0.5 / 0.75)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_primal_value_is_the_masked_formula_bit_for_bit(rng, zeros):
+    mu, nu, matrix = random_instance(rng)
+    if zeros:
+        matrix = matrix.copy()
+        matrix[0, 0] = matrix[-1, -1] = 0.0
+    coupling = Coupling(matrix, mu, nu, check=False)
+    pw = coupling.matrix.ravel()
+    qw = np.outer(mu.weights, nu.weights).ravel()
+    mask = pw > 0.0
+    assert mask.all() != zeros
+    masked = float(np.sum(pw[mask] * np.log(pw[mask] / qw[mask])))
+    assert mb.primal_value(coupling) == masked
+    assert relative_entropy(coupling, product_coupling(mu, nu)) == masked
 
 
 def test_relative_entropy_joint_convexity(rng):
@@ -277,6 +302,40 @@ def test_json_round_trip_discrete(tmp_path):
     mb.save_measure(m, path)
     again = mb.load_measure(path)
     assert np.array_equal(again.atoms, m.atoms)
+
+
+def test_reports_hold_one_top_level_key_per_line(tmp_path):
+    doc = {"schema": "mbridge/1",
+           "values": np.array([[0.1, 1.0 / 3.0], [-2.5e-300, 7.0]]),
+           "scalar": np.float64(2.0) / 3.0, "count": np.int64(7),
+           "flag": np.bool_(True), "missing": None,
+           "nested": {"ks": {"0.5": 1e-17}, "list": [1, 2.5, "x"]},
+           "empty": {}}
+    path = tmp_path / "report.json"
+    _write_json(path, doc)
+    text = path.read_text(encoding="utf-8")
+    lines = text.split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    assert [json.loads("{" + line.rstrip(",") + "}").popitem()[0]
+            for line in lines[1:-2]] == list(doc)
+    back = json.loads(text)
+    assert back == json.loads(json.dumps(doc, indent=2,
+                                         default=lambda o: o.tolist()))
+    assert back["values"][0][1] == 1.0 / 3.0
+    _write_json(path, {})
+    assert json.loads(path.read_text(encoding="utf-8")) == {}
+
+
+def test_save_measure_writes_the_report_layout(tmp_path):
+    m = DiscreteMeasure([[-1.0, 0.5], [2.0, -0.25], [0.1, 0.3]],
+                        [0.2, 0.3, 0.5])
+    path = tmp_path / "m.json"
+    mb.save_measure(m, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert len(lines) == 2 + len(measure_to_json(m)) + 1
+    again = mb.load_measure(path)
+    assert np.array_equal(again.atoms, m.atoms)
+    assert np.array_equal(again.weights, m.weights)
 
 
 def test_json_round_trip_gaussian(tmp_path):

@@ -503,8 +503,11 @@ def test_certify_passes_where_the_classical_floor_lies_above_1e13(tmp_path):
 
 
 # The fiber line search. ``_reference_fiber_newton`` is the solver's fiber
-# Newton as it stood with the line search as sequential halving, copied
-# verbatim; the value-only search must reproduce its iterates bit for bit.
+# Newton as it stood with the line search as sequential halving; the
+# value-only search must reproduce its iterates bit for bit. It takes the
+# values, conditionals and barycenters of the fibers that accept the full
+# step from that step's evaluation, and evaluates the others afresh at their
+# accepted points, on the row batches of the solver's kernel.
 
 
 def _reference_fiber_newton(geom, x_red, psi, z0=None):
@@ -552,19 +555,27 @@ def _reference_fiber_newton(geom, x_red, psi, z0=None):
         alpha = np.ones(len(idx))
         accepted = descent <= 1e-14 * (1.0 + np.abs(val[idx]))
         z_new = z[idx] + step
+        full = None
         for _ in range(60):
             trial = z[idx] + alpha[:, None] * step
-            tv, _, _, _ = value_grad(trial, x_red[idx])
+            tv, _, tc, tb = value_grad(trial, x_red[idx])
             ok = tv >= val[idx] + _ARMIJO * alpha * descent
             newly = ok & ~accepted
             z_new[newly] = trial[newly]
             accepted |= ok
+            if full is None:
+                full = (accepted.copy(), tv, tc, tb)
             if np.all(accepted):
                 break
             alpha[~accepted] *= 0.5
         if not np.all(accepted):
             raise NotConverged("inner Newton line search stalled")
         z[idx] = z_new
+        at_full, val_new, cond_new, bary_new = full
+        later = ~at_full
+        if np.any(later):
+            tv, _, tc, tb = value_grad(z_new[later], x_red[idx][later])
+            val_new[later], cond_new[later], bary_new[later] = tv, tc, tb
 
         hn = np.linalg.norm(z[idx], axis=1)
         if np.any(hn > H_DIVERGENCE_BOUND):
@@ -573,7 +584,8 @@ def _reference_fiber_newton(geom, x_red, psi, z0=None):
                 f"fiber {fiber}: |h| exceeded divergence bound "
                 f"{H_DIVERGENCE_BOUND:.0e}")
 
-        val, grad, cond, bary = value_grad(z, x_red)
+        val[idx], cond[idx], bary[idx] = val_new, cond_new, bary_new
+        grad = x_red - bary
         grad_norm = np.linalg.norm(grad, axis=1)
         active = grad_norm > _NEWTON_GRADIENT_TOLERANCE
 
@@ -620,24 +632,21 @@ def _same_outcome(a, b):
 
 
 def _evaluations(monkeypatch, call):
-    """Rows of each value-only evaluation of one fiber solve, one list per
-    Newton step: first the full step of every active fiber, then one entry
-    per halving."""
-    steps = []
+    """The value-only evaluations of each backtracking of one fiber solve:
+    the halvings ``_backtrack`` returns, one entry per Newton step that
+    backtracked."""
+    halvings = []
+    backtrack = solver._backtrack
 
-    def trial(logits, axis):
-        steps[-1].append(logits.shape[0])
-        return _log_partition(logits, axis)
-
-    def full(logits, axis):
-        steps.append([])
-        return _softmax(logits, axis)
+    def record(*args):
+        out = backtrack(*args)
+        halvings.append(out[1])
+        return out
 
     with monkeypatch.context() as m:
-        m.setattr(solver, "_log_partition", trial)
-        m.setattr(solver, "_softmax", full)
+        m.setattr(solver, "_backtrack", record)
         _outcome(fiber_newton, call)
-    return [rows for rows in steps if rows]
+    return halvings
 
 
 def _benchmark_peacock(a):
@@ -683,12 +692,35 @@ def test_batched_line_search_matches_sequential_halving_on_peacocks(
         for call in calls:
             assert _same_outcome(_outcome(fiber_newton, call),
                                  _outcome(_reference_fiber_newton, call))
-            # a Newton step makes one evaluation per halving after the
-            # full step
-            steps = _evaluations(monkeypatch, call)
-            halvings = max(halvings, *(len(rows) - 1 for rows in steps))
+            halvings = max([halvings, *_evaluations(monkeypatch, call)])
     # some fiber backtracks past the first nine halvings
     assert halvings > 9
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_solve_without_backtracks_exponentiates_once_per_step(
+        monkeypatch, rng, d):
+    # the start, then the full step of each Newton step, whose exponentials
+    # also give the accepted fibers' conditionals
+    count = [0]
+
+    def counting(normalize):
+        def counted(logits, axis):
+            count[0] += 1
+            return normalize(logits, axis)
+        return counted
+
+    solves = 0
+    for call in _random_calls(monkeypatch, rng, d):
+        count[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_log_partition", counting(_log_partition))
+            m.setattr(solver, "_softmax", counting(_softmax))
+            solve = fiber_newton(*call)
+        if solve.steps and not solve.backtracks:
+            assert count[0] == 1 + solve.steps
+            solves += 1
+    assert solves > 8
 
 
 # The predicted fiber starts (``solver._predicted_start``).
