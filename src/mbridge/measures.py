@@ -113,10 +113,11 @@ def _log_partition(logits, axis):
     log-sum-exp of the input is top + log(total). A value needs only this,
     the normalized weights need ``_softmax``.
     """
-    top = logits.max(axis=axis, keepdims=True)
+    # the reductions of ndarray.max and sum, without their method wrappers
+    top = np.maximum.reduce(logits, axis=axis, keepdims=True)
     logits -= top
     np.exp(logits, out=logits)
-    return top, logits.sum(axis=axis, keepdims=True)
+    return top, np.add.reduce(logits, axis=axis, keepdims=True)
 
 
 def _softmax(logits, axis):
@@ -171,10 +172,12 @@ class DiscreteMeasure:
     Atoms within 1e-12 of each other are merged on construction with summed
     weights. Weights must be strictly positive and sum to 1 within
     ``weight_sum_tol`` (1e-12 by default, 1e-6 on JSON ingestion); they are
-    renormalized exactly after the check. Arrays are read-only afterwards.
+    renormalized exactly after the check. Arrays are read-only afterwards;
+    so is the frame (``_frame``), filled on first use and then shared by
+    every caller that asks for it.
     """
 
-    __slots__ = ("atoms", "weights")
+    __slots__ = ("atoms", "weights", "_whitened")
 
     def __init__(self, atoms, weights, weight_sum_tol=1e-12):
         atoms = _as_atoms(atoms)
@@ -194,6 +197,7 @@ class DiscreteMeasure:
         atoms, weights, _ = merge_close_atoms(atoms, weights / total)
         self.atoms = atoms
         self.weights = weights
+        self._whitened = None
         for arr in (self.atoms, self.weights):
             arr.flags.writeable = False
 
@@ -445,14 +449,23 @@ def _frame(nu):
     mass has r = 0. Both marginals mapped by x -> (x - c) basis are the
     pair under an affine map, which leaves the entropic martingale problem
     unchanged; every tolerance of the solver is read in this frame.
+
+    The measure is immutable, so the frame is computed once, on the first
+    call, and kept read-only on it: one SVD per measure, however many
+    steps of a request read the frame.
     """
-    center = nu.weights @ nu.atoms
-    axes, s, _ = np.linalg.svd(
-        (np.sqrt(nu.weights)[:, None] * (nu.atoms - center)).T,
-        full_matrices=False)
-    rank = int(np.sum(s > 1e-13 * s[0]))
-    axes, s = axes[:, :rank], s[:rank]
-    return center, axes / s, axes * s
+    if nu._whitened is None:
+        center = nu.weights @ nu.atoms
+        axes, s, _ = np.linalg.svd(
+            (np.sqrt(nu.weights)[:, None] * (nu.atoms - center)).T,
+            full_matrices=False)
+        rank = int(np.sum(s > 1e-13 * s[0]))
+        axes, s = axes[:, :rank], s[:rank]
+        frame = (center, axes / s, axes * s)
+        for arr in frame:
+            arr.flags.writeable = False
+        nu._whitened = frame
+    return nu._whitened
 
 
 def gaussian_reference_identity_check(m):

@@ -27,6 +27,14 @@ shifts z_i by dz_i = -Cov_i^-1 sum_j c_ij (y_j - b_i) (psi_j - psi_0j), the
 h half of the joint (psi, h) Newton step (``_predicted_start``). The inner
 solve still runs to its gradient tolerance; only its start moves.
 
+When nu spans a line (its frame has rank 1, as every pair in d = 1 has),
+each h_i is a scalar and Cov_i a variance. The fiber kernel then calls no
+LAPACK routine: the Hessian's eigenvalue is the variance, its condition
+number 1, the Newton step grad / variance, and the h block's Cholesky
+factor 1 / sqrt(variance). This is the arithmetic LAPACK performs on a
+1 x 1 matrix, so every iterate is the one the LAPACK route gives; rank 2
+and above keep LAPACK.
+
 The psi dual is climbed by one safeguarded Newton kernel, ``_psi_newton``:
 the negative Hessian is diag(cols) - sum_i mu_i c_i c_i' minus the
 curvature of the eliminated h block, made solvable by adding the
@@ -129,6 +137,10 @@ _LINE_SEARCH_LENGTHS = 60
 # unequal means, which ran to any cap, are refused before the solve.
 _MAX_OUTER = 200
 _FAILURES = (NotIrreducible, NotConverged)
+# the reductions behind ndarray.any, all, max and sum, called without the
+# method wrappers on the per-iteration path
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
 
 
 @dataclass(frozen=True)
@@ -204,6 +216,8 @@ class SolveReport:
     # Hessian condition number a Newton step met and the largest |z| it reached
     fiber_condition: float = 0.0
     fiber_dual_max: float = 0.0
+    # the observed linear rate of the dual ascent (``_rate``)
+    rate: float = 0.0
 
 
 def gauge_normalize(triple, mu, nu):
@@ -380,20 +394,39 @@ def _fiber_newton(geom, x_red, psi, z0=None):
     takes its conditionals, barycenter and gradient from them. Only the
     fibers that reject it are halved by ``_backtrack`` (trial points need
     only the value) and evaluated afresh at the accepted length. Inactive
-    fibers did not move, so they keep their values.
+    fibers did not move, so they keep their values; while every fiber is
+    active, the step works on the whole arrays.
+
+    When nu spans a line (rank 1) each Hessian is a variance: its
+    eigenvalue, its condition number 1 and the step grad / variance are
+    the arithmetic LAPACK performs on a 1 x 1 matrix, so they are written
+    out instead.
     """
     n = x_red.shape[0]
     r = geom.rank
     yr = geom.y_red
     base = geom.log_nu + psi  # (m,)
+    line = r == 1
 
     z = np.zeros((n, r)) if z0 is None else np.array(z0, dtype=float)
+
+    def dot(zc, xs):
+        # <z_i, x_i> of every row; einsum's sum starts at +0, so an exact
+        # zero product comes out +0 on the line too
+        if line:
+            prod = (zc * xs)[:, 0]
+            prod += 0.0
+            return prod
+        return np.einsum("nr,nr->n", zc, xs)
+
+    def norms(a):
+        return np.absolute(a[:, 0]) if line else _row_norms(a)
 
     def scored(zc, xs):
         # the value, the exponentials shifted by each row's top and the totals
         weights = base[None, :] + zc @ yr.T
         top, total = _log_partition(weights, axis=1)
-        val = np.einsum("nr,nr->n", zc, xs) - (top + np.log(total))[:, 0]
+        val = dot(zc, xs) - (top + np.log(total))[:, 0]
         return val, weights, total
 
     def value(zc, xs):
@@ -402,75 +435,95 @@ def _fiber_newton(geom, x_red, psi, z0=None):
     def value_grad(zc, xs):
         cond = base[None, :] + zc @ yr.T
         top, total = _softmax(cond, axis=1)
-        val = np.einsum("nr,nr->n", zc, xs) - (top + np.log(total))[:, 0]
+        val = dot(zc, xs) - (top + np.log(total))[:, 0]
         bary = cond @ yr
         return val, xs - bary, cond, bary
 
     val, grad, cond, bary = value_grad(z, x_red)
-    active = _row_norms(grad) > _NEWTON_GRADIENT_TOLERANCE
+    active = norms(grad) > _NEWTON_GRADIENT_TOLERANCE
 
     steps = backtracks = 0
     condition = dual_max = 0.0
     for _ in range(_NEWTON_MAX_STEPS):
-        if not active.any():
+        if not _any(active):
             break
         steps += 1
-        idx = np.nonzero(active)[0]
-        z_a, x_a, val_a, grad_a = z[idx], x_red[idx], val[idx], grad[idx]
-        cond_a = cond[idx]
-        bary_a = bary[idx]
-        cov = np.einsum("nm,mi,mj->nij", cond_a, yr, yr) \
-            - np.einsum("ni,nj->nij", bary_a, bary_a)
-        eigs = np.linalg.eigvalsh(cov)
-        ratio = eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300)
-        bad = (eigs[:, 0] <= 0) | (ratio > HESSIAN_CONDITION_CAP)
-        if not bad.any():
-            try:
-                step = np.linalg.solve(cov, grad_a[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                # LAPACK may find singular, of unbounded condition number,
-                # a covariance whose eigenvalues passed
-                bad = eigs[:, 0] == eigs[:, 0].min()
-        if bad.any():
-            fiber = int(idx[np.nonzero(bad)[0][0]])
+        if _all(active):
+            idx = None
+            z_a, x_a, val_a, grad_a, cond_a, bary_a = (
+                z, x_red, val, grad, cond, bary)
+        else:
+            idx = np.nonzero(active)[0]
+            z_a, x_a, val_a, grad_a = z[idx], x_red[idx], val[idx], grad[idx]
+            cond_a, bary_a = cond[idx], bary[idx]
+        second = np.einsum("nm,mi,mj->nij", cond_a, yr, yr)
+        if line:
+            var = second[:, :, 0] - bary_a * bary_a
+            bad = var[:, 0] <= 0
+            worst = 1.0
+        else:
+            cov = second - np.einsum("ni,nj->nij", bary_a, bary_a)
+            eigs = np.linalg.eigvalsh(cov)
+            ratio = eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300)
+            bad = (eigs[:, 0] <= 0) | (ratio > HESSIAN_CONDITION_CAP)
+        if not _any(bad):
+            if line:
+                step = grad_a / var
+            else:
+                try:
+                    step = np.linalg.solve(cov, grad_a[:, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    # LAPACK may find singular, of unbounded condition
+                    # number, a covariance whose eigenvalues passed
+                    bad = eigs[:, 0] == eigs[:, 0].min()
+                worst = float(np.maximum.reduce(ratio))
+        if _any(bad):
+            fiber = int(np.nonzero(bad)[0][0])
             raise DegenerateFiber(
-                f"fiber {fiber}: conditional covariance condition number "
+                f"fiber {fiber if idx is None else int(idx[fiber])}: "
+                "conditional covariance condition number "
                 f"exceeds {HESSIAN_CONDITION_CAP:.0e}")
-        condition = max(condition, float(ratio.max()))
-        descent = np.einsum("nr,nr->n", grad_a, step)
+        condition = max(condition, worst)
+        descent = dot(grad_a, step)
 
         # once the predicted gain falls below the fp resolution of the
         # objective the Armijo test is meaningless; take the pure Newton step
         z_new = z_a + step
         val_new, cond_new, total = scored(z_new, x_a)
-        accepted = descent <= 1e-14 * (1.0 + np.abs(val_a))
+        accepted = descent <= 1e-14 * (1.0 + np.absolute(val_a))
         accepted |= val_new >= val_a + _ARMIJO * descent
         # the division of ``_softmax``: the full step's conditionals
         cond_new /= total
         bary_new = cond_new @ yr
         rejected = ~accepted
-        if rejected.any():
+        if _any(rejected):
             z_new[rejected], halvings = _backtrack(
                 value, z_a[rejected], step[rejected], x_a[rejected],
                 val_a[rejected], descent[rejected])
             backtracks += halvings
             (val_new[rejected], _, cond_new[rejected],
              bary_new[rejected]) = value_grad(z_new[rejected], x_a[rejected])
-        z[idx] = z_new
 
-        hn = _row_norms(z_new)
-        dual_max = max(dual_max, float(hn.max()))
-        if (hn > H_DIVERGENCE_BOUND).any():
-            fiber = int(idx[np.argmax(hn)])
+        hn = norms(z_new)
+        farthest = float(np.maximum.reduce(hn))
+        dual_max = max(dual_max, farthest)
+        if farthest > H_DIVERGENCE_BOUND:
+            fiber = int(np.argmax(hn))
             raise DualDivergence(
-                f"fiber {fiber}: |h| exceeded divergence bound "
-                f"{H_DIVERGENCE_BOUND:.0e}")
+                f"fiber {fiber if idx is None else int(idx[fiber])}: |h| "
+                f"exceeded divergence bound {H_DIVERGENCE_BOUND:.0e}")
 
-        val[idx], cond[idx], bary[idx] = val_new, cond_new, bary_new
-        grad[idx] = x_a - bary_new
-        active[idx] = _row_norms(grad[idx]) > _NEWTON_GRADIENT_TOLERANCE
+        if idx is None:
+            z, val, cond, bary = z_new, val_new, cond_new, bary_new
+            grad = x_red - bary_new
+            active = norms(grad) > _NEWTON_GRADIENT_TOLERANCE
+        else:
+            z[idx] = z_new
+            val[idx], cond[idx], bary[idx] = val_new, cond_new, bary_new
+            grad[idx] = x_a - bary_new
+            active[idx] = norms(grad[idx]) > _NEWTON_GRADIENT_TOLERANCE
 
-    if active.any():
+    if _any(active):
         raise NotConverged(
             f"inner Newton did not reach gradient tolerance within "
             f"{_NEWTON_MAX_STEPS} steps")
@@ -584,10 +637,19 @@ def _h_block(cond, y_red):
     the dual, sum_i mu_i G_i' G_i, and (L_i^-1)' G_i dpsi = Cov_i^-1
     (C_i Yc_i)' dpsi is the move of fiber i's dual under dpsi
     (``_predicted_start``). No other code forms Cov_i at an accepted point.
+    When nu spans a line, L_i^-1 = 1 / sqrt(Cov_i) is written out, as the
+    Newton step of ``_fiber_newton`` is.
     """
     centered = y_red[None, :, :] - (cond @ y_red)[:, None, :]   # (n, m, r)
     weighted = (cond[:, :, None] * centered).transpose(0, 2, 1)  # (n, r, m)
-    factor = np.linalg.inv(np.linalg.cholesky(weighted @ centered))
+    cov = weighted @ centered
+    if y_red.shape[1] != 1:
+        factor = np.linalg.inv(np.linalg.cholesky(cov))
+    elif _any(cov[:, 0, 0] <= 0):
+        # what cholesky refuses
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    else:
+        factor = 1.0 / np.sqrt(cov)
     return factor, factor @ weighted
 
 
@@ -616,29 +678,30 @@ def _predicted_start(prev, psi):
         return prev.z
     with np.errstate(all="ignore"):
         dz = np.einsum("nri,nr->ni", factor, gain @ (prev.psi - psi))
-    return prev.z + np.where(np.isfinite(dz).all(axis=1)[:, None], dz, 0.0)
+    return prev.z + np.where(_all(np.isfinite(dz), axis=1)[:, None], dz, 0.0)
 
 
-def _newton_direction(mu_w, cond, cols, curvature, gauge_cols, grad):
+def _newton_direction(sqrt_mu, cond, cols, curvature, gram, grad):
     """Ascent direction of the psi dual, or None if its curvature is singular.
 
     Solves (diag(cols) - sum_i mu_i c_i c_i' - R'R + N N') s = grad, where R
     holds the curvature rows of an eliminated block; both Gram terms come
-    from one symmetric product. N N' fills the gauge null space, so s keeps
-    the nu-weighted gauge whenever the gradient is orthogonal to it.
+    from one symmetric product. ``gram`` is N N', which fills the gauge
+    null space, so s keeps the nu-weighted gauge whenever the gradient is
+    orthogonal to it; ``sqrt_mu`` is the column of sqrt(mu_i).
     """
-    rows = cond * np.sqrt(mu_w)[:, None]
+    rows = cond * sqrt_mu
     if curvature is not None:
         try:
             rows = np.concatenate([rows, curvature()])
         except np.linalg.LinAlgError:
             return None
-    hess = np.diag(cols) + gauge_cols @ gauge_cols.T - rows.T @ rows
+    hess = np.diag(cols) + gram - rows.T @ rows
     try:
         step = np.linalg.solve(hess, grad)
     except np.linalg.LinAlgError:
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-    return step if np.all(np.isfinite(step)) else None
+    return step if _all(np.isfinite(step)) else None
 
 
 class _DualPoint(NamedTuple):
@@ -675,6 +738,8 @@ def _psi_newton(fibers, mu_w, nu_w, gauge, psi, stop, ceiling=math.inf):
     outer iteration) and whether ``stop`` accepted the point.
     """
     gauge_cols = nu_w[:, None] * gauge
+    gram = gauge_cols @ gauge_cols.T
+    sqrt_mu = np.sqrt(mu_w)[:, None]
     log_nu = np.log(nu_w)
 
     def evaluate(psi, prev):
@@ -682,7 +747,7 @@ def _psi_newton(fibers, mu_w, nu_w, gauge, psi, stop, ceiling=math.inf):
         cols = mu_w @ cond
         return _DualPoint(psi, phi, cond, prev, curvature, cols,
                           float(nu_w @ psi + mu_w @ phi),
-                          float(np.abs(cols - nu_w).sum()))
+                          float(np.add.reduce(np.absolute(cols - nu_w))))
 
     def attempt(psi, prev):
         try:
@@ -705,8 +770,8 @@ def _psi_newton(fibers, mu_w, nu_w, gauge, psi, stop, ceiling=math.inf):
             return point, np.asarray(trace), False
 
         grad = nu_w - point.cols
-        step = _newton_direction(mu_w, point.cond, point.cols, point.curvature,
-                                 gauge_cols, grad)
+        step = _newton_direction(sqrt_mu, point.cond, point.cols,
+                                 point.curvature, gram, grad)
         trial = None
         if step is not None:
             gain = float(grad @ step)
@@ -772,8 +837,8 @@ def _fixed_point(mu, nu, config):
 
     def residuals(cols, cond):
         drift = cond @ geom.y_red - x_red
-        return (float(np.abs(cols - nu.weights).sum()),
-                float(np.max(np.linalg.norm(drift, axis=1))))
+        return (float(np.add.reduce(np.absolute(cols - nu.weights))),
+                float(np.maximum.reduce(_row_norms(drift))))
 
     def stop(cols, cond):
         marg, mart = residuals(cols, cond)
@@ -803,7 +868,17 @@ def _fixed_point(mu, nu, config):
                        martingale_residual=mart, converged=converged,
                        dual_trace=dual_trace, inner_steps=work[0],
                        backtracks=work[1], fiber_condition=work[2],
-                       fiber_dual_max=work[3])
+                       fiber_dual_max=work[3], rate=_rate(dual_trace))
+
+
+def _rate(trace):
+    """The ratio of the last two dual increments that exceed the
+    floating-point floor 1e-14 (1 + |D|) at the last dual value D; 0.0
+    when fewer than two do. A linearly converging ascent keeps it at its
+    rate, a Newton ascent drives it toward 0."""
+    rises = np.diff(trace)
+    rises = rises[rises > 1e-14 * (1.0 + abs(float(trace[-1])))]
+    return float(rises[-1] / rises[-2]) if len(rises) >= 2 else 0.0
 
 
 def gibbs_coupling(triple, mu, nu):

@@ -97,6 +97,24 @@ def test_fiber_conditioning_goes_to_stderr_only(tmp_path, study_files, capsys,
         assert "Hessian" not in text and "|z|" not in text
 
 
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_the_dual_rate_goes_to_stderr_only(tmp_path, study_files, capsys,
+                                           command):
+    mu, nu = study_files
+    out = tmp_path / "run"
+    assert main([command, "--mu", mu, "--nu", nu, "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().err.split("\n")
+             if "ascent" in line]
+    assert len(lines) == 1
+    found = re.fullmatch(rf"\[{command}\] dual ascent rate (\S+) \(ratio of "
+                         r"the last two dual rises above the floating-point "
+                         r"floor\)", lines[0])
+    report = sinkhorn_msb(*study_instance())
+    assert found[1] == f"{report.rate:.4g}"
+    for artifact in out.iterdir():
+        assert "ascent" not in artifact.read_text(encoding="utf-8")
+
+
 def test_certify_reports_a_stalled_classical_solve(tmp_path, study_files,
                                                    capsys, monkeypatch):
     def stalled(*args, **kwargs):
@@ -384,6 +402,24 @@ def test_certify_evaluates_the_reference_identity_once(tmp_path,
 
     monkeypatch.setattr(cli, "gaussian_reference_identity_check",
                         counting_check)
+    mu, nu = study_files
+    code = main(["certify", "--mu", mu, "--nu", nu,
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_certify_whitens_nu_once(tmp_path, monkeypatch, study_files):
+    # the fiber geometry, the gauge and the reference identity all read
+    # nu's frame, which the measure keeps after its one SVD
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     mu, nu = study_files
     code = main(["certify", "--mu", mu, "--nu", nu,
                  "--out", str(tmp_path / "run")])

@@ -90,6 +90,15 @@ def test_inner_dual_matches_atanh_for_symmetric_bernoulli():
         assert abs(cond @ nu.atoms[:, 0] - x) < 1e-11
 
 
+def test_an_exact_zero_fiber_value_is_a_positive_zero():
+    # x sits within the gradient tolerance of nu's barycenter, so the fiber
+    # stays at z = 0, where <z, x> = 0 * x and the log-partition are both
+    # zero; the value is +0, as einsum's sum gives it, not -0
+    nu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
+    _, phi, _ = inner_dual_solve(np.array([-1e-13]), np.zeros(2), nu)
+    assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
+
+
 def test_inner_dual_rejects_boundary_and_off_hull_points():
     nu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
     psi = np.zeros(2)
@@ -115,9 +124,13 @@ def test_a_covariance_lapack_finds_singular_raises_degenerate_fiber(
         monkeypatch):
     # LAPACK may refuse a conditional covariance whose eigenvalues passed the
     # conditioning cap; the fiber Newton names the fiber instead of letting
-    # numpy's LinAlgError escape the solve
-    mu, nu = study_instance()
+    # numpy's LinAlgError escape the solve. A rank-1 fiber divides by its
+    # variance without LAPACK, so the pair is the CI's d = 2 one
+    mu = DiscreteMeasure([[-0.2, 0.1], [0.2, -0.1]], [0.5, 0.5])
+    nu = DiscreteMeasure([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]],
+                         [0.245, 0.255, 0.255, 0.245])
     geom = solver._FiberGeometry(nu)
+    assert geom.rank == 2
     x_red = geom.reduce_points(mu.atoms)
 
     def singular(a, b):
@@ -126,6 +139,78 @@ def test_a_covariance_lapack_finds_singular_raises_degenerate_fiber(
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(DegenerateFiber, match="^fiber 0: "):
         fiber_newton(geom, x_red, np.zeros(nu.n))
+
+
+def _linalg_calls(monkeypatch, call):
+    """The name and argument shapes of every ``numpy.linalg`` function
+    that ``call()`` reaches."""
+    calls = []
+
+    def recording(name, function):
+        def recorded(*args, **kwargs):
+            calls.append((name, [np.shape(a) for a in args
+                                 if isinstance(a, np.ndarray)]))
+            return function(*args, **kwargs)
+        return recorded
+
+    with monkeypatch.context() as m:
+        for name in ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv",
+                     "lstsq", "norm", "pinv", "qr", "solve", "svd"):
+            m.setattr(np.linalg, name,
+                      recording(name, getattr(np.linalg, name)))
+        call()
+    return calls
+
+
+def test_a_line_solve_passes_no_one_by_one_stack_to_numpy_linalg(
+        monkeypatch):
+    # on a line every fiber Hessian is a variance: the fiber Newton, its
+    # h block and the predicted starts divide by it, and only the m x m psi
+    # system reaches np.linalg.solve
+    mu, nu = _benchmark_peacock(0.05)
+    calls = _linalg_calls(monkeypatch, lambda: sinkhorn_msb(mu, nu))
+    stacked = [(name, shapes) for name, shapes in calls
+               if any(len(s) >= 3 and s[-2:] == (1, 1) for s in shapes)]
+    assert stacked == []
+    solves = [shapes[0] for name, shapes in calls if name == "solve"]
+    assert solves and set(solves) == {(nu.n, nu.n)}
+
+
+def test_the_dual_rate_reads_linear_on_reducible_pairs_and_fast_on_strict():
+    # a reducible peacock's dual rises at the rate 1/e per iteration; the
+    # strict study pair converges quadratically
+    report = sinkhorn_msb(*peacock(10, 0.05))
+    assert report.converged
+    assert 0.3 <= report.rate <= 0.45
+    study = sinkhorn_msb(*study_instance())
+    assert 0.0 < study.rate < 1e-3
+    assert solver._rate(np.array([0.5, 0.5])) == 0.0
+
+
+def line_in_the_plane(measure, center=(1.0, -0.5), direction=(0.6, 0.8)):
+    """A measure on the line placed on center + t direction in the plane."""
+    return DiscreteMeasure(np.asarray(center)
+                           + measure.atoms[:, :1] * np.asarray(direction),
+                           measure.weights)
+
+
+def test_a_rank_one_pair_in_the_plane_solves_as_on_the_line(tmp_path):
+    # nu spans a line in d = 2, so its frame has rank 1 and every fiber
+    # takes the closed forms of the line
+    mu, nu = study_instance()
+    mu2, nu2 = line_in_the_plane(mu), line_in_the_plane(nu)
+    assert solver._FiberGeometry(nu2).rank == 1
+    line, plane = sinkhorn_msb(mu, nu), sinkhorn_msb(mu2, nu2)
+    assert plane.converged
+    assert np.abs(plane.coupling.matrix - line.coupling.matrix).sum() < 1e-14
+    paths = []
+    for name, measure in (("mu", mu2), ("nu", nu2)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(measure_to_json(measure)), encoding="utf-8")
+        paths.append(str(path))
+    code = main(["certify", "--mu", paths[0], "--nu", paths[1],
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
 
 
 def test_golden_section_oracle_matches_solver_on_the_one_parameter_family():
