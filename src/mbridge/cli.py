@@ -164,9 +164,10 @@ def _solve_payload(args, command, report):
 def _solve_work(command, report):
     """The solve's outer iterations, inner Newton steps and backtracks, on
     a second line its worst fiber Hessian condition number and largest
-    fiber dual |z| (nu's frame), and on a third the rate of its dual
-    ascent, on stderr beside the wall clock: like timing, they never enter
-    an artifact."""
+    fiber dual |z| (nu's frame), on a third the rate of its dual ascent and
+    on a fourth the irreducible components it found on nu's line, on
+    stderr beside the wall clock: like timing, they never enter an
+    artifact."""
     print(f"[{command}] {report.iterations} outer iterations, "
           f"{report.inner_steps} inner Newton steps, "
           f"{report.backtracks} backtracks", file=sys.stderr)
@@ -176,6 +177,8 @@ def _solve_work(command, report):
     print(f"[{command}] dual ascent rate {report.rate:.4g} (ratio of the "
           "last two dual rises above the floating-point floor)",
           file=sys.stderr)
+    print(f"[{command}] {report.components} irreducible components "
+          "(found on nu's line, 1 elsewhere)", file=sys.stderr)
 
 
 def cmd_solve(args):

@@ -45,6 +45,31 @@ psi_j <- psi_j - log(cols_j / nu_j), a block-ascent step, so the dual still
 rises. Once a step neither raises the dual nor lowers the marginal defect,
 the iterate sits at the floating-point floor and the kernel stops.
 
+A pair in convex order may be reducible: its martingale couplings then
+split into irreducible components, and the MSB is the sum of the
+components' MSBs. Its Gibbs potentials do not exist (psi
+diverges as off-component entries go to 0), so the Newton ascent from
+psi = 0 creeps toward the limit at rate 1/e. When nu's frame has rank 1
+the components are read off the potential functions before the first
+fiber solve (``_line_components``): they are the maximal open intervals
+where u_mu < u_nu (Beiglboeck & Juillet, Ann. Probab. 2016), cut at the
+interior nu atoms where u_nu - u_mu vanishes up to the slack of the
+convex-order test, and a mu atom on such a touch point is a component by
+itself. A nu atom on a boundary splits its mass between its neighbours:
+each component's mass and mean fix the shares of its two boundary atoms,
+one 2 x 2 solve. Each component is solved alone (in closed form for one
+mu atom, by ``_fixed_point`` for several), the constant gauges are
+aligned at the shared atoms, and a convex tilt by f(s) = sum_k |s - t_k|
+over the touch points t_k, linear on each component, drives every cross
+conditional below eps times the tolerance without moving any exponent
+within a component (``_component_start``). The psi Newton starts at that
+finite point. It is only a start: the stop rule and the gap check decide
+convergence as from psi = 0, a pair with one component (every pair in
+strict convex order) starts at psi = 0 as before, and a failed split or
+component solve falls back to it. The cross entries stay positive, just
+below the floor: a steeper tilt buys nothing the stop rule can see, and
+|psi| and |h| grow with it, so every exponent rounds at a larger size.
+
 The fibers live in nu's frame (``measures._frame``): the atoms centred at
 nu's barycenter and whitened to unit nu-covariance on the span of their
 differences. The problem and its constraints survive an affine map of both
@@ -77,11 +102,11 @@ coupling exists. Only a solve that does neither (an inner failure, a stall,
 the iteration cap, a conditional at the floor) is diagnosed: convex order
 first, then the relative interior for all mu atoms. A converged coupling
 with a conditional at the floor still witnesses convex order, so only the
-interior question is asked of it. On the line both are
-read off the potential functions u(t) = E|X - t| with no LP: convex order
-is u_mu <= u_nu, which at the extreme atoms says the means agree, and an
-atom is interior when it lies strictly between the extreme nu atoms. In
-dimension two or more each is one LP.
+interior question is asked of it. When nu spans a line (in any
+dimension, read in its frame's coordinate) both are read off the potential
+functions u(t) = E|X - t| with no LP: convex order is u_mu <= u_nu, which
+at the extreme atoms says the means agree, and an atom is interior when it
+lies strictly between the extreme nu atoms. Otherwise each is one LP.
 
 The variational identity P = SP(mubar, nu) + MCov(mubar, mu), with the base
 measure mubar = h#mu, is checked from the same potentials. The classical
@@ -101,8 +126,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateFiber, DualDivergence, NotConverged,
-                     NotInConvexOrder, NotIrreducible, StructuralError)
+from .errors import (DegenerateFiber, DualDivergence, MbridgeError,
+                     NotConverged, NotInConvexOrder, NotIrreducible,
+                     StructuralError)
 from .measures import (Coupling, DiscreteMeasure, _frame, _log_partition,
                        _softmax, check_convex_order, coupling_constraints,
                        linprog, mcov_discrete, primal_value)
@@ -218,6 +244,9 @@ class SolveReport:
     fiber_dual_max: float = 0.0
     # the observed linear rate of the dual ascent (``_rate``)
     rate: float = 0.0
+    # the irreducible components found on the line (``_line_components``),
+    # 1 when none were or nu's frame is not a line
+    components: int = 1
 
 
 def gauge_normalize(triple, mu, nu):
@@ -321,8 +350,23 @@ def _inside_hull_1d(points, nu):
 
 def _diagnose(points, nu, mu=None):
     """Raise NotInConvexOrder (given mu) or NotIrreducible if the pair shows
-    either; otherwise return, so the caller's answer stands. On the line the
-    potential functions decide, elsewhere one LP for each question."""
+    either; otherwise return, so the caller's answer stands. When nu spans
+    a line (its frame has rank 1, in any dimension) the potential functions
+    decide, read in the frame's coordinate; a point off that line is not
+    interior, and a mu atom off it rules out convex order. Elsewhere one LP
+    decides each question."""
+    if nu.dim > 1 and _frame(nu)[1].shape[1] == 1:
+        geom = _FiberGeometry(nu)
+        try:
+            points = geom.reduce_points(points)
+        except NotIrreducible:
+            if mu is None:
+                raise
+            raise NotInConvexOrder(
+                "a mu atom lies off the line of supp(nu)") from None
+        if mu is not None:
+            mu = DiscreteMeasure(geom.reduce_points(mu.atoms), mu.weights)
+        nu = DiscreteMeasure(geom.y_red, nu.weights)
     line = nu.dim == 1
     if mu is not None and not (_convex_order_1d(mu, nu) if line
                                else check_convex_order(mu, nu)[0]):
@@ -797,6 +841,151 @@ def _psi_newton(fibers, mu_w, nu_w, gauge, psi, stop, ceiling=math.inf):
         point = trial
 
 
+class _Component(NamedTuple):
+    """One irreducible component of a pair on the line: its mu atoms, its
+    nu atoms with the mass each gives it, and the slope of the tilt f on
+    it (see ``_component_start``)."""
+
+    rows: np.ndarray
+    atoms: np.ndarray
+    shares: np.ndarray
+    slope: float
+
+
+def _line_components(x, mu_w, y, nu_w, tolerance):
+    """The irreducible components of a pair on the line, and its touch
+    points; None when there is one component or the split fails.
+
+    ``x`` and ``y`` are the atoms in nu's frame coordinate. A touch point
+    is an interior nu atom where u_nu - u_mu is at most the slack of
+    ``_convex_order_1d``. Each open interval between touch points (or the
+    extreme nu atoms) that holds mu atoms is a component, and a mu atom on a
+    touch point is one by itself. A nu atom on a boundary splits its mass
+    between the components beside it: a component's mass and mean fix the
+    shares of its two boundary atoms. The split fails when a share is not
+    positive, when a mu atom lies on an extreme nu atom, or when the shares
+    miss nu's weights by more than half the tolerance in L1 (the other half
+    is left to the components' solves).
+    """
+    # u_nu - u_mu is the potential of the signed measure nu - mu, whose
+    # weights sum to 0: at each of its sorted atoms a_k, with cumulative
+    # weight F_k and moment G_k, it is 2 (a_k F_k - G_k) + G_total
+    m = len(y)
+    both = np.concatenate((y, x))
+    order = np.argsort(both, kind="stable")
+    a, w = both[order], np.concatenate((nu_w, -mu_w))[order]
+    cum_w, cum_m = np.cumsum(w), np.cumsum(w * a)
+    gap = 2.0 * (a * cum_w - cum_m) + cum_m[-1]
+    nu_at = order < m
+    order, ys, gap = order[nu_at], a[nu_at], gap[nu_at]
+    slack = _ORDER_SLACK * max(-ys[0], ys[-1])
+    touch = np.flatnonzero(gap[1:-1] <= slack) + 1
+    # the minimum of u_nu - u_mu lies at a nu atom, so this is convex order
+    if not touch.size or _any(gap < -slack):
+        return None
+    t = ys[touch]
+    ends = np.concatenate([[0], touch, [len(ys) - 1]])
+    near = np.abs(x[:, None] - t[None, :])
+    on = np.minimum.reduce(near, axis=1) <= slack
+    # a mu atom on touch point q is component 2 q + 1, one in the open
+    # interval p is component 2 p
+    part = np.where(on, 2 * np.argmin(near, axis=1) + 1,
+                    2 * np.searchsorted(ys[ends], x) - 2)
+    inside = (part % 2 == 1) | ((ys[0] < x) & (x < ys[-1]))
+    if not _all(inside):
+        return None
+    comps, assigned = [], np.zeros(len(y))
+    for c in np.unique(part):
+        rows = np.flatnonzero(part == c)
+        q = c // 2
+        if c % 2:
+            if len(rows) > 1:
+                return None
+            atoms, shares = order[touch[q:q + 1]], mu_w[rows]
+            slope = 2.0 * q + 1.0 - len(t)
+        else:
+            lo, hi = ends[q], ends[q + 1]
+            atoms = order[lo:hi + 1]
+            inner = nu_w[atoms[1:-1]]
+            rest = float(mu_w[rows].sum() - inner.sum())
+            right = (float(mu_w[rows] @ x[rows] - inner @ ys[lo + 1:hi])
+                     - rest * ys[lo]) / (ys[hi] - ys[lo])
+            shares = np.concatenate([[rest - right], inner, [right]])
+            if not _all(shares > 0.0):
+                return None
+            slope = 2.0 * q - len(t)
+        np.add.at(assigned, atoms, shares)
+        comps.append(_Component(rows, atoms, shares, slope))
+    if (len(comps) < 2 or not _all(assigned > 0.0)
+            or np.abs(assigned - nu_w).sum() > 0.5 * tolerance):
+        return None
+    return comps, t
+
+
+def _component_start(x, mu_w, y, nu_w, comps, t, tolerance):
+    """A finite start (psi0, z0) near the limit of a reducible pair on the
+    line, or None if a component's solve fails.
+
+    Each component is solved alone: a single mu atom's conditional is nu's
+    restriction (psi_j = log(share_j / nu_j), z = 0), several are solved by
+    ``_fixed_point`` at a tolerance that keeps the glued defects below the
+    global one. The components' constant gauges are aligned at the nu
+    atoms they share, and then tilted by L f with f(s) = sum_k |s - t_k|
+    over the touch points: psi_j -= L f(y_j) and z_i += L f'(component of
+    i). f is linear on each component, so no exponent within one moves,
+    while a cross exponent falls by L times f minus its linear part there,
+    at least twice the distance to the component (on a touch point f' is
+    the mean of the two slopes, and the fall is at least the distance). L
+    is the smallest that puts every cross conditional at or below eps
+    times the tolerance, far below anything the stop rule resolves.
+    """
+    psi, z = np.full(len(y), np.nan), np.zeros(len(x))
+    slope = np.zeros(len(x))
+    own = np.zeros((len(x), len(y)), dtype=bool)
+    for rows, atoms, shares, comp_slope in comps:
+        local = np.log(shares / nu_w[atoms])
+        if len(rows) > 1:
+            mass = float(shares.sum())
+            # nu's spread on a component of mass M is at most 1 / sqrt(M) in
+            # nu's frame, so a defect of tol sqrt(M) / 2 in the component's
+            # frame leaves at most tol / 2 of drift, and M tol / 2 of mass
+            try:
+                sub = _fixed_point(
+                    DiscreteMeasure(x[rows, None], mu_w[rows] / mass),
+                    DiscreteMeasure(y[atoms, None], shares / mass),
+                    SolverConfig(0.5 * tolerance * math.sqrt(mass)))
+            except MbridgeError:
+                return None
+            if not sub.converged or sub.coupling.matrix.shape != (
+                    len(rows), len(atoms)):
+                return None
+            local += sub.potentials.psi
+            z[rows] = sub.potentials.h[:, 0]
+        # at most one atom, the left boundary, is shared with a component
+        # placed before
+        known = ~np.isnan(psi[atoms])
+        local += float(np.add.reduce(psi[atoms][known] - local[known]))
+        psi[atoms] = local
+        slope[rows] = comp_slope
+        own[rows[:, None], atoms[None, :]] = True
+
+    def f(s):
+        return np.add.reduce(np.absolute(s[:, None] - t), axis=1)
+
+    moved = y[None, :] - x[:, None]
+    logits = np.log(nu_w) + psi + z[:, None] * moved
+    # each row's log partition over its own atoms
+    top, total = _log_partition(np.where(own, logits, -np.inf), axis=1)
+    cross = logits - (top + np.log(total))
+    fall = f(y)[None, :] - f(x)[:, None] - slope[:, None] * moved
+    if not _all(fall[~own] > 0.0):
+        return None
+    floor = math.log(np.finfo(float).eps * tolerance)
+    tilt = max(0.0, float(np.maximum.reduce((cross - floor)[~own]
+                                            / fall[~own])))
+    return psi - tilt * f(y), (z + tilt * slope)[:, None]
+
+
 def _fixed_point(mu, nu, config):
     """The psi-dual Newton solve of ``sinkhorn_msb``, without diagnosis.
 
@@ -805,7 +994,9 @@ def _fixed_point(mu, nu, config):
     the L1 column defect times the largest atom, both measured in nu's
     frame; a larger gap proves that no martingale coupling exists. The mean
     of nu is read from its whitened atoms, not taken as 0, since the
-    barycenter itself rounds at |c| eps.
+    barycenter itself rounds at |c| eps. The psi Newton starts at psi = 0,
+    or, on a pair with several components on nu's line, at
+    ``_component_start``.
     """
     # weak duality: the dual never exceeds the primal <= min(H(mu), H(nu))
     bound = min(float(-(w @ np.log(w))) for w in (mu.weights, nu.weights))
@@ -817,12 +1008,24 @@ def _fixed_point(mu, nu, config):
             f"the means differ by {gap:.3e} of nu's spread: no martingale "
             "coupling exists")
 
+    psi0, z_start, components = np.zeros(nu.n), None, 1
+    if geom.rank == 1 and nu.n > 2:
+        x, y = x_red[:, 0], geom.y_red[:, 0]
+        found = _line_components(x, mu.weights, y, nu.weights,
+                                 config.tolerance)
+        if found is not None:
+            components = len(found[0])
+            start = _component_start(x, mu.weights, y, nu.weights, *found,
+                                     config.tolerance)
+            if start is not None:
+                psi0, z_start = start
+
     sqrt_mu = np.sqrt(mu.weights)[:, None, None]
     # inner Newton steps and backtracks, worst condition and largest |z|
     work = [0, 0, 0.0, 0.0]
 
     def fibers(psi, prev):
-        z0 = None if prev is None else _predicted_start(prev, psi)
+        z0 = z_start if prev is None else _predicted_start(prev, psi)
         solve = _fiber_newton(geom, x_red, psi, z0=z0)
         work[0] += solve.steps
         work[1] += solve.backtracks
@@ -846,7 +1049,7 @@ def _fixed_point(mu, nu, config):
 
     gauge = np.column_stack([np.ones(nu.n), geom.y_red])
     point, dual_trace, converged = _psi_newton(
-        fibers, mu.weights, nu.weights, gauge, np.zeros(nu.n), stop,
+        fibers, mu.weights, nu.weights, gauge, psi0, stop,
         ceiling=bound + 1e-9 * (1.0 + bound))
     marg, mart = residuals(point.cols, point.cond)
 
@@ -868,7 +1071,8 @@ def _fixed_point(mu, nu, config):
                        martingale_residual=mart, converged=converged,
                        dual_trace=dual_trace, inner_steps=work[0],
                        backtracks=work[1], fiber_condition=work[2],
-                       fiber_dual_max=work[3], rate=_rate(dual_trace))
+                       fiber_dual_max=work[3], rate=_rate(dual_trace),
+                       components=components)
 
 
 def _rate(trace):

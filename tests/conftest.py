@@ -64,6 +64,40 @@ def peacock(n, a, shift=0.0):
             DiscreteMeasure(y[:, None], np.full(2 * n, 0.5 / n)))
 
 
+def chained_blocks(rng, blocks=4, point=0.0):
+    """Peacock blocks chained on the line: block k puts nu on 2k - 1, a few
+    inner points and 2k + 1, so neighbours share an atom, and its 2 to 4 mu
+    atoms are barycenters of a strictly positive coupling with that nu.
+    Each block is an irreducible component. ``point`` > 0 also puts a mu
+    atom of that weight on the atom block 0 shares with block 1, where it
+    stays. Returns (mu, nu, matrix, parts): ``matrix`` is the generating
+    martingale coupling and ``parts`` the (rows, columns) of each block."""
+    mass = rng.dirichlet(np.full(blocks, 3.0)) * (1.0 - point)
+    ends = 2.0 * np.arange(blocks + 1) - 1.0
+    parts, xs, cells = [], [], []
+    for k in range(blocks):
+        inner = np.sort(rng.uniform(-0.8, 0.8, int(rng.integers(1, 4))))
+        atoms = np.concatenate([[ends[k]], 2.0 * k + inner, [ends[k + 1]]])
+        cell = rng.uniform(0.05, 1.0, (int(rng.integers(2, 5)), len(atoms)))
+        cell *= mass[k] / cell.sum()
+        xs.extend(cell @ atoms / cell.sum(axis=1))
+        cells.append((atoms, cell))
+    y = np.unique(np.concatenate([atoms for atoms, _ in cells]))
+    if point:
+        xs.append(ends[1])
+        cells.append((ends[1:2], np.array([[point]])))
+    matrix = np.zeros((len(xs), len(y)))
+    row = 0
+    for atoms, cell in cells:
+        rows = np.arange(row, row + len(cell))
+        cols = np.searchsorted(y, atoms)
+        matrix[rows[:, None], cols[None, :]] = cell
+        parts.append((rows, cols))
+        row += len(cell)
+    return (DiscreteMeasure(np.array(xs)[:, None], matrix.sum(axis=1)),
+            DiscreteMeasure(y[:, None], matrix.sum(axis=0)), matrix, parts)
+
+
 def lifted(measure):
     """The measure with a zero coordinate appended to every atom, (x, 0).
 

@@ -115,6 +115,27 @@ def test_the_dual_rate_goes_to_stderr_only(tmp_path, study_files, capsys,
         assert "ascent" not in artifact.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_the_components_go_to_stderr_only(tmp_path, study_files, capsys,
+                                          command):
+    # the strict study pair is one component, the peacock n = 10, a = 0.1
+    # has one per mu atom
+    mu, nu = peacock(10, 0.1)
+    peacock_files = [write_measure(tmp_path / f"{name}.json", m.atoms,
+                                   m.weights)
+                     for name, m in (("pmu", mu), ("pnu", nu))]
+    for (mu, nu), count in ((study_files, 1), (peacock_files, 10)):
+        out = tmp_path / f"run{count}"
+        assert main([command, "--mu", mu, "--nu", nu,
+                     "--out", str(out)]) == 0
+        lines = [line for line in capsys.readouterr().err.split("\n")
+                 if "components" in line]
+        assert lines == [f"[{command}] {count} irreducible components "
+                         "(found on nu's line, 1 elsewhere)"]
+        for artifact in out.iterdir():
+            assert "irreducible" not in artifact.read_text(encoding="utf-8")
+
+
 def test_certify_reports_a_stalled_classical_solve(tmp_path, study_files,
                                                    capsys, monkeypatch):
     def stalled(*args, **kwargs):
@@ -698,6 +719,24 @@ def test_happy_paths_load_no_scipy(tmp_path, study_files):
     codes, scipy = json.loads(fresh_python(
         f"RUNS = {runs!r}\n{RUN_AND_LIST_SCIPY}").splitlines()[-1])
     assert codes == [0] * len(runs)
+    assert scipy == []
+
+
+def test_a_reducible_pair_on_a_line_of_the_plane_loads_no_scipy(tmp_path):
+    # mu = {-1, 1}, nu = {-2, 0, 2} on (1, -0.5) + t (0.6, 0.8): two
+    # components, so the converged coupling has conditionals at the floor,
+    # and nu's rank-1 frame lets the diagnosis read the potential functions
+    line = np.array([1.0, -0.5]), np.array([0.6, 0.8])
+    mu, nu = (write_measure(tmp_path / f"{name}.json",
+                            line[0] + np.array(ts)[:, None] * line[1], w)
+              for name, ts, w in (("mu", [-1.0, 1.0], [0.5, 0.5]),
+                                  ("nu", [-2.0, 0.0, 2.0],
+                                   [0.25, 0.5, 0.25])))
+    runs = [["certify", "--mu", mu, "--nu", nu,
+             "--out", str(tmp_path / "run")]]
+    codes, scipy = json.loads(fresh_python(
+        f"RUNS = {runs!r}\n{RUN_AND_LIST_SCIPY}").splitlines()[-1])
+    assert codes == [0]
     assert scipy == []
 
 

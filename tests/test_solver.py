@@ -46,8 +46,9 @@ from mbridge.solver import (_ARMIJO, _NEWTON_GRADIENT_TOLERANCE,
                             H_DIVERGENCE_BOUND, HESSIAN_CONDITION_CAP,
                             _diagnose)
 from mbridge.solver import _fiber_newton as fiber_newton
-from conftest import (golden_section, lifted, peacock, planted_instance,
-                      random_instance, study_instance, two_by_three_family)
+from conftest import (chained_blocks, golden_section, lifted, peacock,
+                      planted_instance, random_instance, study_instance,
+                      two_by_three_family)
 
 
 def entropy_of(matrix, mu, nu):
@@ -162,11 +163,18 @@ def _linalg_calls(monkeypatch, call):
     return calls
 
 
+def without_the_component_start(monkeypatch):
+    """Start every psi solve at psi = 0, as a pair with one component does;
+    from the component start a reducible peacock takes no Newton step."""
+    monkeypatch.setattr(solver, "_component_start", lambda *args: None)
+
+
 def test_a_line_solve_passes_no_one_by_one_stack_to_numpy_linalg(
         monkeypatch):
     # on a line every fiber Hessian is a variance: the fiber Newton, its
     # h block and the predicted starts divide by it, and only the m x m psi
     # system reaches np.linalg.solve
+    without_the_component_start(monkeypatch)
     mu, nu = _benchmark_peacock(0.05)
     calls = _linalg_calls(monkeypatch, lambda: sinkhorn_msb(mu, nu))
     stacked = [(name, shapes) for name, shapes in calls
@@ -176,9 +184,14 @@ def test_a_line_solve_passes_no_one_by_one_stack_to_numpy_linalg(
     assert solves and set(solves) == {(nu.n, nu.n)}
 
 
-def test_the_dual_rate_reads_linear_on_reducible_pairs_and_fast_on_strict():
-    # a reducible peacock's dual rises at the rate 1/e per iteration; the
+def test_the_dual_rate_reads_linear_on_reducible_pairs_and_fast_on_strict(
+        monkeypatch):
+    # from psi = 0 a reducible peacock's dual rises at the rate 1/e per
+    # iteration, and from the component start it converges at once; the
     # strict study pair converges quadratically
+    started = sinkhorn_msb(*peacock(10, 0.05))
+    assert started.converged and started.iterations <= 2
+    without_the_component_start(monkeypatch)
     report = sinkhorn_msb(*peacock(10, 0.05))
     assert report.converged
     assert 0.3 <= report.rate <= 0.45
@@ -194,6 +207,18 @@ def line_in_the_plane(measure, center=(1.0, -0.5), direction=(0.6, 0.8)):
                            measure.weights)
 
 
+def _certify(tmp_path, mu, nu):
+    """Write the pair under ``tmp_path`` and return the exit code of
+    ``mbridge certify`` on it, whose artifacts go to ``tmp_path / "run"``."""
+    paths = []
+    for name, measure in (("mu", mu), ("nu", nu)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(measure_to_json(measure)), encoding="utf-8")
+        paths.append(str(path))
+    return main(["certify", "--mu", paths[0], "--nu", paths[1],
+                 "--out", str(tmp_path / "run")])
+
+
 def test_a_rank_one_pair_in_the_plane_solves_as_on_the_line(tmp_path):
     # nu spans a line in d = 2, so its frame has rank 1 and every fiber
     # takes the closed forms of the line
@@ -203,14 +228,7 @@ def test_a_rank_one_pair_in_the_plane_solves_as_on_the_line(tmp_path):
     line, plane = sinkhorn_msb(mu, nu), sinkhorn_msb(mu2, nu2)
     assert plane.converged
     assert np.abs(plane.coupling.matrix - line.coupling.matrix).sum() < 1e-14
-    paths = []
-    for name, measure in (("mu", mu2), ("nu", nu2)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(measure_to_json(measure)), encoding="utf-8")
-        paths.append(str(path))
-    code = main(["certify", "--mu", paths[0], "--nu", paths[1],
-                 "--out", str(tmp_path / "run")])
-    assert code == 0
+    assert _certify(tmp_path, mu2, nu2) == 0
 
 
 def test_golden_section_oracle_matches_solver_on_the_one_parameter_family():
@@ -437,14 +455,7 @@ def test_peacock_certify_runs_no_lp(tmp_path, monkeypatch):
     # the solve converges with conditionals at the floor, so it is
     # diagnosed; on the line the diagnosis reads the potential functions
     _forbid_lps(monkeypatch)
-    paths = []
-    for name, measure in zip(("mu", "nu"), peacock(50, 0.3)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(measure_to_json(measure)), encoding="utf-8")
-        paths.append(str(path))
-    code = main(["certify", "--mu", paths[0], "--nu", paths[1],
-                 "--out", str(tmp_path / "run")])
-    assert code == 0
+    assert _certify(tmp_path, *peacock(50, 0.3)) == 0
 
 
 def test_line_diagnosis_scales_to_twenty_thousand_atoms(monkeypatch):
@@ -517,14 +528,7 @@ def test_reducible_pair_converges_and_certifies(tmp_path):
     report = sinkhorn_msb(mu, nu)
     assert report.converged
     assert report.iterations < 100
-    paths = []
-    for name, measure in (("mu", mu), ("nu", nu)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(measure_to_json(measure)), encoding="utf-8")
-        paths.append(str(path))
-    code = main(["certify", "--mu", paths[0], "--nu", paths[1],
-                 "--out", str(tmp_path / "run")])
-    assert code == 0
+    assert _certify(tmp_path, mu, nu) == 0
 
 
 def test_peacock_converges_in_few_newton_iterations():
@@ -536,15 +540,116 @@ def test_peacock_converges_in_few_newton_iterations():
 
 @pytest.mark.parametrize("a", [0.1, 0.05])
 def test_small_peacocks_stop_well_before_the_cap(a):
-    # the optimizers have zeros, so the dual sup need not be attained; the
-    # solve must still return or raise long before the iteration cap
-    mu, nu = peacock(10, a)
+    # the optimizers have zeros, so the dual sup is not attained; started at
+    # the glued limit of its ten components, the solve converges at once
+    report = sinkhorn_msb(*peacock(10, a), SolverConfig())
+    assert report.converged
+    assert report.iterations <= 2
+    assert report.components == 10
+
+
+# The component start on the line (``solver._line_components``).
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chained_peacock_blocks_certify_as_their_blocks(tmp_path, seed):
+    # every block holds several mu atoms, so the start solves each block
+    # alone and glues the solves; the MSB of the chain is the sum of the
+    # blocks' MSBs, each carrying its block's mass
+    mu, nu, matrix, parts = chained_blocks(np.random.default_rng(seed))
+    assert _certify(tmp_path, mu, nu) == 0
+    doc = json.loads((tmp_path / "run" / "certify_report.json").read_text())
+    assert doc["iterations"] <= 10
+    report = sinkhorn_msb(mu, nu)
+    assert report.components == len(parts)
+    blocks = np.zeros_like(matrix)
+    for rows, cols in parts:
+        cell = matrix[rows[:, None], cols[None, :]]
+        mass = cell.sum()
+        alone = sinkhorn_msb(
+            DiscreteMeasure(mu.atoms[rows], cell.sum(axis=1) / mass),
+            DiscreteMeasure(nu.atoms[cols], cell.sum(axis=0) / mass))
+        blocks[rows[:, None], cols[None, :]] = mass * alone.coupling.matrix
+    assert np.abs(report.coupling.matrix - blocks).sum() <= 1e-10
+    assert report.coupling.matrix[blocks == 0.0].sum() <= 1e-20
+
+
+def test_a_mu_atom_on_a_touch_point_stays_there_and_certifies(tmp_path):
+    mu, nu, matrix, parts = chained_blocks(np.random.default_rng(5),
+                                           blocks=2, point=0.1)
+    report = sinkhorn_msb(mu, nu)
+    assert report.converged and report.iterations <= 2
+    assert report.components == 3
+    (i,), (j,) = parts[-1]
+    assert mu.atoms[i, 0] == nu.atoms[j, 0]
+    assert report.coupling.matrix[i, j] >= 0.1 * (1.0 - 1e-12)
+    assert _certify(tmp_path, mu, nu) == 0
+
+
+def _components_found(mu, nu):
+    geom = solver._FiberGeometry(nu)
+    x = geom.reduce_points(mu.atoms)[:, 0]
+    return solver._line_components(x, mu.weights, geom.y_red[:, 0],
+                                   nu.weights, SolverConfig().tolerance)
+
+
+def test_the_component_start_leaves_strict_pairs_alone(rng):
+    # no touch point, so the solve starts at psi = 0 as before
+    for _ in range(300):
+        mu, nu, _ = random_instance(rng, d=1)
+        assert _components_found(mu, nu) is None
+    planted = np.random.default_rng(11)
+    for spread in (1.0, 2.0, 3.0, 5.0):
+        for _ in range(30):
+            mu, nu, _ = planted_instance(planted, d=1, spread=spread)
+            assert _components_found(mu, nu) is None
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-11, 3e-11, 1e-9, 1e-6])
+def test_a_near_touching_strict_pair_converges_under_its_stop_rule(
+        monkeypatch, eps):
+    # moving eps of nu's mass outward leaves u_nu - u_mu = 4 eps at 0: within
+    # the slack the pair is split there and started at the glued limit,
+    # beyond it the solve starts at psi = 0; either way the stop rule decides
+    mu, nu = reducible_pair()
+    nu = DiscreteMeasure(nu.atoms, [0.25 + eps, 0.5 - 2.0 * eps, 0.25 + eps])
     config = SolverConfig()
-    try:
-        report = sinkhorn_msb(mu, nu, config)
-    except NotConverged:
-        return
-    assert report.iterations < solver._MAX_OUTER
+    report = sinkhorn_msb(mu, nu, config)
+    assert report.converged
+    assert report.marginal_residual < config.tolerance
+    assert report.martingale_residual < config.tolerance
+    without_the_component_start(monkeypatch)
+    cold = sinkhorn_msb(mu, nu, config)
+    assert np.abs(report.coupling.matrix - cold.coupling.matrix).sum() <= 1e-9
+
+
+def test_a_collinear_pair_is_diagnosed_on_its_line(monkeypatch):
+    # nu's frame has rank 1, so the potential functions decide in the
+    # frame's coordinate and no LP runs
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(solver, "check_convex_order", no_lp)
+    monkeypatch.setattr(solver, "_in_relative_interior", no_lp)
+    study_mu, study_nu = study_instance()
+    pm1 = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
+    shifted = DiscreteMeasure(study_nu.atoms + 0.25, study_nu.weights)
+    for mu, nu, outcome in ((study_mu, study_nu, None),
+                            (*reducible_pair(), None),
+                            (pm1, pm1, NotIrreducible),
+                            (study_mu, shifted, NotInConvexOrder)):
+        for pair in ((mu, nu), (line_in_the_plane(mu), line_in_the_plane(nu))):
+            if outcome is None:
+                _diagnose(pair[0].atoms, pair[1], pair[0])
+            else:
+                with pytest.raises(outcome):
+                    _diagnose(pair[0].atoms, pair[1], pair[0])
+    off = DiscreteMeasure([[0.4, -1.3], [1.6, 0.4]], [0.5, 0.5])
+    plane_nu = line_in_the_plane(reducible_pair()[1])
+    with pytest.raises(NotInConvexOrder, match="off the line"):
+        _diagnose(off.atoms, plane_nu, off)
+    with pytest.raises(NotIrreducible):
+        _diagnose(off.atoms, plane_nu)
 
 
 def test_classical_warm_start_matches_the_cold_solve(rng):
@@ -576,15 +681,8 @@ def test_certify_passes_where_the_classical_floor_lies_above_1e13(tmp_path):
     # solve
     shift = float(np.random.default_rng([101, 7]).uniform(-0.5, 0.5))
     mu, nu = peacock(10, 0.05)
-    paths = []
-    for name, measure in (("mu", mu), ("nu", nu)):
-        moved = DiscreteMeasure(measure.atoms + shift, measure.weights)
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(measure_to_json(moved)), encoding="utf-8")
-        paths.append(str(path))
-    code = main(["certify", "--mu", paths[0], "--nu", paths[1],
-                 "--out", str(tmp_path / "run")])
-    assert code == 0
+    assert _certify(tmp_path, *(DiscreteMeasure(m.atoms + shift, m.weights)
+                                for m in (mu, nu))) == 0
 
 
 # The fiber line search. ``_reference_fiber_newton`` is the solver's fiber
@@ -768,7 +866,10 @@ def test_batched_line_search_matches_sequential_halving_on_random_pairs(
 def test_batched_line_search_matches_sequential_halving_on_peacocks(
         monkeypatch):
     # the predicted starts leave these fibers nothing to backtrack, so the
-    # calls are harvested from warm starts at the accepted duals
+    # calls are harvested from warm starts at the accepted duals of the
+    # solve from psi = 0 (at the component start's psi a cold fiber solve
+    # raises DegenerateFiber, and the started solve takes no Newton step)
+    without_the_component_start(monkeypatch)
     halvings = 0
     for a in (0.1, 0.05):
         calls = _fiber_calls(monkeypatch, *_benchmark_peacock(a),
@@ -812,9 +913,11 @@ def test_a_solve_without_backtracks_exponentiates_once_per_step(
 
 
 @pytest.mark.parametrize("a", [0.1, 0.05])
-def test_predicted_starts_leave_few_inner_steps_on_peacocks(a):
+def test_predicted_starts_leave_few_inner_steps_on_peacocks(monkeypatch, a):
     # started from the accepted duals these solves took 9.1 (a = 0.1) and
-    # 6.3 (a = 0.05) inner Newton steps per outer iteration
+    # 6.3 (a = 0.05) inner Newton steps per outer iteration, climbing from
+    # psi = 0
+    without_the_component_start(monkeypatch)
     report = sinkhorn_msb(*_benchmark_peacock(a))
     assert report.inner_steps <= 3 * report.iterations
 
