@@ -163,16 +163,17 @@ def _solve_payload(args, command, report):
 
 def _solve_work(command, report):
     """The solve's outer iterations, inner Newton steps and backtracks, on
-    a second line its worst fiber Hessian condition number and largest
-    fiber dual |z| (nu's frame), on a third the rate of its dual ascent and
-    on a fourth the irreducible components it found on nu's line, on
-    stderr beside the wall clock: like timing, they never enter an
-    artifact."""
+    a second line its worst fiber Hessian condition number (or that no
+    inner Newton step ran) and largest fiber dual |z| (nu's frame), on a
+    third the rate of its dual ascent and on a fourth the irreducible
+    components it found on nu's line, on stderr beside the wall clock: like
+    timing, they never enter an artifact."""
     print(f"[{command}] {report.iterations} outer iterations, "
           f"{report.inner_steps} inner Newton steps, "
           f"{report.backtracks} backtracks", file=sys.stderr)
-    print(f"[{command}] worst fiber Hessian condition "
-          f"{report.fiber_condition:.3e}, largest fiber dual |z| "
+    condition = (f"worst fiber Hessian condition {report.fiber_condition:.3e}"
+                 if report.inner_steps else "no inner Newton step ran")
+    print(f"[{command}] {condition}, largest fiber dual |z| "
           f"{report.fiber_dual_max:.3e} (nu's frame)", file=sys.stderr)
     print(f"[{command}] dual ascent rate {report.rate:.4g} (ratio of the "
           "last two dual rises above the floating-point floor)",

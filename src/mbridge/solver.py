@@ -92,21 +92,28 @@ pair whose means differ by more than the stop rule could leave (a slack
 derived from the tolerance, in nu's frame) is refused with
 NotInConvexOrder before the first fiber solve.
 
-The solve certifies itself, so no LP runs before it. A converged Gibbs
-coupling whose conditionals all exceed ``CONDITIONAL_FLOOR`` is strictly
-positive, hence the witness that the pair is in convex order and that every
-mu atom lies in the relative interior of conv(supp nu). By weak duality the
-dual is at most the primal, a mutual information bounded by
-min(H(mu), H(nu)); a dual iterate above that bound proves that no martingale
-coupling exists. Only a solve that does neither (an inner failure, a stall,
-the iteration cap, a conditional at the floor) is diagnosed: convex order
-first, then the relative interior for all mu atoms. A converged coupling
-with a conditional at the floor still witnesses convex order, so only the
-interior question is asked of it. When nu spans a line (in any
-dimension, read in its frame's coordinate) both are read off the potential
-functions u(t) = E|X - t| with no LP: convex order is u_mu <= u_nu, which
-at the extreme atoms says the means agree, and an atom is interior when it
-lies strictly between the extreme nu atoms. Otherwise each is one LP.
+The solve certifies itself, so no LP runs before it, and every refusal that
+needs no LP is made before the first fiber solve (``_fixed_point``): a mu
+atom off the affine hull of supp(nu), in any rank; means that differ by
+more than the stop rule could leave; and, when nu spans a line (its frame
+has rank 1, in any dimension), a pair whose potential functions
+u(t) = E|X - t| cross, u_mu > u_nu at some nu atom in the frame's
+coordinate, which is convex order on the line. That scan tolerates the mean
+gap the mean test admits (moving mu by it moves u_mu by at most as much),
+so ``tolerance`` sets the largest mean gap accepted in every rank. A
+converged Gibbs coupling whose conditionals all exceed
+``CONDITIONAL_FLOOR`` is strictly positive, hence the witness that the pair
+is in convex order and that every mu atom lies in the relative interior of
+conv(supp nu). By weak duality the dual is at most the primal, a mutual
+information bounded by min(H(mu), H(nu)); a dual iterate above that bound
+proves that no martingale coupling exists. Only a solve that does neither
+(an inner failure, a stall, the iteration cap, a conditional at the floor)
+is diagnosed. When nu's frame has rank 0 or 1 convex order is already
+decided, so only the relative interior is asked, with no LP: an atom is
+interior when it lies strictly between the extreme nu atoms. In rank 2 and
+above one LP decides convex order and one the relative interior for all mu
+atoms; a converged coupling with a conditional at the floor still witnesses
+convex order, so only the interior LP runs for it.
 
 The variational identity P = SP(mubar, nu) + MCov(mubar, mu), with the base
 measure mubar = h#mu, is checked from the same potentials. The classical
@@ -145,8 +152,10 @@ H_DIVERGENCE_BOUND = 1e6
 # below this floor; conditionals of pairs in strict convex order sit far above.
 CONDITIONAL_FLOOR = 1e-8
 # The diagnosis: a point is interior when the relative-interior LP's smallest
-# weight exceeds the cut; on the line, convex order holds up to the
-# convex-order LP's feasibility tolerance, relative to nu's extent.
+# weight exceeds the cut. The order scan before the solve (``_order_gap``)
+# reads convex order on nu's line up to the convex-order LP's feasibility
+# tolerance, relative to nu's extent in its frame; its touch points use the
+# same slack.
 _INTERIOR_CUT = 1e-12
 _ORDER_SLACK = 1e-10
 # The fiber Newton: step cap and gradient tolerance per fiber; the gradient
@@ -239,7 +248,8 @@ class SolveReport:
     inner_steps: int = 0
     backtracks: int = 0
     # the largest over the same solves, in nu's frame: the worst fiber
-    # Hessian condition number a Newton step met and the largest |z| it reached
+    # Hessian condition number a Newton step met and the largest |z| a solve
+    # started from or reached
     fiber_condition: float = 0.0
     fiber_dual_max: float = 0.0
     # the observed linear rate of the dual ascent (``_rate``)
@@ -295,54 +305,14 @@ def _in_relative_interior(points, nu):
     return res.x[n * m:] > _INTERIOR_CUT
 
 
-def _potential(atoms, weights, points):
-    """u(t) = sum_k w_k |a_k - t| of a measure on the line, at ``points``.
-
-    With F and G the cumulative weight and first moment of the sorted atoms
-    up to t, u(t) = t (2 F(t) - 1) - 2 G(t) + abar: one sort and one
-    ``searchsorted``, no (points, atoms) distance array.
-    """
-    order = np.argsort(atoms, kind="stable")
-    a = atoms[order]
-    w = weights[order]
-    cum_w = np.concatenate([[0.0], np.cumsum(w)])
-    cum_m = np.concatenate([[0.0], np.cumsum(w * a)])
-    k = np.searchsorted(a, points, side="right")
-    return points * (2.0 * cum_w[k] - 1.0) - 2.0 * cum_m[k] + cum_m[-1]
-
-
-def _convex_order_1d(mu, nu):
-    """Convex order on the line, decided from the potential functions.
-
-    A martingale coupling exists iff the means agree and u_mu <= u_nu. The
-    difference u_nu - u_mu is piecewise linear with kinks only at the atoms
-    and equals +- the mean difference beyond them, so the atoms of both
-    measures are the only points to test, and the test at the two extreme
-    atoms is the test of equal means. The atoms are centred at nu's
-    barycenter, and the test allows the LP's feasibility slack
-    ``_ORDER_SLACK`` times the largest distance of a nu atom from it, which
-    also absorbs the rounding where u_mu = u_nu holds exactly.
-    """
-    center = nu.weights @ nu.atoms[:, 0]
-    x, y = mu.atoms[:, 0] - center, nu.atoms[:, 0] - center
-    slack = _ORDER_SLACK * float(np.abs(y).max())
-    t = np.concatenate([x, y])
-    return bool(np.all(_potential(x, mu.weights, t)
-                       <= _potential(y, nu.weights, t) + slack))
-
-
-def _inside_hull_1d(points, nu):
-    """The relative-interior test of ``_in_relative_interior`` on the line.
+def _inside_hull_1d(x, y):
+    """The relative-interior test of ``_in_relative_interior`` on the line,
+    for points ``x`` and atoms ``y`` in nu's frame coordinate.
 
     There the LP's optimal smallest weight is min(1/m, (x - y_min) / sum_j
     (y_j - y_min), (y_max - x) / sum_j (y_max - y_j)), so a point is
     interior iff both distances exceed ``_INTERIOR_CUT`` times those sums.
-    A single atom is its own relative interior.
     """
-    x = points[:, 0]
-    y = nu.atoms[:, 0]
-    if nu.n == 1:
-        return np.abs(x - y[0]) <= 1e-12
     lo, hi = y.min(), y.max()
     return ((x - lo > _INTERIOR_CUT * float(np.sum(y - lo)))
             & (hi - x > _INTERIOR_CUT * float(np.sum(hi - y))))
@@ -350,28 +320,19 @@ def _inside_hull_1d(points, nu):
 
 def _diagnose(points, nu, mu=None):
     """Raise NotInConvexOrder (given mu) or NotIrreducible if the pair shows
-    either; otherwise return, so the caller's answer stands. When nu spans
-    a line (its frame has rank 1, in any dimension) the potential functions
-    decide, read in the frame's coordinate; a point off that line is not
-    interior, and a mu atom off it rules out convex order. Elsewhere one LP
-    decides each question."""
-    if nu.dim > 1 and _frame(nu)[1].shape[1] == 1:
-        geom = _FiberGeometry(nu)
-        try:
-            points = geom.reduce_points(points)
-        except NotIrreducible:
-            if mu is None:
-                raise
-            raise NotInConvexOrder(
-                "a mu atom lies off the line of supp(nu)") from None
-        if mu is not None:
-            mu = DiscreteMeasure(geom.reduce_points(mu.atoms), mu.weights)
-        nu = DiscreteMeasure(geom.y_red, nu.weights)
-    line = nu.dim == 1
-    if mu is not None and not (_convex_order_1d(mu, nu) if line
-                               else check_convex_order(mu, nu)[0]):
+    either; otherwise return, so the caller's answer stands. When nu's frame
+    has rank 0 or 1 (in any dimension) ``_fixed_point`` has decided convex
+    order before the solve, so only the interior question is asked: on one
+    atom by ``_in_relative_interior``'s closed form, on a line by
+    ``_inside_hull_1d`` in the frame's coordinate (a point off the line is
+    not interior). Elsewhere one LP decides each question."""
+    geom = _FiberGeometry(nu)
+    if (geom.rank > 1 and mu is not None
+            and not check_convex_order(mu, nu)[0]):
         raise NotInConvexOrder("mu and nu admit no martingale coupling")
-    inside = (_inside_hull_1d if line else _in_relative_interior)(points, nu)
+    inside = (_inside_hull_1d(geom.reduce_points(points)[:, 0],
+                              geom.y_red[:, 0])
+              if geom.rank == 1 else _in_relative_interior(points, nu))
     if not inside.all():
         raise NotIrreducible(
             f"{'point' if mu is None else 'mu atom'} {int(np.argmin(inside))}"
@@ -415,8 +376,9 @@ class _FiberGeometry:
 class _FiberSolve(NamedTuple):
     """The duals, values and conditionals of one batched fiber solve, with
     its Newton steps, the value evaluations of its backtracking, the worst
-    Hessian condition number a step met and the largest |z| a step reached
-    (both in nu's frame; 0 when no step ran)."""
+    Hessian condition number a step met (0 when no step ran) and the
+    largest |z| the solve started from or a step reached, both in nu's
+    frame."""
 
     z: np.ndarray
     phi: np.ndarray
@@ -487,7 +449,7 @@ def _fiber_newton(geom, x_red, psi, z0=None):
     active = norms(grad) > _NEWTON_GRADIENT_TOLERANCE
 
     steps = backtracks = 0
-    condition = dual_max = 0.0
+    condition, dual_max = 0.0, float(np.maximum.reduce(norms(z)))
     for _ in range(_NEWTON_MAX_STEPS):
         if not _any(active):
             break
@@ -523,10 +485,19 @@ def _fiber_newton(geom, x_red, psi, z0=None):
                 worst = float(np.maximum.reduce(ratio))
         if _any(bad):
             fiber = int(np.nonzero(bad)[0][0])
+            if line:
+                cause = f"variance {float(var[fiber, 0]):.3e} is not positive"
+            elif eigs[fiber, 0] <= 0:
+                cause = (f"covariance has the eigenvalue {eigs[fiber, 0]:.3e}"
+                         ", not positive")
+            elif ratio[fiber] > HESSIAN_CONDITION_CAP:
+                cause = ("covariance condition number "
+                         f"exceeds {HESSIAN_CONDITION_CAP:.0e}")
+            else:
+                cause = "covariance is singular to LAPACK"
             raise DegenerateFiber(
                 f"fiber {fiber if idx is None else int(idx[fiber])}: "
-                "conditional covariance condition number "
-                f"exceeds {HESSIAN_CONDITION_CAP:.0e}")
+                f"conditional {cause}")
         condition = max(condition, worst)
         descent = dot(grad_a, step)
 
@@ -609,9 +580,9 @@ def inner_dual_solve(x, psi, nu, h0=None):
     Returns (h, phi_x, conditional) where phi_x is the supremum value and the
     conditional is the tilted measure nu_j exp(psi_j + <h, y_j>) normalized,
     whose barycenter equals x within the Newton gradient tolerance times
-    nu's spread. The relative-interior test (closed form on the line, an LP
-    in dimension two or more) runs only when Newton fails or leaves a
-    conditional at ``CONDITIONAL_FLOOR``.
+    nu's spread. The relative-interior test (closed form when nu's frame
+    has rank 0 or 1, an LP otherwise) runs only when Newton fails or leaves
+    a conditional at ``CONDITIONAL_FLOOR``.
     """
     nu_ = nu if isinstance(nu, DiscreteMeasure) else DiscreteMeasure(*nu)
     x = np.asarray(x, dtype=float).ravel()
@@ -852,36 +823,51 @@ class _Component(NamedTuple):
     slope: float
 
 
-def _line_components(x, mu_w, y, nu_w, tolerance):
-    """The irreducible components of a pair on the line, and its touch
-    points; None when there is one component or the split fails.
+def _order_gap(x, mu_w, y, nu_w):
+    """u_nu - u_mu at nu's sorted atoms, with u(t) = E|X - t| the potential
+    functions and ``x``, ``y`` the atoms in nu's frame coordinate.
 
-    ``x`` and ``y`` are the atoms in nu's frame coordinate. A touch point
-    is an interior nu atom where u_nu - u_mu is at most the slack of
-    ``_convex_order_1d``. Each open interval between touch points (or the
-    extreme nu atoms) that holds mu atoms is a component, and a mu atom on a
-    touch point is one by itself. A nu atom on a boundary splits its mass
-    between the components beside it: a component's mass and mean fix the
-    shares of its two boundary atoms. The split fails when a share is not
-    positive, when a mu atom lies on an extreme nu atom, or when the shares
-    miss nu's weights by more than half the tolerance in L1 (the other half
-    is left to the components' solves).
+    Returns (order, ys, gap, slack): nu's atom indices in ascending order,
+    the sorted atoms, the gap at each and the slack ``_ORDER_SLACK`` times
+    nu's extent, which absorbs the rounding where u_mu = u_nu holds exactly.
+    Between nu atoms the gap is concave and beyond them monotone, so its
+    minimum over the line lies at a nu atom: the pair is in convex order
+    (Beiglboeck & Juillet, Ann. Probab. 2016) iff no gap lies below
+    -slack, and at the extreme atoms that test bounds the mean gap.
     """
     # u_nu - u_mu is the potential of the signed measure nu - mu, whose
     # weights sum to 0: at each of its sorted atoms a_k, with cumulative
     # weight F_k and moment G_k, it is 2 (a_k F_k - G_k) + G_total
-    m = len(y)
     both = np.concatenate((y, x))
     order = np.argsort(both, kind="stable")
     a, w = both[order], np.concatenate((nu_w, -mu_w))[order]
     cum_w, cum_m = np.cumsum(w), np.cumsum(w * a)
     gap = 2.0 * (a * cum_w - cum_m) + cum_m[-1]
-    nu_at = order < m
-    order, ys, gap = order[nu_at], a[nu_at], gap[nu_at]
-    slack = _ORDER_SLACK * max(-ys[0], ys[-1])
+    nu_at = order < len(y)
+    ys = a[nu_at]
+    return (order[nu_at], ys, gap[nu_at],
+            _ORDER_SLACK * max(-ys[0], ys[-1]))
+
+
+def _line_components(x, mu_w, nu_w, scan, tolerance):
+    """The irreducible components of a pair in convex order on the line,
+    and its touch points; None when there is one component or the split
+    fails.
+
+    ``x`` holds mu's atoms in nu's frame coordinate and ``scan`` is
+    ``_order_gap`` of the pair. A touch point is an interior nu atom where
+    u_nu - u_mu is at most the scan's slack. Each open interval between
+    touch points (or the extreme nu atoms) that holds mu atoms is a
+    component, and a mu atom on a touch point is one by itself. A nu atom
+    on a boundary splits its mass between the components beside it: a
+    component's mass and mean fix the shares of its two boundary atoms. The
+    split fails when a share is not positive, when a mu atom lies on an
+    extreme nu atom, or when the shares miss nu's weights by more than half
+    the tolerance in L1 (the other half is left to the components' solves).
+    """
+    order, ys, gap, slack = scan
     touch = np.flatnonzero(gap[1:-1] <= slack) + 1
-    # the minimum of u_nu - u_mu lies at a nu atom, so this is convex order
-    if not touch.size or _any(gap < -slack):
+    if not touch.size:
         return None
     t = ys[touch]
     ends = np.concatenate([[0], touch, [len(ys) - 1]])
@@ -894,7 +880,7 @@ def _line_components(x, mu_w, y, nu_w, tolerance):
     inside = (part % 2 == 1) | ((ys[0] < x) & (x < ys[-1]))
     if not _all(inside):
         return None
-    comps, assigned = [], np.zeros(len(y))
+    comps, assigned = [], np.zeros(len(nu_w))
     for c in np.unique(part):
         rows = np.flatnonzero(part == c)
         q = c // 2
@@ -989,19 +975,28 @@ def _component_start(x, mu_w, y, nu_w, comps, t, tolerance):
 def _fixed_point(mu, nu, config):
     """The psi-dual Newton solve of ``sinkhorn_msb``, without diagnosis.
 
-    Unequal means are refused before the first fiber solve. A solve that
-    passes the stop rule leaves a mean gap below the drift tolerance plus
-    the L1 column defect times the largest atom, both measured in nu's
-    frame; a larger gap proves that no martingale coupling exists. The mean
-    of nu is read from its whitened atoms, not taken as 0, since the
-    barycenter itself rounds at |c| eps. The psi Newton starts at psi = 0,
-    or, on a pair with several components on nu's line, at
-    ``_component_start``.
+    Before the first fiber solve it refuses, with NotInConvexOrder, a pair
+    that no martingale coupling joins and whose proof needs no LP: a mu
+    atom off the affine hull of supp(nu) (a linear function normal to the
+    hull separates the marginals, Strassen 1965), unequal means, and, when
+    nu's frame has rank 1, a pair whose potential functions cross
+    (``_order_gap``) by more than the scan's slack plus the mean gap the
+    mean test admits. A solve that passes the stop rule leaves a mean gap
+    below the drift tolerance plus the L1 column defect times the largest
+    atom, both measured in nu's frame; a larger gap proves that no
+    martingale coupling exists. The mean of nu is read from its whitened
+    atoms, not taken as 0, since the barycenter itself rounds at |c| eps.
+    The psi Newton starts at psi = 0, or, on a pair with several components
+    on nu's line, at ``_component_start``.
     """
     # weak duality: the dual never exceeds the primal <= min(H(mu), H(nu))
     bound = min(float(-(w @ np.log(w))) for w in (mu.weights, nu.weights))
     geom = _FiberGeometry(nu)
-    x_red = geom.reduce_points(mu.atoms)
+    try:
+        x_red = geom.reduce_points(mu.atoms)
+    except NotIrreducible as exc:
+        raise NotInConvexOrder(
+            f"mu {exc}: no martingale coupling exists") from None
     gap = np.linalg.norm(mu.weights @ x_red - nu.weights @ geom.y_red)
     if gap > config.tolerance * (1.0 + _row_norms(geom.y_red).max()):
         raise NotInConvexOrder(
@@ -1009,9 +1004,18 @@ def _fixed_point(mu, nu, config):
             "coupling exists")
 
     psi0, z_start, components = np.zeros(nu.n), None, 1
-    if geom.rank == 1 and nu.n > 2:
+    if geom.rank == 1:
         x, y = x_red[:, 0], geom.y_red[:, 0]
-        found = _line_components(x, mu.weights, y, nu.weights,
+        scan = _order_gap(x, mu.weights, y, nu.weights)
+        order, _, u_gap, slack = scan
+        # moving mu by the mean gap the test above admits moves u_mu by at
+        # most that gap, so only a deficit beyond it refutes the pair
+        if _any(u_gap < -(slack + gap)):
+            k = int(np.argmin(u_gap))
+            raise NotInConvexOrder(
+                f"u_mu exceeds u_nu by {-u_gap[k]:.3e} at nu atom "
+                f"{int(order[k])} (nu's frame): no martingale coupling exists")
+        found = _line_components(x, mu.weights, nu.weights, scan,
                                  config.tolerance)
         if found is not None:
             components = len(found[0])

@@ -1,4 +1,5 @@
-"""Shared generators for randomized feasible instances.
+"""Shared generators for randomized feasible instances, and the helpers
+that several test modules use.
 
 A feasible pair in convex order is built backwards: draw a strictly positive
 coupling matrix, read off the row sums as mu weights and the conditional
@@ -7,10 +8,16 @@ the nu atoms, so the pair is in strict convex order and each atom lies in the
 relative interior of conv(supp nu).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mbridge import DiscreteMeasure
+from mbridge import DiscreteMeasure, NotInConvexOrder, sinkhorn_msb
+import mbridge.solver as solver
 
 
 def random_instance(rng, n=None, m=None, d=None, spread=2.0):
@@ -109,6 +116,13 @@ def lifted(measure):
     return DiscreteMeasure(atoms, measure.weights)
 
 
+def line_in_the_plane(measure, center=(1.0, -0.5), direction=(0.6, 0.8)):
+    """A measure on the line placed on center + t direction in the plane."""
+    return DiscreteMeasure(np.asarray(center)
+                           + measure.atoms[:, :1] * np.asarray(direction),
+                           measure.weights)
+
+
 def study_instance():
     mu = DiscreteMeasure([[-1.0], [0.0], [1.0]], [0.40, 0.46, 0.14])
     nu = DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.43, 0.27, 0.30])
@@ -150,6 +164,40 @@ def golden_section(f, lo, hi, tol=1e-12):
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    mbridge; return its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return done.stdout.strip()
+
+
+class _FirstFiberSolve(Exception):
+    pass
+
+
+def refusal_before_the_solve(mu, nu, config=None):
+    """The NotInConvexOrder message ``sinkhorn_msb(mu, nu, config)`` raises
+    before its first fiber solve, or None when it reaches one or the psi
+    Newton that runs them (which is then stopped, before it allocates)."""
+    def stop(*args, **kwargs):
+        raise _FirstFiberSolve
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_fiber_newton", stop)
+        m.setattr(solver, "_psi_newton", stop)
+        try:
+            sinkhorn_msb(mu, nu, config)
+        except NotInConvexOrder as exc:
+            return str(exc)
+        except _FirstFiberSolve:
+            return None
+    raise AssertionError("sinkhorn_msb returned without a fiber solve")
 
 
 @pytest.fixture

@@ -5,9 +5,12 @@ Pairs are built backwards from a strictly positive coupling (see
 ``conftest.random_instance``) and then, for the infeasible classes, either
 one row is sent to an extreme nu atom (a coupling exists, but that mu atom
 sits on the boundary of conv(supp nu)) or mu is translated (the means
-differ, so no martingale coupling exists). On the line the diagnosis of a
-failed solve reads the potential functions; its two decisions must match
-the convex-order and relative-interior LPs on the same families and more.
+differ, so no martingale coupling exists). When nu spans a line the solve
+decides convex order before its first fiber solve from the potential
+functions, and the diagnosis of a failed solve asks only the interior
+question in closed form; both decisions must match the convex-order and
+relative-interior LPs on the same families and more, on the line and on a
+line of the plane.
 """
 
 import numpy as np
@@ -18,9 +21,9 @@ from mbridge import (DiscreteMeasure, NotInConvexOrder, NotIrreducible,
                      SolverConfig, check_convex_order, sinkhorn_msb)
 import mbridge.solver as solver
 from mbridge.measures import _frame
-from mbridge.solver import (_convex_order_1d, _in_relative_interior,
-                            _inside_hull_1d)
-from conftest import peacock, random_instance
+from mbridge.solver import _in_relative_interior, _inside_hull_1d
+from conftest import (line_in_the_plane, peacock, random_instance,
+                      refusal_before_the_solve)
 
 CONFIG = SolverConfig()
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
@@ -80,13 +83,20 @@ def test_unequal_means_are_refused_before_any_fiber_solve(seed, d, log_shift,
     scale = 10.0 ** log_scale
     mu = DiscreteMeasure((mu.atoms + shift) * scale, mu.weights)
     nu = DiscreteMeasure(nu.atoms * scale, nu.weights)
-    calls = []
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(solver, "_fiber_newton",
-                  lambda *args, **kwargs: calls.append(args))
-        with pytest.raises(NotInConvexOrder):
-            sinkhorn_msb(mu, nu)
-    assert not calls
+    assert refusal_before_the_solve(mu, nu) is not None
+
+
+@SETTINGS
+@given(seed=seeds, t=st.floats(0.0, 1.0), plane=st.booleans())
+def test_contracted_line_pairs_out_of_order_are_refused_before_any_fiber_solve(
+        seed, t, plane):
+    # equal means, so the mean test passes them; the potential functions
+    # on nu's line prove that no martingale coupling exists
+    mu, nu = _line_pair("contracted", seed, t)
+    if plane:
+        mu, nu = line_in_the_plane(mu), line_in_the_plane(nu)
+    if not check_convex_order(mu, nu)[0]:
+        assert refusal_before_the_solve(mu, nu) is not None
 
 
 def _line_pair(family, seed, t):
@@ -122,6 +132,17 @@ def _line_pair(family, seed, t):
 @given(seed=seeds, t=st.floats(0.0, 1.0))
 def test_line_diagnosis_agrees_with_the_lps(family, seed, t):
     mu, nu = _line_pair(family, seed, t)
-    assert _convex_order_1d(mu, nu) == check_convex_order(mu, nu)[0]
-    assert np.array_equal(_inside_hull_1d(mu.atoms, nu),
-                          _in_relative_interior(mu.atoms, nu))
+    for mu, nu in ((mu, nu), (line_in_the_plane(mu), line_in_the_plane(nu))):
+        # the solve's refusals before its first fiber solve decide convex
+        # order: the off-hull test, the mean test and the order scan
+        assert ((refusal_before_the_solve(mu, nu) is None)
+                == check_convex_order(mu, nu)[0])
+        geom = solver._FiberGeometry(nu)
+        try:
+            x = geom.reduce_points(mu.atoms)[:, 0]
+        except NotIrreducible:
+            # t = 0 contracts nu to one atom, and mu lies off it
+            continue
+        # the interior test, read in nu's frame coordinate
+        assert np.array_equal(_inside_hull_1d(x, geom.y_red[:, 0]),
+                              _in_relative_interior(mu.atoms, nu))

@@ -2,11 +2,8 @@
 
 import json
 import math
-import os
 import re
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +12,7 @@ from mbridge import DegenerateFiber, DiscreteMeasure, check_convex_order, \
     cli, dynamics, errors, filtering, measure_to_json
 from mbridge.cli import build_parser, main
 from mbridge.solver import sinkhorn_msb
-from conftest import peacock, random_instance, study_instance
+from conftest import fresh_python, peacock, random_instance, study_instance
 
 
 def write_measure(path, atoms, weights):
@@ -95,6 +92,23 @@ def test_fiber_conditioning_goes_to_stderr_only(tmp_path, study_files, capsys,
     for artifact in out.iterdir():
         text = artifact.read_text(encoding="utf-8")
         assert "Hessian" not in text and "|z|" not in text
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_a_solve_without_inner_steps_says_so(tmp_path, capsys, command):
+    # the component start puts the peacock n = 10, a = 0.1 at its solution:
+    # no inner Newton step runs, so no condition number was measured, but
+    # the duals the fibers start from are large
+    mu, nu = (write_measure(tmp_path / f"{name}.json", m.atoms, m.weights)
+              for name, m in zip(("mu", "nu"), peacock(10, 0.1)))
+    assert main([command, "--mu", mu, "--nu", nu,
+                 "--out", str(tmp_path / "run")]) == 0
+    lines = [line for line in capsys.readouterr().err.split("\n")
+             if "|z|" in line]
+    report = sinkhorn_msb(*peacock(10, 0.1))
+    assert report.inner_steps == 0 and report.fiber_dual_max > 1e4
+    assert lines == [f"[{command}] no inner Newton step ran, largest fiber "
+                     f"dual |z| {report.fiber_dual_max:.3e} (nu's frame)"]
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
@@ -657,17 +671,6 @@ def test_simulate_runs_every_coupling_the_solve_accepts(tmp_path, case):
     assert code == 0
     report = json.loads((out / "simulate_report.json").read_text())
     assert report["all_pass"] is True
-
-
-def fresh_python(code):
-    """Run ``code`` in a new interpreter that imports this checkout's
-    mbridge; return its stdout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120, check=True)
-    return done.stdout.strip()
 
 
 # prints, as JSON on its last line, the exit code of each run given as RUNS

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -46,9 +47,10 @@ from mbridge.solver import (_ARMIJO, _NEWTON_GRADIENT_TOLERANCE,
                             H_DIVERGENCE_BOUND, HESSIAN_CONDITION_CAP,
                             _diagnose)
 from mbridge.solver import _fiber_newton as fiber_newton
-from conftest import (chained_blocks, golden_section, lifted, peacock,
-                      planted_instance, random_instance, study_instance,
-                      two_by_three_family)
+from conftest import (chained_blocks, fresh_python, golden_section, lifted,
+                      line_in_the_plane, peacock, planted_instance,
+                      random_instance, refusal_before_the_solve,
+                      study_instance, two_by_three_family)
 
 
 def entropy_of(matrix, mu, nu):
@@ -138,8 +140,47 @@ def test_a_covariance_lapack_finds_singular_raises_degenerate_fiber(
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(DegenerateFiber, match="^fiber 0: "):
+    with pytest.raises(DegenerateFiber,
+                       match="^fiber 0: conditional covariance is singular"):
         fiber_newton(geom, x_red, np.zeros(nu.n))
+
+
+@pytest.mark.parametrize("smallest, cause", [
+    (-1e-3, "covariance has the eigenvalue -1.000e-03, not positive"),
+    (1e-20, "covariance condition number exceeds 1e+14")],
+    ids=["eigenvalue", "condition"])
+def test_a_degenerate_fiber_in_the_plane_names_its_cause(monkeypatch,
+                                                         smallest, cause):
+    # fiber 1's smallest eigenvalue is replaced: a non-positive one and a
+    # condition number above the cap are told apart
+    mu = DiscreteMeasure([[-0.2, 0.1], [0.2, -0.1]], [0.5, 0.5])
+    nu = DiscreteMeasure([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]],
+                         [0.245, 0.255, 0.255, 0.245])
+    geom = solver._FiberGeometry(nu)
+    eigvalsh = np.linalg.eigvalsh
+
+    def replaced(cov):
+        eigs = eigvalsh(cov)
+        eigs[1, 0] = smallest
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", replaced)
+    with pytest.raises(DegenerateFiber,
+                       match=re.escape(f"fiber 1: conditional {cause}")):
+        fiber_newton(geom, geom.reduce_points(mu.atoms), np.zeros(nu.n))
+
+
+def test_a_degenerate_fiber_on_the_line_says_its_variance_is_not_positive():
+    # at the potentials of the component start the conditional of every
+    # fiber started at z = 0 sits on one nu atom, so its variance underflows
+    # to 0; the condition number of a variance is 1, so the message names
+    # the variance
+    mu, nu = peacock(10, 0.1)
+    report = sinkhorn_msb(mu, nu)
+    with pytest.raises(DegenerateFiber,
+                       match="^fiber 0: conditional variance 0.000e[+]00 is "
+                       "not positive$"):
+        dual_value(report.potentials.psi, mu, nu)
 
 
 def _linalg_calls(monkeypatch, call):
@@ -198,13 +239,6 @@ def test_the_dual_rate_reads_linear_on_reducible_pairs_and_fast_on_strict(
     study = sinkhorn_msb(*study_instance())
     assert 0.0 < study.rate < 1e-3
     assert solver._rate(np.array([0.5, 0.5])) == 0.0
-
-
-def line_in_the_plane(measure, center=(1.0, -0.5), direction=(0.6, 0.8)):
-    """A measure on the line placed on center + t direction in the plane."""
-    return DiscreteMeasure(np.asarray(center)
-                           + measure.atoms[:, :1] * np.asarray(direction),
-                           measure.weights)
 
 
 def _certify(tmp_path, mu, nu):
@@ -422,12 +456,56 @@ def test_strict_pairs_certify_themselves_without_an_lp(rng, monkeypatch, d):
 
 
 def test_weak_duality_refutes_an_equal_mean_pair_without_an_lp(monkeypatch):
-    # equal means, but nu is less spread than mu: no martingale coupling
+    # equal means, but nu is less spread than mu: no martingale coupling.
+    # On the line the potential functions refute it before any fiber solve
     _forbid_lps(monkeypatch)
     mu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
     nu = DiscreteMeasure([[-1.5], [0.0], [1.5]], [0.1, 0.8, 0.1])
+    assert "u_mu exceeds u_nu" in refusal_before_the_solve(mu, nu)
+    # in the plane no potential function decides, and the dual climbs past
+    # min(H(mu), H(nu))
+    mu = DiscreteMeasure([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                         [0.25] * 4)
+    nu = DiscreteMeasure([[1.5, 0.0], [-1.5, 0.0], [0.0, 1.5], [0.0, -1.5],
+                          [0.0, 0.0]], [0.1] * 4 + [0.6])
     with pytest.raises(NotInConvexOrder, match="exceeds min"):
         sinkhorn_msb(mu, nu)
+
+
+@pytest.mark.parametrize("nu", [
+    DiscreteMeasure([[-2.0], [0.0], [2.0]], [0.3, 0.4, 0.3]),
+    DiscreteMeasure([[-2.0, 0.0], [0.0, 1.0], [0.0, -1.0], [2.0, 0.0]],
+                    [0.3, 0.2, 0.2, 0.3])], ids=["line", "plane"])
+def test_the_tolerance_sets_the_accepted_mean_gap_in_every_rank(nu):
+    # mu sits 1e-7 off nu's mean: the default tolerance refuses that gap
+    # before the solve, and 1e-6 admits it on the line as in the plane,
+    # since the order scan allows the mean gap the mean test admits
+    mu = DiscreteMeasure(np.eye(nu.dim)[:1] * [[-1.0 + 1e-7], [1.0 + 1e-7]],
+                         [0.5, 0.5])
+    assert "means differ" in refusal_before_the_solve(mu, nu)
+    assert sinkhorn_msb(mu, nu, SolverConfig(tolerance=1e-6)).converged
+
+
+def test_an_atom_off_the_hull_is_refused_without_an_lp_in_any_rank(
+        monkeypatch):
+    # a linear function normal to nu's plane separates the marginals
+    # (Strassen 1965), so the pair is refused before any fiber solve; a
+    # fresh interpreter shows that no scipy module loads on the way
+    _forbid_lps(monkeypatch)
+    nu = DiscreteMeasure([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                          [0.0, -1.0, 0.0]], [0.25] * 4)
+    mu = DiscreteMeasure([[0.0, 0.0, 0.1], [0.0, 0.0, -0.1]], [0.5, 0.5])
+    assert "off the affine hull" in refusal_before_the_solve(mu, nu)
+    loaded = fresh_python(
+        "import sys\n"
+        "from mbridge import DiscreteMeasure, NotInConvexOrder, sinkhorn_msb\n"
+        f"nu = DiscreteMeasure({nu.atoms.tolist()!r}, {nu.weights.tolist()!r})\n"
+        f"mu = DiscreteMeasure({mu.atoms.tolist()!r}, {mu.weights.tolist()!r})\n"
+        "try:\n"
+        "    sinkhorn_msb(mu, nu)\n"
+        "except NotInConvexOrder:\n"
+        "    print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    assert loaded == "[]"
 
 
 def test_a_converged_solve_is_not_overturned_by_the_convex_order_lp(
@@ -460,7 +538,11 @@ def test_peacock_certify_runs_no_lp(tmp_path, monkeypatch):
 
 def test_line_diagnosis_scales_to_twenty_thousand_atoms(monkeypatch):
     # mu atom i splits between nu atoms i and i + 1 (the last wraps to 0),
-    # so the pair is in strict convex order; O(n) to build, no dense array
+    # so the pair is in strict convex order; O(n) to build, no dense array.
+    # Its diagnosis finds every mu atom interior, the order scan that runs
+    # before the solve passes it, and the scan refutes the pair whose mu is
+    # spread to 1.5 times its width about its mean, which leaves the means
+    # equal
     _forbid_lps(monkeypatch)
     n = 20_000
     rng = np.random.default_rng(11)
@@ -473,11 +555,12 @@ def test_line_diagnosis_scales_to_twenty_thousand_atoms(monkeypatch):
     mu = DiscreteMeasure(x, mu_w / mu_w.sum())
     nu = DiscreteMeasure(y, nu_w / nu_w.sum())
     assert mu.n == nu.n == n
-    moved = DiscreteMeasure(x + 0.01, mu.weights)
+    mean = mu.weights @ mu.atoms[:, 0]
+    spread = DiscreteMeasure(mean + 1.5 * (mu.atoms - mean), mu.weights)
     start = time.perf_counter()
     _diagnose(mu.atoms, nu, mu)
-    with pytest.raises(NotInConvexOrder):
-        _diagnose(moved.atoms, nu, moved)
+    assert refusal_before_the_solve(mu, nu) is None
+    assert "u_mu exceeds u_nu" in refusal_before_the_solve(spread, nu)
     assert time.perf_counter() - start < 1.0
 
 
@@ -589,8 +672,9 @@ def test_a_mu_atom_on_a_touch_point_stays_there_and_certifies(tmp_path):
 def _components_found(mu, nu):
     geom = solver._FiberGeometry(nu)
     x = geom.reduce_points(mu.atoms)[:, 0]
-    return solver._line_components(x, mu.weights, geom.y_red[:, 0],
-                                   nu.weights, SolverConfig().tolerance)
+    scan = solver._order_gap(x, mu.weights, geom.y_red[:, 0], nu.weights)
+    return solver._line_components(x, mu.weights, nu.weights, scan,
+                                   SolverConfig().tolerance)
 
 
 def test_the_component_start_leaves_strict_pairs_alone(rng):
@@ -624,8 +708,9 @@ def test_a_near_touching_strict_pair_converges_under_its_stop_rule(
 
 
 def test_a_collinear_pair_is_diagnosed_on_its_line(monkeypatch):
-    # nu's frame has rank 1, so the potential functions decide in the
-    # frame's coordinate and no LP runs
+    # nu's frame has rank 1, so the solve decides convex order before its
+    # first fiber solve, the diagnosis asks only the interior question in
+    # the frame's coordinate, and no LP runs
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP ran")
 
@@ -636,18 +721,21 @@ def test_a_collinear_pair_is_diagnosed_on_its_line(monkeypatch):
     shifted = DiscreteMeasure(study_nu.atoms + 0.25, study_nu.weights)
     for mu, nu, outcome in ((study_mu, study_nu, None),
                             (*reducible_pair(), None),
-                            (pm1, pm1, NotIrreducible),
-                            (study_mu, shifted, NotInConvexOrder)):
+                            (pm1, pm1, NotIrreducible)):
         for pair in ((mu, nu), (line_in_the_plane(mu), line_in_the_plane(nu))):
             if outcome is None:
                 _diagnose(pair[0].atoms, pair[1], pair[0])
             else:
                 with pytest.raises(outcome):
                     _diagnose(pair[0].atoms, pair[1], pair[0])
+                with pytest.raises(outcome):
+                    sinkhorn_msb(*pair)
+    for pair in ((study_mu, shifted),
+                 (line_in_the_plane(study_mu), line_in_the_plane(shifted))):
+        assert refusal_before_the_solve(*pair) is not None
     off = DiscreteMeasure([[0.4, -1.3], [1.6, 0.4]], [0.5, 0.5])
     plane_nu = line_in_the_plane(reducible_pair()[1])
-    with pytest.raises(NotInConvexOrder, match="off the line"):
-        _diagnose(off.atoms, plane_nu, off)
+    assert "off the affine hull" in refusal_before_the_solve(off, plane_nu)
     with pytest.raises(NotIrreducible):
         _diagnose(off.atoms, plane_nu)
 
@@ -726,10 +814,16 @@ def _reference_fiber_newton(geom, x_red, psi, z0=None):
         bad = (eigs[:, 0] <= 0) | (eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300)
                                    > HESSIAN_CONDITION_CAP)
         if np.any(bad):
-            fiber = int(idx[np.nonzero(bad)[0][0]])
-            raise DegenerateFiber(
-                f"fiber {fiber}: conditional covariance condition number "
-                f"exceeds {HESSIAN_CONDITION_CAP:.0e}")
+            k = int(np.nonzero(bad)[0][0])
+            if r == 1:
+                cause = f"variance {eigs[k, 0]:.3e} is not positive"
+            elif eigs[k, 0] <= 0:
+                cause = (f"covariance has the eigenvalue {eigs[k, 0]:.3e}, "
+                         "not positive")
+            else:
+                cause = ("covariance condition number exceeds "
+                         f"{HESSIAN_CONDITION_CAP:.0e}")
+            raise DegenerateFiber(f"fiber {int(idx[k])}: conditional {cause}")
         step = np.linalg.solve(cov, grad[idx][:, :, None])[:, :, 0]
         descent = np.einsum("nr,nr->n", grad[idx], step)
 
